@@ -7,7 +7,9 @@
 # hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
 # records the ratios in bench_out/micro_kernels.json), the approx-math
-# primitive accuracy/speed point is refreshed into bench_out/, and the
+# primitive accuracy/speed point is refreshed into bench_out/, the
+# benchmark's self-tests (perfbench/run.py selftest) pass after the release
+# preset, and the
 # forced-scalar build (GBPOL_SIMD=OFF preset + GBPOL_SIMD=off env) must pass
 # the same test labels so the SoA fallback stays healthy. The long randomized
 # soak campaigns and the coverage gate are opt-in.
@@ -68,6 +70,13 @@ for preset in "${PRESETS[@]}"; do
   cmake --build --preset "${preset}" -j "${JOBS}"
   echo "=== ${preset}: ctest (unit|property|checkpoint|balance|owned|integrity|incremental|serve|trace) ==="
   ctest --preset "${preset}" -L 'unit|property|checkpoint|balance|owned|integrity|incremental|serve|trace' -j "${JOBS}"
+  if [[ "${preset}" == release ]]; then
+    echo "=== perfbench selftest: benchmark answer checks (release) ==="
+    # Builds perfbench/ into .bench_build/ and runs its C++ and Python
+    # self-tests, including the 0-ulp owned-vs-replicated answer checks the
+    # benchmark applies to every served request.
+    python3 perfbench/run.py selftest
+  fi
 done
 
 echo "=== balance_stress: skew-bench smoke run (release build) ==="

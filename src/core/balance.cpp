@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 
+#include "mpisim/costmodel.hpp"
+
 namespace gbpol {
 
 ChunkPlan make_chunk_plan(std::uint32_t n_items, int ranks,
@@ -19,6 +21,17 @@ ChunkPlan make_chunk_plan(std::uint32_t n_items, int ranks,
   plan.chunk_items = std::max<std::uint32_t>(1, chunk_items);
   plan.n_chunks = n_items == 0 ? 0 : (n_items + plan.chunk_items - 1) / plan.chunk_items;
   return plan;
+}
+
+std::vector<double> chunk_costs(const ChunkPlan& plan,
+                                std::span<const std::uint64_t> leaf_interactions) {
+  const std::vector<double> leaf_costs = mpisim::interaction_costs(leaf_interactions);
+  std::vector<double> costs(plan.n_chunks, 0.0);
+  for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
+    const Segment seg = plan.chunk_range(c);
+    for (std::uint32_t l = seg.lo; l < seg.hi; ++l) costs[c] += leaf_costs[l];
+  }
+  return costs;
 }
 
 std::uint64_t BalanceAssignment::migrated(int r) const {

@@ -50,6 +50,13 @@ struct ChunkPlan {
 ChunkPlan make_chunk_plan(std::uint32_t n_items, int ranks,
                           std::uint32_t chunk_items);
 
+// Per-chunk cost estimates from exact per-leaf work counts (one entry per
+// item of `plan`, e.g. LeafWalk::interactions over every leaf): each leaf is
+// priced by mpisim::interaction_costs and a chunk sums its leaves in
+// ascending order, so the costs are a pure function of the counts.
+std::vector<double> chunk_costs(const ChunkPlan& plan,
+                                std::span<const std::uint64_t> leaf_interactions);
+
 // One planned steal: applied when `thief` has processed `after_processed`
 // chunks of its final order (i.e. its initial queue drained there).
 struct StealEvent {

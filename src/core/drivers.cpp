@@ -18,7 +18,6 @@
 #include "core/engine.hpp"
 #include "core/halo_exchange.hpp"
 #include "support/arena.hpp"
-#include "mpisim/costmodel.hpp"
 #include "mpisim/pool.hpp"
 #include "mpisim/runtime.hpp"
 #include "obs/trace.hpp"
@@ -295,6 +294,8 @@ RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
 
 RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
                           const GBConstants& constants, const RunConfig& config) {
+  // From driver entry, so host-side planning counts toward wall_seconds.
+  WallTimer wall;
   RunResult result;
   result.ranks = std::max(1, config.ranks);
   result.threads_per_rank = std::max(1, config.threads_per_rank);
@@ -911,7 +912,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
   result.born_sorted = std::move(born_shared);
   result.compute_seconds = report.max_compute_seconds();
   result.comm_seconds = report.max_comm_seconds();
-  result.wall_seconds = report.wall_seconds;
+  result.wall_seconds = wall.seconds();
   result.retries = report.retries;
   result.redistributed_work_items = report.redistributed_work_items;
   result.corruption_injected = report.corruption_injected;
@@ -952,6 +953,8 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
 // NEXT-phase chunks ever need recovery.
 RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
                        const GBConstants& constants, const RunOptions& options) {
+  // From driver entry, so host-side planning counts toward wall_seconds.
+  WallTimer wall;
   RunResult result;
   result.ranks = std::max(1, options.ranks);
   result.threads_per_rank = 1;
@@ -966,49 +969,23 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   // Chunk geometry + per-chunk cost estimates: identical on every rank, and
   // independent of the policy (the fold's determinism rests on that).
   //
-  // Chunks are priced from a host-side list build: a source leaf costs its
-  // near-field point pairs (target points x source points per near entry)
-  // plus one aggregated evaluation per source point for each far entry.
-  // Occupancy x total — the coarser interaction_costs overload — under-
-  // prices dense regions, because near-field work grows with the
-  // neighbourhood's density, not just the leaf's own count. The list walk
-  // is pure geometry (no Born values), so the Epol lists can be built
+  // Chunks are priced from the planning walks (walk_planning): a source
+  // leaf costs its near-field point pairs (target points x source points
+  // per near entry) plus one aggregated evaluation per source point for
+  // each far entry. Occupancy x total — the coarser interaction_costs
+  // overload — under-prices dense regions, because near-field work grows
+  // with the neighbourhood's density, not just the leaf's own count. The
+  // walks are pure geometry (no Born values), so both phases are priced
   // before phase 1 runs. kStatic even-splits regardless of the costs, so
-  // the build is skipped there and the baseline stays list-free.
+  // the walks are skipped there and the baseline stays walk-free.
   const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P, options.balance_chunk_leaves);
   const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P, options.balance_chunk_leaves);
-  const auto chunk_costs = [](const Octree& target, const Octree& source,
-                              const ChunkPlan& plan, const InteractionLists& lists) {
-    const auto leaves = source.leaves();
-    std::vector<std::uint32_t> leaf_of(source.nodes().size(), 0);
-    for (std::uint32_t i = 0; i < leaves.size(); ++i) leaf_of[leaves[i]] = i;
-    std::vector<std::uint64_t> per_leaf(leaves.size(), 0);
-    for (const InteractionLists::Near& nr : lists.near)
-      per_leaf[leaf_of[nr.source_leaf]] +=
-          static_cast<std::uint64_t>(target.node(nr.target_leaf).count()) *
-          source.node(nr.source_leaf).count();
-    for (const InteractionLists::Far& fr : lists.far)
-      per_leaf[leaf_of[fr.source_leaf]] += source.node(fr.source_leaf).count();
-    const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
-    std::vector<double> costs(plan.n_chunks, 0.0);
-    for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
-      const Segment seg = plan.chunk_range(c);
-      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) costs[c] += leaf_costs[l];
-    }
-    return costs;
-  };
   std::vector<double> born_costs(born_plan.n_chunks, 0.0);
   std::vector<double> epol_costs(epol_plan.n_chunks, 0.0);
   if (options.balance != BalancePolicy::kStatic) {
-    born_costs = chunk_costs(prep.atoms_tree, prep.q_tree, born_plan,
-                             born_solver.build_lists(0, n_qleaves));
-    epol_costs = chunk_costs(
-        prep.atoms_tree, prep.atoms_tree, epol_plan,
-        build_interaction_lists(prep.atoms_tree, prep.atoms_tree,
-                                {.far_multiplier = params.epol_far_multiplier(),
-                                 .exact_at_target_leaf = true,
-                                 .source_leaf_lo = 0,
-                                 .source_leaf_hi = n_aleaves}));
+    const PlanningWalks walks = walk_planning(prep, params);
+    born_costs = chunk_costs(born_plan, walks.born.interactions);
+    epol_costs = chunk_costs(epol_plan, walks.epol.interactions);
   }
   const BalanceAssignment plan_born = plan_balance(born_costs, P, options.balance);
   const BalanceAssignment plan_epol = plan_balance(epol_costs, P, options.balance);
@@ -1538,7 +1515,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   result.born_sorted = std::move(born_shared);
   result.compute_seconds = report.max_compute_seconds();
   result.comm_seconds = report.max_comm_seconds();
-  result.wall_seconds = report.wall_seconds;
+  result.wall_seconds = wall.seconds();
   result.retries = report.retries;
   result.redistributed_work_items = report.redistributed_work_items;
   result.migrated_chunks = report.migrated_chunks;
@@ -1584,6 +1561,8 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
 //    independence, O(N) only on degraded paths.
 RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
                     const GBConstants& constants, const RunOptions& options) {
+  // From driver entry, so host-side planning counts toward wall_seconds.
+  WallTimer wall;
   RunResult result;
   result.ranks = std::max(1, options.ranks);
   result.threads_per_rank = 1;
@@ -1597,40 +1576,16 @@ RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
 
   // Chunk geometry, costs and balance plans: identical to oct_balanced (the
   // fold canonicalization and snapshot layout rest on the same invariants).
+  // The planning walks are needed under every policy: the halo plan reads
+  // their near rows.
   const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P, options.balance_chunk_leaves);
   const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P, options.balance_chunk_leaves);
-  const auto chunk_costs = [](const Octree& target, const Octree& source,
-                              const ChunkPlan& plan, const InteractionLists& lists) {
-    const auto leaves = source.leaves();
-    std::vector<std::uint32_t> leaf_of(source.nodes().size(), 0);
-    for (std::uint32_t i = 0; i < leaves.size(); ++i) leaf_of[leaves[i]] = i;
-    std::vector<std::uint64_t> per_leaf(leaves.size(), 0);
-    for (const InteractionLists::Near& nr : lists.near)
-      per_leaf[leaf_of[nr.source_leaf]] +=
-          static_cast<std::uint64_t>(target.node(nr.target_leaf).count()) *
-          source.node(nr.source_leaf).count();
-    for (const InteractionLists::Far& fr : lists.far)
-      per_leaf[leaf_of[fr.source_leaf]] += source.node(fr.source_leaf).count();
-    const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
-    std::vector<double> costs(plan.n_chunks, 0.0);
-    for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
-      const Segment seg = plan.chunk_range(c);
-      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) costs[c] += leaf_costs[l];
-    }
-    return costs;
-  };
+  PlanningWalks walks = walk_planning(prep, params);
   std::vector<double> born_costs(born_plan.n_chunks, 0.0);
   std::vector<double> epol_costs(epol_plan.n_chunks, 0.0);
   if (options.balance != BalancePolicy::kStatic) {
-    born_costs = chunk_costs(prep.atoms_tree, prep.q_tree, born_plan,
-                             born_solver.build_lists(0, n_qleaves));
-    epol_costs = chunk_costs(
-        prep.atoms_tree, prep.atoms_tree, epol_plan,
-        build_interaction_lists(prep.atoms_tree, prep.atoms_tree,
-                                {.far_multiplier = params.epol_far_multiplier(),
-                                 .exact_at_target_leaf = true,
-                                 .source_leaf_lo = 0,
-                                 .source_leaf_hi = n_aleaves}));
+    born_costs = chunk_costs(born_plan, walks.born.interactions);
+    epol_costs = chunk_costs(epol_plan, walks.epol.interactions);
   }
   const BalanceAssignment plan_born = plan_balance(born_costs, P, options.balance);
   const BalanceAssignment plan_epol = plan_balance(epol_costs, P, options.balance);
@@ -1641,12 +1596,13 @@ RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
   const std::vector<int> epol_executor = executor_of(plan_epol, epol_plan.n_chunks);
 
   // Ownership + halo plans: host-side, plan-derived, identical on every
-  // rank. The halo replays the EXECUTOR chunk assignment, so a policy
+  // rank. The halo follows the EXECUTOR chunk assignment, so a policy
   // change (different steals) changes the halo — both hashes go into the
   // job key and owned snapshots are deliberately NOT policy-portable.
   const OwnershipMap ownership = make_ownership_map(prep, P, born_plan, epol_plan);
-  const HaloPlan halo = build_halo_plan(prep, params, ownership, plan_born,
+  const HaloPlan halo = build_halo_plan(prep, walks, ownership, plan_born,
                                         born_plan, plan_epol, epol_plan);
+  walks = PlanningWalks{};  // planning-only: release before the ranks run
   const std::uint64_t ownership_hash = ownership.hash();
   const std::uint64_t halo_hash = halo.hash();
 
@@ -2406,7 +2362,7 @@ RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
   result.energy = energy_shared;
   result.compute_seconds = report.max_compute_seconds();
   result.comm_seconds = report.max_comm_seconds();
-  result.wall_seconds = report.wall_seconds;
+  result.wall_seconds = wall.seconds();
   result.retries = report.retries;
   result.redistributed_work_items = report.redistributed_work_items;
   result.migrated_chunks = report.migrated_chunks;

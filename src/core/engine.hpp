@@ -181,7 +181,8 @@ struct RunResult {
 
   double compute_seconds = 0.0;       // modeled makespan, compute part
   double comm_seconds = 0.0;          // modeled makespan, communication part
-  double wall_seconds = 0.0;          // actual wall clock of the run
+  double wall_seconds = 0.0;          // actual wall clock of the run, from
+                                      // driver entry (host planning included)
 
   std::uint64_t steals = 0;           // intra-rank work-stealing events
   std::uint64_t tasks = 0;

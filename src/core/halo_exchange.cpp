@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ckpt/snapshot.hpp"
-#include "core/born_octree.hpp"
 #include "core/interaction_lists.hpp"
 #include "mpisim/comm.hpp"
 #include "obs/trace.hpp"
@@ -108,7 +107,23 @@ std::uint64_t HaloPlan::hash() const {
   return h;
 }
 
-HaloPlan build_halo_plan(const Prepared& prep, const ApproxParams& params,
+PlanningWalks walk_planning(const Prepared& prep, const ApproxParams& params) {
+  const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
+  const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
+  return PlanningWalks{
+      .born = walk_source_leaves(prep.atoms_tree, prep.q_tree,
+                                 {.far_multiplier = params.born_far_multiplier(),
+                                  .exact_at_target_leaf = false,
+                                  .source_leaf_lo = 0,
+                                  .source_leaf_hi = n_qleaves}),
+      .epol = walk_source_leaves(prep.atoms_tree, prep.atoms_tree,
+                                 {.far_multiplier = params.epol_far_multiplier(),
+                                  .exact_at_target_leaf = true,
+                                  .source_leaf_lo = 0,
+                                  .source_leaf_hi = n_aleaves})};
+}
+
+HaloPlan build_halo_plan(const Prepared& prep, const PlanningWalks& walks,
                          const OwnershipMap& ownership,
                          const BalanceAssignment& plan_born,
                          const ChunkPlan& born_plan,
@@ -118,32 +133,29 @@ HaloPlan build_halo_plan(const Prepared& prep, const ApproxParams& params,
   HaloPlan plan;
   plan.ranks.resize(static_cast<std::size_t>(P));
 
-  const BornSolver born_solver(prep, params);
-  const auto aleaves = prep.atoms_tree.leaves();
-  const auto qleaves = prep.q_tree.leaves();
-  std::vector<std::uint32_t> aleaf_of(prep.atoms_tree.nodes().size(), 0);
-  for (std::uint32_t i = 0; i < aleaves.size(); ++i) aleaf_of[aleaves[i]] = i;
-  std::vector<std::uint32_t> qleaf_of(prep.q_tree.nodes().size(), 0);
-  for (std::uint32_t i = 0; i < qleaves.size(); ++i) qleaf_of[qleaves[i]] = i;
+  const std::uint32_t n_aleaves =
+      static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
+  const std::uint32_t n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
 
-  const std::uint32_t n_aleaves = static_cast<std::uint32_t>(aleaves.size());
-  const std::uint32_t n_qleaves = static_cast<std::uint32_t>(qleaves.size());
+  // Marks over leaf ordinals: what one rank's executor chunks will read.
+  std::vector<char> born_mark(n_aleaves);   // Born radii needed (Epol near)
+  std::vector<char> apoint_mark(n_aleaves); // atom point payload streamed
+  std::vector<char> qpoint_mark(n_qleaves); // q point payload streamed
 
   for (int r = 0; r < P; ++r) {
-    // Marks over leaf ordinals: what this rank's executor chunks will read.
-    std::vector<char> born_mark(n_aleaves, 0);   // Born radii needed (Epol near)
-    std::vector<char> apoint_mark(n_aleaves, 0); // atom point payload streamed
-    std::vector<char> qpoint_mark(n_qleaves, 0); // q point payload streamed
+    std::fill(born_mark.begin(), born_mark.end(), 0);
+    std::fill(apoint_mark.begin(), apoint_mark.end(), 0);
+    std::fill(qpoint_mark.begin(), qpoint_mark.end(), 0);
 
     // Born phase: chunk = q-leaf range; sources stream the q payload, NEAR
     // targets stream the atom payload (exact kernels); FAR targets only read
     // node aggregates (tilde-n), which stay node-scale replicated.
     for (const std::uint32_t c : plan_born.order[static_cast<std::size_t>(r)]) {
       const Segment seg = born_plan.chunk_range(c);
-      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) qpoint_mark[l] = 1;
-      const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-      for (const InteractionLists::Near& nr : lists.near)
-        apoint_mark[aleaf_of[nr.target_leaf]] = 1;
+      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) {
+        qpoint_mark[l] = 1;
+        for (const std::uint32_t t : walks.born.near_row(l)) apoint_mark[t] = 1;
+      }
     }
 
     // Epol phase: chunk = atom-leaf range; NEAR entries read coordinates,
@@ -151,20 +163,14 @@ HaloPlan build_halo_plan(const Prepared& prep, const ApproxParams& params,
     // aggregates only (served by the leaf-row allgather + local re-fold).
     for (const std::uint32_t c : plan_epol.order[static_cast<std::size_t>(r)]) {
       const Segment seg = epol_plan.chunk_range(c);
-      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) apoint_mark[l] = 1;
-      const InteractionLists lists = build_interaction_lists(
-          prep.atoms_tree, prep.atoms_tree,
-          {.far_multiplier = params.epol_far_multiplier(),
-           .exact_at_target_leaf = true,
-           .source_leaf_lo = seg.lo,
-           .source_leaf_hi = seg.hi});
-      for (const InteractionLists::Near& nr : lists.near) {
-        const std::uint32_t t = aleaf_of[nr.target_leaf];
-        const std::uint32_t s = aleaf_of[nr.source_leaf];
-        born_mark[t] = 1;
-        born_mark[s] = 1;
-        apoint_mark[t] = 1;
-        apoint_mark[s] = 1;
+      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) {
+        apoint_mark[l] = 1;
+        const auto row = walks.epol.near_row(l);
+        if (!row.empty()) born_mark[l] = 1;
+        for (const std::uint32_t t : row) {
+          born_mark[t] = 1;
+          apoint_mark[t] = 1;
+        }
       }
     }
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/balance.hpp"
+#include "core/interaction_lists.hpp"
 #include "core/prepared.hpp"
 #include "core/workdiv.hpp"
 #include "support/memtrack.hpp"
@@ -68,10 +69,24 @@ OwnershipMap make_ownership_map(const Prepared& prep, int ranks,
                                 const ChunkPlan& born_plan,
                                 const ChunkPlan& epol_plan);
 
+// The planning traversals of both source trees, under the exact list-build
+// parameters of the Born (Fig. 2: q-tree leaves against the atoms tree) and
+// E_pol (Fig. 3: atom leaves against the atoms tree) phases. One walk per
+// tree serves every planning consumer: chunk costs (chunk_costs over
+// LeafWalk::interactions) and the halo plan (the near CSR rows).
+struct PlanningWalks {
+  LeafWalk born;  // rows indexed by q-tree leaf ordinal
+  LeafWalk epol;  // rows indexed by atoms-tree leaf ordinal
+};
+
+PlanningWalks walk_planning(const Prepared& prep, const ApproxParams& params);
+
 // Per-rank halo: the sorted-unique NON-owned leaf ordinals a rank's
 // EXECUTOR chunks (post-steal order, so stolen chunks count toward the
-// thief) will read. Built by replaying the exact per-chunk list builds the
-// runtime performs, so the sets are neither over- nor under-approximations.
+// thief) will read. Built by OR-ing the planning walks' near rows of every
+// executor chunk's source leaves — the same near entries the runtime's
+// per-chunk list builds emit — so the sets are neither over- nor
+// under-approximations.
 struct HaloPlan {
   struct RankHalo {
     // Atom leaves whose Born radii the rank needs (Epol near entries, both
@@ -93,7 +108,7 @@ struct HaloPlan {
   std::uint64_t hash() const;
 };
 
-HaloPlan build_halo_plan(const Prepared& prep, const ApproxParams& params,
+HaloPlan build_halo_plan(const Prepared& prep, const PlanningWalks& walks,
                          const OwnershipMap& ownership,
                          const BalanceAssignment& plan_born,
                          const ChunkPlan& born_plan,

@@ -9,41 +9,73 @@
 namespace gbpol {
 namespace {
 
-// Mirrors the recursive engines' traversal: depth-first over the target tree
-// with the opening criterion evaluated against one fixed source leaf. Child
-// visit order matches OctreeNode's child layout, so entries come out in the
-// exact order the recursion evaluates terms.
+// The opening-criterion recursion every list consumer shares: depth-first
+// over the target tree against one fixed source leaf, mirroring the
+// recursive engines' traversal. Each target node resolves to exactly one of
+// visit.far(node_id) — the whole subtree is approximated against the source
+// leaf — or visit.near(leaf_id, leaf) — exact point kernels. Child visit
+// order matches OctreeNode's child layout, so visits come out in the exact
+// order the recursion evaluates terms.
+template <typename Visit>
 void walk_target(const Octree& target, const OctreeNode& src,
-                 std::uint32_t source_leaf_id, std::uint32_t target_node_id,
-                 const ListBuildParams& params, InteractionLists& out) {
+                 std::uint32_t target_node_id, const ListBuildParams& params,
+                 Visit& visit) {
   const OctreeNode& t = target.node(target_node_id);
   if (params.exact_at_target_leaf && t.is_leaf()) {
-    out.near.push_back({target_node_id, source_leaf_id});
-    out.near_point_pairs += static_cast<std::uint64_t>(t.count()) * src.count();
+    visit.near(target_node_id, t);
     return;
   }
   const double d2 = distance2(t.centroid, src.centroid);
   const double reach = (t.radius + src.radius) * params.far_multiplier;
   if (d2 > reach * reach) {
-    out.far.push_back({target_node_id, source_leaf_id});
+    visit.far(target_node_id);
     return;
   }
   if (t.is_leaf()) {
-    out.near.push_back({target_node_id, source_leaf_id});
-    out.near_point_pairs += static_cast<std::uint64_t>(t.count()) * src.count();
+    visit.near(target_node_id, t);
     return;
   }
   for (std::uint8_t c = 0; c < t.child_count; ++c)
-    walk_target(target, src, source_leaf_id,
-                static_cast<std::uint32_t>(t.first_child) + c, params, out);
+    walk_target(target, src, static_cast<std::uint32_t>(t.first_child) + c,
+                params, visit);
 }
+
+// Materializes one source leaf's visits as Far/Near entries.
+struct ListVisit {
+  const OctreeNode& src;
+  std::uint32_t source_leaf_id;
+  InteractionLists& out;
+
+  void far(std::uint32_t target_node) { out.far.push_back({target_node, source_leaf_id}); }
+  void near(std::uint32_t target_leaf, const OctreeNode& t) {
+    out.near.push_back({target_leaf, source_leaf_id});
+    out.near_point_pairs += static_cast<std::uint64_t>(t.count()) * src.count();
+  }
+};
+
+// Counts one source leaf's visits and records its near targets as leaf
+// ordinals; no entries are materialized.
+struct CountVisit {
+  const OctreeNode& src;
+  std::span<const std::uint32_t> leaf_ordinal;  // target node id -> leaf ordinal
+  std::uint64_t& interactions;
+  std::vector<std::uint32_t>& near_targets;
+
+  void far(std::uint32_t) { interactions += src.count(); }
+  void near(std::uint32_t target_leaf, const OctreeNode& t) {
+    interactions += static_cast<std::uint64_t>(t.count()) * src.count();
+    near_targets.push_back(leaf_ordinal[target_leaf]);
+  }
+};
 
 void build_range(const Octree& target, const Octree& source,
                  const ListBuildParams& params, std::uint32_t leaf_lo,
                  std::uint32_t leaf_hi, InteractionLists& out) {
   const auto leaves = source.leaves();
-  for (std::uint32_t i = leaf_lo; i < leaf_hi; ++i)
-    walk_target(target, source.node(leaves[i]), leaves[i], 0, params, out);
+  for (std::uint32_t i = leaf_lo; i < leaf_hi; ++i) {
+    ListVisit visit{source.node(leaves[i]), leaves[i], out};
+    walk_target(target, visit.src, 0, params, visit);
+  }
 }
 
 }  // namespace
@@ -120,6 +152,29 @@ InteractionLists build_interaction_lists(const Octree& target, const Octree& sou
   build_range(target, source, params, params.source_leaf_lo, params.source_leaf_hi,
               lists);
   return lists;
+}
+
+LeafWalk walk_source_leaves(const Octree& target, const Octree& source,
+                            const ListBuildParams& params) {
+  LeafWalk walk;
+  const std::uint32_t lo = params.source_leaf_lo;
+  const std::uint32_t hi = std::max(lo, params.source_leaf_hi);
+  walk.interactions.assign(hi - lo, 0);
+  walk.near_start.assign(hi - lo + 1, 0);
+  if (target.empty() || source.empty()) return walk;
+
+  const auto tleaves = target.leaves();
+  std::vector<std::uint32_t> leaf_ordinal(target.nodes().size(), 0);
+  for (std::uint32_t i = 0; i < tleaves.size(); ++i) leaf_ordinal[tleaves[i]] = i;
+
+  const auto leaves = source.leaves();
+  for (std::uint32_t i = lo; i < hi; ++i) {
+    CountVisit visit{source.node(leaves[i]), leaf_ordinal, walk.interactions[i - lo],
+                     walk.near_targets};
+    walk_target(target, visit.src, 0, params, visit);
+    walk.near_start[i - lo + 1] = static_cast<std::uint32_t>(walk.near_targets.size());
+  }
+  return walk;
 }
 
 InteractionLists build_interaction_lists_parallel(ws::Scheduler& sched,

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "octree/octree.hpp"
@@ -127,6 +128,31 @@ struct ListBuildParams {
 // Serial build: walks the target tree once per source leaf in index order.
 InteractionLists build_interaction_lists(const Octree& target, const Octree& source,
                                          const ListBuildParams& params);
+
+// What one traversal of the opening criterion yields per source leaf,
+// without materializing the lists: enough to price work and plan halos.
+// Entry i describes source leaf params.source_leaf_lo + i.
+struct LeafWalk {
+  // Work the leaf's list entries evaluate: target points x source points per
+  // near entry plus source points per far entry.
+  std::vector<std::uint64_t> interactions;
+  // CSR of near partners: near_targets[near_start[i], near_start[i+1]) are
+  // the target-leaf ordinals (indices into target.leaves()) of leaf i's near
+  // entries, in the order build_interaction_lists emits them.
+  std::vector<std::uint32_t> near_start;
+  std::vector<std::uint32_t> near_targets;
+
+  std::span<const std::uint32_t> near_row(std::uint32_t i) const {
+    return std::span<const std::uint32_t>(near_targets)
+        .subspan(near_start[i], near_start[i + 1] - near_start[i]);
+  }
+};
+
+// Walks the same traversal as build_interaction_lists (one shared
+// recursion, so the two cannot drift) but only counts: no Far/Near entries,
+// no tiles.
+LeafWalk walk_source_leaves(const Octree& target, const Octree& source,
+                            const ListBuildParams& params);
 
 // Parallel build over the pool: source-leaf chunks are traversed concurrently
 // into per-chunk lists (disjoint slots of a pre-sized array — lock-free) and

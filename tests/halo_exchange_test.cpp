@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "core/engine.hpp"
 #include "core/interaction_lists.hpp"
 #include "molecule/generate.hpp"
+#include "molecule/suite.hpp"
+#include "mpisim/costmodel.hpp"
 #include "surface/quadrature.hpp"
 
 namespace gbpol {
@@ -64,8 +67,8 @@ Plans make_plans(const Prepared& prep, int ranks, BalancePolicy policy,
   p.plan_born = plan_balance(born_costs, ranks, policy);
   p.plan_epol = plan_balance(epol_costs, ranks, policy);
   p.ownership = make_ownership_map(prep, ranks, p.born_plan, p.epol_plan);
-  p.halo = build_halo_plan(prep, params, p.ownership, p.plan_born, p.born_plan,
-                           p.plan_epol, p.epol_plan);
+  p.halo = build_halo_plan(prep, walk_planning(prep, params), p.ownership,
+                           p.plan_born, p.born_plan, p.plan_epol, p.epol_plan);
   return p;
 }
 
@@ -319,6 +322,174 @@ TEST(HaloPlanTest, MoreRanksThanLeavesLeavesSurplusRanksEmpty) {
   }
   EXPECT_EQ(owned_total, prep.num_atoms());
   expect_no_under_import(prep, p, ranks);
+}
+
+// --- walked planning vs. the list-replay oracle ---------------------------
+
+// The planning the walks replaced, kept as the oracle. Chunk costs came from
+// a full list build per phase: a source leaf costs its near point pairs plus
+// its source points once per far entry.
+std::vector<double> replay_chunk_costs(const Octree& target, const Octree& source,
+                                       const ChunkPlan& plan,
+                                       const InteractionLists& lists) {
+  const std::vector<std::uint32_t> leaf_of = leaf_ordinals(source);
+  std::vector<std::uint64_t> per_leaf(source.leaves().size(), 0);
+  for (const InteractionLists::Near& nr : lists.near)
+    per_leaf[leaf_of[nr.source_leaf]] +=
+        static_cast<std::uint64_t>(target.node(nr.target_leaf).count()) *
+        source.node(nr.source_leaf).count();
+  for (const InteractionLists::Far& fr : lists.far)
+    per_leaf[leaf_of[fr.source_leaf]] += source.node(fr.source_leaf).count();
+  const std::vector<double> leaf_costs = mpisim::interaction_costs(per_leaf);
+  std::vector<double> costs(plan.n_chunks, 0.0);
+  for (std::uint32_t c = 0; c < plan.n_chunks; ++c) {
+    const Segment seg = plan.chunk_range(c);
+    for (std::uint32_t l = seg.lo; l < seg.hi; ++l) costs[c] += leaf_costs[l];
+  }
+  return costs;
+}
+
+// Halos came from replaying each executor chunk's list build and marking
+// every leaf its entries read.
+HaloPlan replay_halo_plan(const Prepared& prep, const ApproxParams& params,
+                          const OwnershipMap& ownership,
+                          const BalanceAssignment& plan_born,
+                          const ChunkPlan& born_plan,
+                          const BalanceAssignment& plan_epol,
+                          const ChunkPlan& epol_plan) {
+  const BornSolver born_solver(prep, params);
+  const std::vector<std::uint32_t> aleaf_of = leaf_ordinals(prep.atoms_tree);
+  const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
+  const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
+  HaloPlan plan;
+  plan.ranks.resize(ownership.ranks.size());
+  for (std::size_t r = 0; r < ownership.ranks.size(); ++r) {
+    std::vector<char> born_mark(n_aleaves, 0);
+    std::vector<char> apoint_mark(n_aleaves, 0);
+    std::vector<char> qpoint_mark(n_qleaves, 0);
+    for (const std::uint32_t c : plan_born.order[r]) {
+      const Segment seg = born_plan.chunk_range(c);
+      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) qpoint_mark[l] = 1;
+      const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
+      for (const InteractionLists::Near& nr : lists.near)
+        apoint_mark[aleaf_of[nr.target_leaf]] = 1;
+    }
+    for (const std::uint32_t c : plan_epol.order[r]) {
+      const Segment seg = epol_plan.chunk_range(c);
+      for (std::uint32_t l = seg.lo; l < seg.hi; ++l) apoint_mark[l] = 1;
+      const InteractionLists lists = build_interaction_lists(
+          prep.atoms_tree, prep.atoms_tree,
+          {.far_multiplier = params.epol_far_multiplier(),
+           .exact_at_target_leaf = true,
+           .source_leaf_lo = seg.lo,
+           .source_leaf_hi = seg.hi});
+      for (const InteractionLists::Near& nr : lists.near) {
+        for (const std::uint32_t node : {nr.target_leaf, nr.source_leaf}) {
+          born_mark[aleaf_of[node]] = 1;
+          apoint_mark[aleaf_of[node]] = 1;
+        }
+      }
+    }
+    HaloPlan::RankHalo& out = plan.ranks[r];
+    const OwnershipMap::RankSpan& own = ownership.ranks[r];
+    for (std::uint32_t l = 0; l < n_aleaves; ++l) {
+      if (in_segment(own.atom_leaves, l)) continue;
+      if (born_mark[l]) out.born_halo_leaves.push_back(l);
+      if (apoint_mark[l]) out.atom_halo_leaves.push_back(l);
+    }
+    for (std::uint32_t l = 0; l < n_qleaves; ++l)
+      if (!in_segment(own.q_leaves, l) && qpoint_mark[l]) out.q_halo_leaves.push_back(l);
+    const auto points = [](const Octree& tree, const std::vector<std::uint32_t>& ords) {
+      std::uint32_t n = 0;
+      for (const std::uint32_t l : ords) n += tree.node(tree.leaves()[l]).count();
+      return n;
+    };
+    out.born_halo_atoms = points(prep.atoms_tree, out.born_halo_leaves);
+    out.atom_halo_points = points(prep.atoms_tree, out.atom_halo_leaves);
+    out.q_halo_points = points(prep.q_tree, out.q_halo_leaves);
+  }
+  return plan;
+}
+
+// Runs the drivers' planning (walk -> costs -> balance -> halo) and the
+// oracle's (lists -> costs -> balance -> replayed halo) side by side: the
+// costs must be equal as doubles and the plans equal leaf for leaf.
+// Returns the total Born-halo leaf count so callers can reject vacuous runs.
+std::size_t expect_walked_plan_matches_replay(const Prepared& prep, int ranks,
+                                              BalancePolicy policy) {
+  const ApproxParams params;
+  const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
+  const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
+  const ChunkPlan born_plan = make_chunk_plan(n_qleaves, ranks, 0);
+  const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, ranks, 0);
+
+  const BornSolver born_solver(prep, params);
+  const std::vector<double> born_oracle = replay_chunk_costs(
+      prep.atoms_tree, prep.q_tree, born_plan, born_solver.build_lists(0, n_qleaves));
+  const std::vector<double> epol_oracle = replay_chunk_costs(
+      prep.atoms_tree, prep.atoms_tree, epol_plan,
+      build_interaction_lists(prep.atoms_tree, prep.atoms_tree,
+                              {.far_multiplier = params.epol_far_multiplier(),
+                               .exact_at_target_leaf = true,
+                               .source_leaf_lo = 0,
+                               .source_leaf_hi = n_aleaves}));
+  const PlanningWalks walks = walk_planning(prep, params);
+  const std::vector<double> born_costs = chunk_costs(born_plan, walks.born.interactions);
+  const std::vector<double> epol_costs = chunk_costs(epol_plan, walks.epol.interactions);
+  EXPECT_EQ(born_costs, born_oracle);
+  EXPECT_EQ(epol_costs, epol_oracle);
+
+  const OwnershipMap ownership = make_ownership_map(prep, ranks, born_plan, epol_plan);
+  const BalanceAssignment walk_born = plan_balance(born_costs, ranks, policy);
+  const BalanceAssignment walk_epol = plan_balance(epol_costs, ranks, policy);
+  const BalanceAssignment oracle_born = plan_balance(born_oracle, ranks, policy);
+  const BalanceAssignment oracle_epol = plan_balance(epol_oracle, ranks, policy);
+  EXPECT_EQ(walk_born.order, oracle_born.order);
+  EXPECT_EQ(walk_epol.order, oracle_epol.order);
+
+  const HaloPlan walked = build_halo_plan(prep, walks, ownership, walk_born,
+                                          born_plan, walk_epol, epol_plan);
+  const HaloPlan oracle = replay_halo_plan(prep, params, ownership, oracle_born,
+                                           born_plan, oracle_epol, epol_plan);
+  EXPECT_EQ(walked.hash(), oracle.hash());
+  EXPECT_EQ(walked.ranks.size(), oracle.ranks.size());
+  std::size_t born_halo_leaves = 0;
+  for (std::size_t r = 0; r < std::min(walked.ranks.size(), oracle.ranks.size()); ++r) {
+    const HaloPlan::RankHalo& w = walked.ranks[r];
+    const HaloPlan::RankHalo& o = oracle.ranks[r];
+    EXPECT_EQ(w.born_halo_leaves, o.born_halo_leaves) << "rank " << r;
+    EXPECT_EQ(w.atom_halo_leaves, o.atom_halo_leaves) << "rank " << r;
+    EXPECT_EQ(w.q_halo_leaves, o.q_halo_leaves) << "rank " << r;
+    EXPECT_EQ(w.born_halo_atoms, o.born_halo_atoms) << "rank " << r;
+    EXPECT_EQ(w.atom_halo_points, o.atom_halo_points) << "rank " << r;
+    EXPECT_EQ(w.q_halo_points, o.q_halo_points) << "rank " << r;
+    born_halo_leaves += w.born_halo_leaves.size();
+  }
+  return born_halo_leaves;
+}
+
+TEST(HaloPlanTest, WalkedPlanAndCostsEqualListReplayOracle) {
+  const Prepared protein = build_prep(500, 3);
+  const Molecule shell = molgen::cmv_like(0.02);
+  const Prepared cmv = Prepared::build(
+      shell,
+      surface::molecular_surface_quadrature(
+          shell, {.grid_spacing = 1.5, .dunavant_degree = 2, .kappa = 2.3}),
+      16);
+  for (const Prepared* prep : {&protein, &cmv}) {
+    for (const int ranks : {1, 2, 3, 4, 8}) {
+      for (const BalancePolicy policy :
+           {BalancePolicy::kStatic, BalancePolicy::kCostModel, BalancePolicy::kSteal}) {
+        SCOPED_TRACE("atoms=" + std::to_string(prep->num_atoms()) +
+                     " ranks=" + std::to_string(ranks) +
+                     " policy=" + std::to_string(static_cast<int>(policy)));
+        const std::size_t imported = expect_walked_plan_matches_replay(*prep, ranks, policy);
+        if (ranks > 1) {
+          EXPECT_GT(imported, 0u);
+        }
+      }
+    }
+  }
 }
 
 // --- accumulator fold slice ----------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,6 +210,66 @@ TEST_F(InteractionListsTest, LeafRangePartitionCoversFullList) {
   for (std::size_t i = 0; i < full.far.size(); ++i) {
     ASSERT_EQ(full.far[i].target_node, joined.far[i].target_node) << i;
     ASSERT_EQ(full.far[i].source_leaf, joined.far[i].source_leaf) << i;
+  }
+}
+
+// The counting walk shares the list build's recursion, so for every source
+// leaf of a sub-range its near row is the near entries' target leaves in
+// emission order, and its interaction count is the near point pairs plus the
+// far entries' source points. Checked under the Born (far test first) and
+// E_pol (target leaves exact) parameters, on both source trees.
+TEST_F(InteractionListsTest, LeafWalkMatchesListBuildPerSourceLeaf) {
+  ApproxParams params;
+  for (const Fixture& f : fixtures()) {
+    const Octree& atoms = f.prep.atoms_tree;
+    std::vector<std::uint32_t> leaf_ordinal(atoms.nodes().size(), 0);
+    for (std::uint32_t i = 0; i < atoms.leaves().size(); ++i)
+      leaf_ordinal[atoms.leaves()[i]] = i;
+
+    for (const bool exact : {false, true}) {
+      const Octree& source = exact ? atoms : f.prep.q_tree;
+      const auto n = static_cast<std::uint32_t>(source.leaves().size());
+      ASSERT_GE(n, 4u);
+      const ListBuildParams lp{
+          .far_multiplier = exact ? params.epol_far_multiplier()
+                                  : params.born_far_multiplier(),
+          .exact_at_target_leaf = exact,
+          .source_leaf_lo = n / 4,
+          .source_leaf_hi = n - n / 4};
+      SCOPED_TRACE(std::string(exact ? "epol" : "born") + " leaves [" +
+                   std::to_string(lp.source_leaf_lo) + ", " +
+                   std::to_string(lp.source_leaf_hi) + ")");
+      const LeafWalk walk = walk_source_leaves(atoms, source, lp);
+      const std::uint32_t rows = lp.source_leaf_hi - lp.source_leaf_lo;
+      ASSERT_EQ(walk.interactions.size(), rows);
+      ASSERT_EQ(walk.near_start.size(), rows + 1);
+      EXPECT_EQ(walk.near_start.front(), 0u);
+      EXPECT_EQ(walk.near_start.back(), walk.near_targets.size());
+
+      std::uint64_t near_entries = 0;
+      for (std::uint32_t i = 0; i < rows; ++i) {
+        const std::uint32_t leaf = lp.source_leaf_lo + i;
+        ListBuildParams one = lp;
+        one.source_leaf_lo = leaf;
+        one.source_leaf_hi = leaf + 1;
+        const InteractionLists lists = build_interaction_lists(atoms, source, one);
+        const std::uint32_t src_points = source.node(source.leaves()[leaf]).count();
+
+        std::vector<std::uint32_t> expected_row;
+        for (const InteractionLists::Near& nr : lists.near)
+          expected_row.push_back(leaf_ordinal[nr.target_leaf]);
+        const auto row = walk.near_row(i);
+        EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), expected_row)
+            << "source leaf " << leaf;
+        EXPECT_EQ(walk.interactions[i],
+                  lists.near_point_pairs +
+                      static_cast<std::uint64_t>(lists.far.size()) * src_points)
+            << "source leaf " << leaf;
+        near_entries += lists.near.size();
+      }
+      EXPECT_EQ(walk.near_targets.size(), near_entries);
+      EXPECT_GT(near_entries, 0u);
+    }
   }
 }
 
