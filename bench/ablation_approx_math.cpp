@@ -53,8 +53,9 @@ void emit_primitives_point() {
   // Accuracy: max relative error vs libm on a dense sweep.
   const double fast_rsqrt_err = fast_rsqrt_max_rel_error(1e-2, 1e4, kSamples);
   const double fast_exp_err = fast_exp_max_rel_error(-40.0, 0.0, kSamples);
-  const double simd_rsqrt_err = simd_rsqrt_max_rel_error(1e-2, 1e4, kSamples);
-  const double simd_exp_err = simd_exp_max_rel_error(-40.0, 0.0, kSamples);
+  const SimdDispatch tier = simd_dispatch();
+  const double simd_rsqrt_err = simd_rsqrt_max_rel_error(tier, 1e-2, 1e4, kSamples);
+  const double simd_exp_err = simd_exp_max_rel_error(tier, -40.0, 0.0, kSamples);
 
   // Throughput: sum of 1/sqrt(x) resp. exp(x) over a fixed random array.
   Rng rng(2012);
@@ -84,13 +85,13 @@ void emit_primitives_point() {
   });
   const bool simd = simd_kernel_table() != nullptr;
   const double simd_rsqrt_s =
-      simd ? best_sum_seconds(rs, kReps, [](const double* x, std::size_t n) {
-        return simd_rsqrt_sum(x, n);
+      simd ? best_sum_seconds(rs, kReps, [tier](const double* x, std::size_t n) {
+        return simd_rsqrt_sum(tier, x, n);
       })
            : 0.0;
   const double simd_exp_s =
-      simd ? best_sum_seconds(es, kReps, [](const double* x, std::size_t n) {
-        return simd_exp_sum(x, n);
+      simd ? best_sum_seconds(es, kReps, [tier](const double* x, std::size_t n) {
+        return simd_exp_sum(tier, x, n);
       })
            : 0.0;
 

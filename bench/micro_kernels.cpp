@@ -125,11 +125,11 @@ double epol_near_sweep_soa(const ListFixture& f) {
   return sum;
 }
 
-// Same sweeps through the dispatched SIMD kernel table. Callers must check
-// simd_kernel_table() != nullptr first.
-double born_near_sweep_simd(const ListFixture& f, std::vector<double>& atom_s) {
+// Same sweeps through a SIMD kernel table (the dispatched one, or one tier's
+// for the per-tier ratios). Callers must pass a non-null table.
+double born_near_sweep_simd(const ListFixture& f, std::vector<double>& atom_s,
+                            const SimdKernelTable* t) {
   const Prepared& prep = f.prep;
-  const SimdKernelTable* t = simd_kernel_table();
   for (const InteractionLists::Near& e : f.born_lists.near) {
     const OctreeNode& a = prep.atoms_tree.node(e.target_leaf);
     const OctreeNode& q = prep.q_tree.node(e.source_leaf);
@@ -143,9 +143,8 @@ double born_near_sweep_simd(const ListFixture& f, std::vector<double>& atom_s) {
 }
 
 template <bool kApproxMath>
-double epol_near_sweep_simd(const ListFixture& f) {
+double epol_near_sweep_simd(const ListFixture& f, const SimdKernelTable* t) {
   const Prepared& prep = f.prep;
-  const SimdKernelTable* t = simd_kernel_table();
   const auto fn = kApproxMath ? t->epol_near_approx : t->epol_near_exact;
   double sum = 0.0;
   for (const InteractionLists::Near& e : f.epol_lists.near) {
@@ -342,7 +341,8 @@ void BM_BornNearSimd(benchmark::State& state) {
   }
   const ListFixture& f = list_fixture();
   std::vector<double> atom_s(f.prep.num_atoms(), 0.0);
-  for (auto _ : state) benchmark::DoNotOptimize(born_near_sweep_simd(f, atom_s));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(born_near_sweep_simd(f, atom_s, simd_kernel_table()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.born_lists.near_point_pairs));
 }
@@ -354,7 +354,8 @@ void BM_EpolNearSimd(benchmark::State& state) {
     return;
   }
   const ListFixture& f = list_fixture();
-  for (auto _ : state) benchmark::DoNotOptimize(epol_near_sweep_simd<false>(f));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(epol_near_sweep_simd<false>(f, simd_kernel_table()));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(f.epol_near_pairs));
 }
@@ -431,13 +432,18 @@ std::array<double, N> best_seconds_interleaved(
   return best;
 }
 
+// The SIMD tiers timed one by one, whatever the dispatch picked.
+constexpr SimdDispatch kTiers[] = {SimdDispatch::kAvx2, SimdDispatch::kAvx512};
+constexpr std::size_t kNumTiers = std::size(kTiers);
+
 struct KernelAB {
   const char* name;
   std::uint64_t pairs;
   double scalar_s;
   double soa_s;
-  double simd_s = 0.0;  // 0 when the SIMD dispatch is inactive
+  double simd_s = 0.0;  // dispatched tier; 0 when the SIMD dispatch is inactive
   bool gated = false;   // participates in the >= 2x SIMD-vs-SoA check
+  std::array<double, kNumTiers> tier_s{};  // per kTiers entry; 0 = unavailable
 };
 
 // Minimum dispatched-SIMD-vs-SoA speedup for gated kernels; scripts/check.sh
@@ -474,55 +480,75 @@ void write_json(std::ostream& os, const ListFixture& f,
          << ", \"simd_vs_soa_speedup\": " << k.soa_s / k.simd_s
          << ", \"gated\": " << (k.gated ? "true" : "false");
     }
+    os << ", \"tiers\": {";
+    bool first = true;
+    for (std::size_t t = 0; t < kNumTiers; ++t) {
+      if (k.tier_s[t] <= 0.0) continue;
+      os << (first ? "" : ", ") << "\"" << simd_dispatch_name(kTiers[t])
+         << "\": {\"seconds\": " << k.tier_s[t]
+         << ", \"vs_soa_speedup\": " << k.soa_s / k.tier_s[t] << "}";
+      first = false;
+    }
+    os << "}";
     os << "}" << (i + 1 < kernels.size() ? "," : "") << "\n";
   }
   os << "  ]\n";
   os << "}\n";
 }
 
-// Times the scalar-AoS vs batched-SoA vs dispatched-SIMD near kernels over
-// the molecule's real near lists, writes the comparison to
+// Times the scalar-AoS vs batched-SoA vs each available SIMD tier's near
+// kernels over the molecule's real near lists, writes the comparison to
 // bench_out/micro_kernels.json, and returns false when a gated kernel misses
-// the >= 2x SIMD-vs-SoA target (self-gate used by scripts/check.sh).
+// the >= 2x SIMD-vs-SoA target on the dispatched tier (self-gate used by
+// scripts/check.sh).
 bool emit_kernel_json() {
   const ListFixture& f = list_fixture();
   constexpr int kReps = 7;
   const bool simd_active = simd_kernel_table() != nullptr;
   std::vector<double> atom_s(f.prep.num_atoms(), 0.0);
 
-  // Each kernel's three variants are timed interleaved (scalar, SoA, SIMD
-  // back to back per rep) so shared-core noise cancels out of the ratios.
-  const auto measure = [&](std::function<double()> scalar_fn,
-                           std::function<double()> soa_fn,
-                           std::function<double()> simd_fn) {
-    if (!simd_active) simd_fn = [] { return 0.0; };
-    const std::array<double, 3> t = best_seconds_interleaved<3>(
-        kReps, {std::move(scalar_fn), std::move(soa_fn), std::move(simd_fn)});
-    return std::array<double, 3>{t[0], t[1], simd_active ? t[2] : 0.0};
+  // Each kernel's variants are timed interleaved (scalar, SoA, then every
+  // tier back to back per rep) so shared-core noise cancels out of the
+  // ratios. `simd_fn(table)` runs the sweep through one tier's table.
+  using SweepFn = std::function<double(const SimdKernelTable*)>;
+  const auto measure = [&](const char* name, std::uint64_t pairs, bool gated,
+                           std::function<double()> scalar_fn,
+                           std::function<double()> soa_fn, const SweepFn& simd_fn) {
+    std::array<std::function<double()>, 2 + kNumTiers> fns{std::move(scalar_fn),
+                                                           std::move(soa_fn)};
+    for (std::size_t i = 0; i < kNumTiers; ++i) {
+      const SimdKernelTable* table = simd_tier_available(kTiers[i])
+                                         ? simd_kernel_table(kTiers[i])
+                                         : nullptr;
+      fns[2 + i] = table != nullptr ? std::function<double()>([=] { return simd_fn(table); })
+                                    : std::function<double()>([] { return 0.0; });
+    }
+    const auto t = best_seconds_interleaved<2 + kNumTiers>(kReps, fns);
+    KernelAB k{name, pairs, t[0], t[1], 0.0, gated, {}};
+    for (std::size_t i = 0; i < kNumTiers; ++i) {
+      if (!simd_tier_available(kTiers[i])) continue;
+      k.tier_s[i] = t[2 + i];
+      if (simd_active && kTiers[i] == simd_dispatch()) k.simd_s = t[2 + i];
+    }
+    return k;
   };
 
   std::vector<KernelAB> kernels;
-  {
-    const auto t = measure([&] { return born_near_sweep_aos(f, atom_s); },
-                           [&] { return born_near_sweep_soa(f, atom_s); },
-                           [&] { return born_near_sweep_simd(f, atom_s); });
-    kernels.push_back({"born_near_r6", f.born_lists.near_point_pairs, t[0], t[1],
-                       t[2], /*gated=*/false});
-  }
-  {
-    const auto t = measure([&] { return epol_near_sweep_aos<false>(f); },
-                           [&] { return epol_near_sweep_soa<false>(f); },
-                           [&] { return epol_near_sweep_simd<false>(f); });
-    kernels.push_back(
-        {"epol_near_exact", f.epol_near_pairs, t[0], t[1], t[2], /*gated=*/true});
-  }
-  {
-    const auto t = measure([&] { return epol_near_sweep_aos<true>(f); },
-                           [&] { return epol_near_sweep_soa<true>(f); },
-                           [&] { return epol_near_sweep_simd<true>(f); });
-    kernels.push_back({"epol_near_approx_math", f.epol_near_pairs, t[0], t[1], t[2],
-                       /*gated=*/false});
-  }
+  kernels.push_back(measure(
+      "born_near_r6", f.born_lists.near_point_pairs, /*gated=*/false,
+      [&] { return born_near_sweep_aos(f, atom_s); },
+      [&] { return born_near_sweep_soa(f, atom_s); },
+      [&](const SimdKernelTable* t) { return born_near_sweep_simd(f, atom_s, t); }));
+  kernels.push_back(measure(
+      "epol_near_exact", f.epol_near_pairs, /*gated=*/true,
+      [&] { return epol_near_sweep_aos<false>(f); },
+      [&] { return epol_near_sweep_soa<false>(f); },
+      [&](const SimdKernelTable* t) { return epol_near_sweep_simd<false>(f, t); }));
+  kernels.push_back(measure(
+      "epol_near_approx_math", f.epol_near_pairs, /*gated=*/false,
+      [&] { return epol_near_sweep_aos<true>(f); },
+      [&] { return epol_near_sweep_soa<true>(f); },
+      [&](const SimdKernelTable* t) { return epol_near_sweep_simd<true>(f, t); }));
 
   bool gate_pass = true;
   if (simd_active) {
@@ -542,10 +568,14 @@ bool emit_kernel_json() {
               simd_dispatch_name());
   for (const KernelAB& k : kernels) {
     if (k.simd_s > 0.0)
-      std::printf("  %-22s SoA speedup %.2fx, SIMD vs SoA %.2fx%s\n", k.name,
+      std::printf("  %-22s SoA speedup %.2fx, SIMD vs SoA %.2fx%s", k.name,
                   k.scalar_s / k.soa_s, k.soa_s / k.simd_s, k.gated ? " [gated]" : "");
     else
-      std::printf("  %-22s SoA speedup %.2fx\n", k.name, k.scalar_s / k.soa_s);
+      std::printf("  %-22s SoA speedup %.2fx", k.name, k.scalar_s / k.soa_s);
+    for (std::size_t t = 0; t < kNumTiers; ++t)
+      if (k.tier_s[t] > 0.0)
+        std::printf(" | %s %.2fx", simd_dispatch_name(kTiers[t]), k.soa_s / k.tier_s[t]);
+    std::printf("\n");
   }
   if (simd_active && !gate_pass)
     std::fprintf(stderr,

@@ -11,8 +11,10 @@
 # benchmark's self-tests (perfbench/run.py selftest) pass after the release
 # preset, and the
 # forced-scalar build (GBPOL_SIMD=OFF preset + GBPOL_SIMD=off env) must pass
-# the same test labels so the SoA fallback stays healthy. The long randomized
-# soak campaigns and the coverage gate are opt-in.
+# the same test labels so the SoA fallback stays healthy, as must the release
+# build with the AVX2 tier pinned (avx2 test preset, GBPOL_SIMD=avx2) so that
+# tier stays exercised on hosts whose best tier is AVX-512. The long
+# randomized soak campaigns and the coverage gate are opt-in.
 #
 #   scripts/check.sh             release + asan + tsan presets
 #   scripts/check.sh --fast      release preset only
@@ -110,8 +112,9 @@ echo "=== fig_serving: batched+cached serving self-gate (release build) ==="
 echo "=== micro_kernels: SIMD-vs-SoA self-gate (release build) ==="
 # --benchmark_filter matching nothing skips the google-benchmark timings;
 # only the kernel A/B + JSON + gate path runs. The binary exits non-zero if
-# the gated kernel (epol_near_exact) dispatches SIMD below 2x over SoA; on a
-# host without AVX2 the gate self-skips (dispatch falls back to SoA).
+# the gated kernel (epol_near_exact) on the dispatched tier runs below 2x over
+# SoA; on a host without AVX2 the gate self-skips (dispatch falls back to
+# SoA). Every available tier's ratio is recorded in the JSON.
 (cd build/bench && ./micro_kernels --benchmark_filter='^$')
 
 echo "=== ablation_approx_math: primitive accuracy/speed point (fast mode) ==="
@@ -119,9 +122,15 @@ echo "=== ablation_approx_math: primitive accuracy/speed point (fast mode) ==="
 # to bench_out/ablation_math_primitives.json without the molecule suite.
 (cd build/bench && GBPOL_ABLATION_FAST=1 ./ablation_approx_math)
 
+echo "=== avx2: release build with the AVX2 tier pinned ==="
+# GBPOL_SIMD=avx2 (set by the avx2 test preset) pins the AVX2 tier even where
+# the CPU would dispatch AVX-512, so both explicit tiers pass the tier-1
+# labels on such hosts. Reuses the release build tree.
+ctest --preset avx2 -L 'unit|property|checkpoint|balance|owned|integrity|incremental|serve|trace' -j "${JOBS}"
+
 echo "=== scalar: forced-SoA fallback build + tests ==="
-# GBPOL_SIMD=OFF at configure time compiles the stub TU (no AVX2 code in the
-# binary); GBPOL_SIMD=off in the test environment (set by the preset) also
+# GBPOL_SIMD=OFF at configure time compiles the stub TUs (no AVX2 or AVX-512
+# code in the binary); GBPOL_SIMD=off in the test environment (set by the preset) also
 # exercises the runtime override. Together they prove the fallback path
 # passes the same tier-1 labels as the dispatched build.
 cmake --preset scalar

@@ -17,6 +17,7 @@
 #include "core/balance.hpp"
 #include "core/engine.hpp"
 #include "core/halo_exchange.hpp"
+#include "core/kernels_simd.hpp"
 #include "support/arena.hpp"
 #include "mpisim/pool.hpp"
 #include "mpisim/runtime.hpp"
@@ -173,6 +174,15 @@ std::uint64_t integrity_job_word(bool guards_on) {
   return ckpt::fnv1a64({kIntegrityTag, support::kIntegrityEpoch,
                         static_cast<std::uint64_t>(support::kChecksumBlockBytes),
                         guards_on ? 1ull : 0ull});
+}
+
+// The words every checkpoint job key folds in besides its chunk geometry:
+// the integrity posture and the resolved near-kernel tier. Tiers agree only
+// to ~1e-10, so a store written under one tier is never resumed under
+// another — a mixed resume would match neither uninterrupted run.
+std::uint64_t kernel_job_word(bool guards_on) {
+  return ckpt::fnv1a64({integrity_job_word(guards_on),
+                        static_cast<std::uint64_t>(simd_dispatch())});
 }
 
 }  // namespace
@@ -360,7 +370,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
       {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
        static_cast<std::uint64_t>(config.division),
        static_cast<std::uint64_t>(params.traversal),
-       integrity_job_word(config.integrity_guards), policy.job_salt});
+       kernel_job_word(config.integrity_guards), policy.job_salt});
   const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
                                   P, job_key);
 
@@ -1029,7 +1039,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
        static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
        born_plan.n_chunks, born_plan.chunk_items, epol_plan.n_chunks,
-       epol_plan.chunk_items, integrity_job_word(options.integrity_guards),
+       epol_plan.chunk_items, kernel_job_word(options.integrity_guards),
        policy.job_salt});
   const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
                                   P, job_key);
@@ -1627,7 +1637,7 @@ RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
        static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
        born_plan.n_chunks, born_plan.chunk_items, epol_plan.n_chunks,
        epol_plan.chunk_items, 0x04EDull, ownership_hash, halo_hash,
-       integrity_job_word(options.integrity_guards), policy.job_salt});
+       kernel_job_word(options.integrity_guards), policy.job_salt});
   const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
                                   P, job_key);
 

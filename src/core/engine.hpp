@@ -125,8 +125,9 @@ struct RunOptions {
   // Near-kernel SIMD dispatch request (absorbs the GBPOL_SIMD side channel).
   // Empty = leave the process dispatch alone (env + CPUID decide); any other
   // value is applied via simd_set_override (core/kernels_simd.hpp) before
-  // the run: "off"/"0"/"scalar"/"soa" force the SoA path, "avx2"/"on"
-  // request AVX2 with SoA fallback, "auto" clears a previous override.
+  // the run: "off"/"0"/"scalar"/"soa" force the SoA path, "avx2" pins the
+  // AVX2 tier (SoA fallback), "on" picks the best tier the CPU supports
+  // (AVX-512, else AVX2, else SoA), "auto" clears a previous override.
   // Dispatch is process-global (the kernels resolve one table per process),
   // so a non-empty field re-points every subsequent run too.
   std::string simd;

@@ -9,12 +9,13 @@
 // Numerical design, per kernel:
 //  * born_near_r6/r4 — same 8-atom-lane/scalar-q structure as born_near_soa
 //    (core/approx_math.hpp), with 1/d2 computed as a vrcpps estimate refined
-//    by three Newton iterations (~1 ulp) and the d2>0 guard as a bitwise
-//    mask. Remainder rows reuse the exact scalar formula.
-//  * epol_near_exact — 4 v-lanes per step; 1/sqrt(f2) as vrsqrtps + three
+//    by two Newton iterations (~2e-14 relative) and the d2>0 guard as a
+//    bitwise mask. Remainder rows reuse the exact scalar formula.
+//  * epol_near_exact — 4 v-lanes per step; 1/sqrt(f2) as vrsqrtps + two
 //    Newton iterations, exp via a Cephes-style rational polynomial with
-//    Cody-Waite range reduction (~2 ulp), 1/(4 R_u R_v) as vrcpps + Newton.
-//    This removes the scalar libm calls that serialize the SoA path.
+//    Cody-Waite range reduction (~2 ulp), 1/(4 R_u R_v) as vrcpps + two
+//    Newton iterations. This removes the scalar libm calls that serialize
+//    the SoA path.
 //  * epol_near_approx — bit-for-bit vector replication of fast_rsqrt /
 //    fast_exp (the Schraudolph/Quake integer constructions), so the
 //    approx-math ablation measures the same approximation in both paths.
@@ -256,8 +257,9 @@ alignas(32) constexpr int64_t kTailMask[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
 // Mirrors epol_near_soa, but blocked over u: four u-rows advance together
 // through the v range, sharing every v-side load and giving four independent
 // exp/rsqrt Newton chains (~90 cycles deep each) for the out-of-order core to
-// overlap — near-list rows average only ~9 v points, so unrolling *within* a
-// row never gets the chains in flight; unrolling *across* rows does. The
+// overlap — near-list rows are short (atoms-tree leaves hold 14.5 atoms on
+// average at leaf capacity 32), so unrolling *within* a row never gets the
+// chains in flight; unrolling *across* rows does. The
 // 1..3 leftover v lanes run a MASKED step — maskload suppresses faults on
 // inactive lanes, blending born to 1.0 there keeps f2 = r2 + rr*exp strictly
 // positive (no NaN), and charge loads as 0.0 so inactive lanes contribute

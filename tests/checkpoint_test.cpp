@@ -14,6 +14,7 @@
 
 #include "ckpt/journal.hpp"
 #include "core/engine.hpp"
+#include "core/kernels_simd.hpp"
 #include "molecule/generate.hpp"
 #include "surface/quadrature.hpp"
 
@@ -365,6 +366,35 @@ TEST_F(CheckpointDriverTest, CorruptSnapshotsFallBackNeverWrongAnswer) {
   config.checkpoint.resume = true;
   const RunResult resumed = run(config);
   EXPECT_FALSE(resumed.resumed);  // nothing valid to resume from
+  expect_bit_identical(resumed, clean);
+}
+
+TEST_F(CheckpointDriverTest, SnapshotFromAnotherKernelTierIsNeverResumed) {
+  // The default tier of this host; the test needs one that differs from SoA.
+  RunOptions config = base_config(3);
+  config.simd = "auto";
+  const RunResult clean = run(config);
+  const SimdDispatch tier = simd_dispatch();
+  if (tier == SimdDispatch::kSoA) GTEST_SKIP() << "no SIMD tier on this host";
+
+  // Killed mid-E_pol under forced SoA: the store holds SoA chunk partials.
+  config.checkpoint.dir = fresh_dir("drv_tier_mix");
+  config.checkpoint.chunk_leaves = 2;
+  config.checkpoint.every_k_chunks = 1;
+  config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
+  config.simd = "off";
+  const RunResult killed = run(config);
+  ASSERT_TRUE(killed.killed);
+  EXPECT_FALSE(fs::is_empty(config.checkpoint.dir));
+
+  // Resumed under the default tier: the job key differs, so the SoA store
+  // is ignored and the answer is the default tier's, to the bit.
+  config.kill = {};
+  config.checkpoint.resume = true;
+  config.simd = "auto";
+  const RunResult resumed = run(config);
+  EXPECT_EQ(simd_dispatch(), tier);
+  EXPECT_FALSE(resumed.resumed);
   expect_bit_identical(resumed, clean);
 }
 

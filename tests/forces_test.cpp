@@ -139,10 +139,11 @@ TEST_F(OctreeGradientTest, TighterEpsilonImprovesAgreement) {
 
 // --- forced-dispatch battery ------------------------------------------------
 // The FD and octree-vs-naive gradient checks re-run under each forced
-// GBPOL_SIMD path, so a bug in one near-kernel variant (explicit AVX2 vs the
-// batched SoA fallback) cannot hide behind whichever path the host CPU
-// happens to select. "off" forces the SoA path; "auto" re-enables the
-// runtime's preferred path (AVX2+FMA where compiled in and supported).
+// GBPOL_SIMD path, so a bug in one near-kernel variant (explicit AVX2 or
+// AVX-512 vs the batched SoA fallback) cannot hide behind whichever path the
+// host CPU happens to select. "off" forces the SoA path; "avx2" pins the
+// AVX2 tier; "auto" re-enables the runtime's best tier (AVX-512 or AVX2
+// where compiled in and supported).
 class ForcedSimdGradientTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
@@ -202,7 +203,7 @@ TEST_P(ForcedSimdGradientTest, OctreeGradientMatchesNaiveUnderForcedPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dispatch, ForcedSimdGradientTest,
-                         ::testing::Values("off", "auto"),
+                         ::testing::Values("off", "avx2", "auto"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
