@@ -6,7 +6,7 @@
 //   gbpol_cli [options] [structure.{xyzqr,pqr}]
 //
 // Options:
-//   --driver NAME     naive | serial | cilk | mpi | hybrid | datadist  [serial]
+//   --driver NAME     naive | serial | cilk | mpi | hybrid | owned     [serial]
 //   --eps X           approximation parameter for both phases          [0.9]
 //   --cores N         modeled cores (ranks/threads per driver)         [12]
 //   --leaf N          octree leaf capacity                             [32]
@@ -22,7 +22,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/distributed_data.hpp"
 #include "core/engine.hpp"
 #include "core/forces.hpp"
 #include "core/naive.hpp"
@@ -34,7 +33,7 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--driver naive|serial|cilk|mpi|hybrid|datadist] [--eps X]\n"
+               "usage: %s [--driver naive|serial|cilk|mpi|hybrid|owned] [--eps X]\n"
                "          [--cores N] [--leaf N] [--grid H] [--r4] [--approx-math]\n"
                "          [--dipole] [--born] [--grad] [--synthetic N] [file.{xyzqr,pqr}]\n",
                argv0);
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t slot = 0; slot < mol.size(); ++slot)
       born_sorted[slot] = r.born_radii[prep.atoms_tree.original_index(slot)];
   } else if (driver == "serial" || driver == "cilk" || driver == "mpi" ||
-             driver == "hybrid") {
+             driver == "hybrid" || driver == "owned") {
     const Engine engine(prep, params, constants);
     RunOptions options;
     if (driver == "serial") {
@@ -131,17 +130,13 @@ int main(int argc, char** argv) {
       options.mode = EngineMode::kDistributed;
       options.threads_per_rank = driver == "hybrid" ? 6 : 1;
       options.ranks = std::max(1, cores / options.threads_per_rank);
+      // owned: the mpi shape with ranks holding leaf ranges plus halos.
+      if (driver == "owned") options.distribution = DataDistribution::kOwned;
     }
     const RunResult r = engine.run(options);
     energy = r.energy;
     modeled = r.modeled_seconds();
     born_sorted = r.born_sorted;
-  } else if (driver == "datadist") {
-    RunConfig config;
-    config.ranks = cores;
-    const DataDistResult r = run_oct_data_distributed(prep, params, constants, config);
-    energy = r.energy;
-    modeled = r.modeled_seconds();
   } else {
     usage(argv[0]);
   }

@@ -2,8 +2,11 @@
 # Local CI gate: build every sanitizer preset and run the fast test labels
 # (unit, property, checkpoint, balance, owned, integrity, incremental, serve,
 # trace) under each, plus repo-wide gates: the removed run_oct_* free
-# functions must not reappear anywhere (the Engine/Service API surface is
-# final), the balance_stress bench must
+# functions and the superseded distributed paths (the oct_balanced driver,
+# the distributed_data ghost-exchange prototype, WorkDivision::kDynamic and
+# Comm::charge_rpc) must not reappear anywhere (the Engine/Service API
+# surface is final; one canonical chunk-fold driver), the balance_stress
+# bench must
 # hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
 # records the ratios in bench_out/micro_kernels.json), the approx-math
@@ -52,6 +55,17 @@ echo "=== grep gate: run_oct_* symbols stay deleted ==="
 # may declare, define, or call them ever again.
 if grep -rnE 'run_oct_(serial|cilk|distributed)' src bench tests examples 2>/dev/null; then
   echo "check.sh: run_oct_* symbol found in-tree (the API was removed; use Engine::run or gbpol::Service)" >&2
+  exit 1
+fi
+
+echo "=== grep gate: superseded distributed paths stay deleted ==="
+# One canonical chunk-fold driver (detail::oct_canonical) serves replicated
+# and owned data; DataDistribution::kOwned replaced the ghost-exchange
+# prototype and BalancePolicy::kSteal replaced the shared-counter kDynamic
+# division with its RPC charge. None of them may come back.
+if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc' \
+    src bench tests examples 2>/dev/null; then
+  echo "check.sh: superseded distributed path found in-tree (use Engine::run; route() picks oct_distributed or oct_canonical)" >&2
   exit 1
 fi
 

@@ -73,8 +73,8 @@ bool write_snapshot(const std::string& path, const Snapshot& snap);
 // version, CRC mismatch, or section sizes inconsistent with the byte count.
 std::optional<Snapshot> read_snapshot(const std::string& path);
 
-// --- balanced-path migrated-chunk ledger ---------------------------------
-// The balanced driver (core/balance.hpp) checkpoints per-rank sets of
+// --- canonical-fold migrated-chunk ledger --------------------------------
+// The canonical chunk-fold driver (core/balance.hpp) checkpoints per-rank sets of
 // completed chunks plus each chunk's partial buffer, so resume-after-steal
 // is exact: a chunk is restored wherever it was computed (possibly on a
 // thief) or recomputed from scratch — either way the partial is identical.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -85,7 +84,8 @@ constexpr int kTagBornChain = 9000;
 constexpr int kTagBornSlice = 10000;
 constexpr int kTagEpolChain = 11000;
 // 12000 is the owned-mode Born halo exchange (core/halo_exchange.cpp);
-// 12001 gathers the owned Born slices to the writer at the end of oct_owned.
+// 12001 gathers the owned Born slices to the writer at the end of an owned
+// oct_canonical run.
 constexpr int kTagOwnedBorn = 12001;
 
 // Surviving ranks in ascending order (`dead` is ascending, per Comm).
@@ -183,6 +183,24 @@ std::uint64_t integrity_job_word(bool guards_on) {
 std::uint64_t kernel_job_word(bool guards_on) {
   return ckpt::fnv1a64({integrity_job_word(guards_on),
                         static_cast<std::uint64_t>(simd_dispatch())});
+}
+
+// The per-rank runtime accounting every distributed driver reports as-is.
+void absorb_report(RunResult& result, const mpisim::RunReport& report) {
+  result.compute_seconds = report.max_compute_seconds();
+  result.comm_seconds = report.max_comm_seconds();
+  result.retries = report.retries;
+  result.redistributed_work_items = report.redistributed_work_items;
+  result.migrated_chunks = report.migrated_chunks;
+  result.corruption_injected = report.corruption_injected;
+  result.corruption_detected = report.corruption_detected;
+  result.corruption_recomputed = report.corruption_recomputed;
+  result.corruption_retransmits = report.corruption_retransmits;
+  result.degraded = report.degraded;
+  result.killed = report.killed;
+  result.stalls_converted = report.stalls_converted;
+  result.error_class = report.error_class;
+  result.rank_results = report.ranks;
 }
 
 }  // namespace
@@ -328,15 +346,6 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
   double energy_shared = 0.0;
   std::size_t per_rank_extra_bytes = 0;
 
-  // Shared chunk counters for the kDynamic division: they model a work
-  // server on rank 0 — every fetch is charged as an RPC round trip.
-  std::atomic<std::uint32_t> born_cursor{0};
-  std::atomic<std::uint32_t> epol_cursor{0};
-  const std::uint32_t born_chunk =
-      std::max<std::uint32_t>(1, n_qleaves / static_cast<std::uint32_t>(8 * P));
-  const std::uint32_t epol_chunk =
-      std::max<std::uint32_t>(1, n_aleaves / static_cast<std::uint32_t>(8 * P));
-
   // Degraded-mode recovery needs the bit-deterministic configurations: one
   // thread per rank (no work-stealing merge order) and a node division
   // (whole leaves, so a dead rank's range re-partitions exactly). For those,
@@ -476,18 +485,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     obs::phase_begin(obs::PhaseId::kBornAccum);
     const Segment q_seg = q_segment(r);
     BornAccumulator acc = born_solver.make_accumulator();
-    if (config.division == WorkDivision::kDynamic) {
-      // Self-scheduled chunks from the shared counter (rank-serial).
-      mpisim::Comm::ComputeRegion region(comm);
-      for (;;) {
-        const std::uint32_t lo = born_cursor.fetch_add(born_chunk);
-        comm.charge_rpc(0, 2 * sizeof(std::uint32_t));
-        if (lo >= n_qleaves) break;
-        const std::uint32_t hi = std::min(lo + born_chunk, n_qleaves);
-        traced_chunk(lo, hi, obs::PhaseId::kBornAccum,
-                     [&] { born_solver.accumulate_qleaf_range(lo, hi, acc); });
-      }
-    } else if (p == 1 && use_ckpt) {
+    if (p == 1 && use_ckpt) {
       // Chunked evaluation with kill polls and periodic snapshots. Chunk
       // concatenation is bit-identical to the one-shot full-range pass:
       // build_lists emits entries per source leaf in ascending order, so the
@@ -784,17 +782,6 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
                          ? epol_solver->finish_energy(raws[0]) +
                                epol_solver->finish_energy(raws[1])
                          : epol_solver->finish_energy(raws[0]);
-      } else if (config.division == WorkDivision::kDynamic) {
-        mpisim::Comm::ComputeRegion region(comm);
-        for (;;) {
-          const std::uint32_t lo = epol_cursor.fetch_add(epol_chunk);
-          comm.charge_rpc(0, 2 * sizeof(std::uint32_t));
-          if (lo >= n_aleaves) break;
-          const std::uint32_t hi = std::min(lo + epol_chunk, n_aleaves);
-          traced_chunk(lo, hi, obs::PhaseId::kEpol, [&] {
-            partial[0] += epol_solver->energy_for_leaf_range(lo, hi);
-          });
-        }
       } else if (config.division == WorkDivision::kAtomBased) {
         traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kEpol, [&] {
           mpisim::Comm::ComputeRegion region(comm);
@@ -920,55 +907,63 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
 
   result.energy = energy_shared;
   result.born_sorted = std::move(born_shared);
-  result.compute_seconds = report.max_compute_seconds();
-  result.comm_seconds = report.max_comm_seconds();
   result.wall_seconds = wall.seconds();
-  result.retries = report.retries;
-  result.redistributed_work_items = report.redistributed_work_items;
-  result.corruption_injected = report.corruption_injected;
-  result.corruption_detected = report.corruption_detected;
-  result.corruption_recomputed = report.corruption_recomputed;
-  result.corruption_retransmits = report.corruption_retransmits;
-  result.degraded = report.degraded;
-  result.killed = report.killed;
   result.resumed = resume;
-  result.stalls_converted = report.stalls_converted;
-  result.error_class = report.error_class;
+  absorb_report(result, report);
   // Replicated-data accounting: every rank holds a full copy of the trees,
   // payloads, accumulator and Born array (paper §V-B memory comparison).
   result.replicated_bytes = static_cast<std::size_t>(P) *
                             (prep.replicated_footprint().bytes + per_rank_extra_bytes);
-  result.migrated_chunks = report.migrated_chunks;
-  result.rank_results = report.ranks;
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Canonical chunk-fold path with cross-rank balancing (core/balance.hpp,
-// DESIGN.md "Load balancing").
+// Canonical chunk-fold driver with cross-rank balancing, for both data
+// distributions (core/balance.hpp; DESIGN.md "Load balancing" and "Domain
+// decomposition & halo exchange").
 //
 // Work is cut into fixed, policy-independent chunks; each chunk's partial is
 // computed fresh-from-zero by whichever rank the plan (or death recovery, or
 // a checkpoint restore) hands it to, and every rank folds the partials in
 // ascending chunk order. The fold's result depends only on the chunk
-// boundaries — never on the assignment — so kStatic, kCostModel and kSteal
-// agree to the last bit, and so do recovered and resumed runs.
+// boundaries — never on the assignment or the data distribution — so
+// kStatic, kCostModel and kSteal agree to the last bit, replicated and
+// owned runs agree to the last bit, and so do recovered and resumed runs.
 //
-// The phase structure mirrors oct_distributed's, with two differences: the
-// Born push is replicated (every rank pushes all atoms from the identical
-// folded accumulator, so no gather is needed), and each phase synchronizes
-// on a 1-double token allreduce whose abort is the death-recovery point —
-// deaths fire only at collective entries, so a rank that dies there has
-// already finished and published its chunks for the current phase; only its
-// NEXT-phase chunks ever need recovery.
-RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
-                       const GBConstants& constants, const RunOptions& options) {
+// Each phase synchronizes on a 1-double token allreduce whose abort is the
+// death-recovery point — deaths fire only at collective entries, so a rank
+// that dies there has already finished and published its chunks for the
+// current phase; only its NEXT-phase chunks ever need recovery.
+//
+// The distribution decides only the stages where the data layouts differ:
+//
+//  * kReplicated: every rank folds the FULL accumulator and pushes every
+//    atom from it, so every rank holds the identical Born radii (no gather
+//    is needed) and builds its own E_pol far-field store.
+//  * kOwned: each rank holds only its OWNED Morton-contiguous leaf ranges
+//    plus a planned HALO instead of the molecule's whole point payload
+//    (core/halo_exchange.hpp). Ownership + halo plans are built host-side
+//    from the chunk/balance plans, identical on every rank, and hash into
+//    the checkpoint job key and every snapshot, so a restart provably
+//    resumes the same redistribution. The Born fold is SLICED to the
+//    accumulator elements serving the owned atoms and only owned atoms are
+//    pushed; radii outside owned + halo stay NaN (under-import poisons the
+//    energy instead of silently reading zeros). The far field comes from
+//    three exchanges: the Born halo p2p, an extrema allreduce_min, and an
+//    allgatherv of owned leaf bin rows plus a local internal re-fold, so
+//    the far aggregate store is bit-identical on every rank. Recovery reads
+//    outside the halo (dead ranks' slices, stolen recovery chunks) are
+//    served by reconstruct_born, and the writer finally gathers the owned
+//    Born slices p2p.
+RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
+                        const GBConstants& constants, const RunOptions& options) {
   // From driver entry, so host-side planning counts toward wall_seconds.
   WallTimer wall;
   RunResult result;
   result.ranks = std::max(1, options.ranks);
   result.threads_per_rank = 1;
   const int P = result.ranks;
+  const bool owned = options.distribution == DataDistribution::kOwned;
 
   const BornSolver born_solver(prep, params);
   const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
@@ -986,14 +981,18 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   // overload — under-prices dense regions, because near-field work grows
   // with the neighbourhood's density, not just the leaf's own count. The
   // walks are pure geometry (no Born values), so both phases are priced
-  // before phase 1 runs. kStatic even-splits regardless of the costs, so
-  // the walks are skipped there and the baseline stays walk-free.
+  // before phase 1 runs. kStatic even-splits regardless of the costs, so a
+  // replicated kStatic run skips the walks and stays walk-free; owned runs
+  // need them under every policy, because the halo plan reads their near
+  // rows.
   const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P, options.balance_chunk_leaves);
   const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P, options.balance_chunk_leaves);
+  PlanningWalks walks;
+  if (owned || options.balance != BalancePolicy::kStatic)
+    walks = walk_planning(prep, params);
   std::vector<double> born_costs(born_plan.n_chunks, 0.0);
   std::vector<double> epol_costs(epol_plan.n_chunks, 0.0);
   if (options.balance != BalancePolicy::kStatic) {
-    const PlanningWalks walks = walk_planning(prep, params);
     born_costs = chunk_costs(born_plan, walks.born.interactions);
     epol_costs = chunk_costs(epol_plan, walks.epol.interactions);
   }
@@ -1004,6 +1003,20 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
   const auto epol_steals = steals_by_thief(plan_epol, P);
   const std::vector<int> born_executor = executor_of(plan_born, born_plan.n_chunks);
   const std::vector<int> epol_executor = executor_of(plan_epol, epol_plan.n_chunks);
+
+  // Ownership + halo plans (kOwned): host-side, plan-derived, identical on
+  // every rank. The halo follows the EXECUTOR chunk assignment, so a policy
+  // change (different steals) changes the halo.
+  OwnershipMap ownership;
+  HaloPlan halo;
+  if (owned) {
+    ownership = make_ownership_map(prep, P, born_plan, epol_plan);
+    halo = build_halo_plan(prep, walks, ownership, plan_born, born_plan, plan_epol,
+                           epol_plan);
+  }
+  walks = PlanningWalks{};  // planning-only: release before the ranks run
+  const std::uint64_t ownership_hash = owned ? ownership.hash() : 0;
+  const std::uint64_t halo_hash = owned ? halo.hash() : 0;
 
   // Shared cross-rank state: each chunk slot is written by exactly one rank
   // (ledger discipline), then read by all after the phase sync's barrier.
@@ -1031,18 +1044,47 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       options.corruption.empty() ? 0 : epol_plan.n_chunks, 0u);
 
   // ---- Checkpoint/restart. The job key covers the chunk geometry but NOT
-  // the balance policy: snapshots are policy-portable, because a restored
-  // chunk's partial is identical wherever (and under whichever policy) it
-  // was computed.
+  // the balance policy: replicated snapshots are policy-portable, because a
+  // restored chunk's partial is identical wherever (and under whichever
+  // policy) it was computed. Owned keys also fold in the ownership + halo
+  // hashes — the halo follows the policy's steals — so owned snapshots are
+  // deliberately tied to the plans they were written under.
   const ckpt::CheckpointPolicy& policy = options.checkpoint;
-  const std::uint64_t job_key = ckpt::fnv1a64(
-      {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-       static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
-       born_plan.n_chunks, born_plan.chunk_items, epol_plan.n_chunks,
-       epol_plan.chunk_items, kernel_job_word(options.integrity_guards),
-       policy.job_salt});
+  const std::uint64_t kernel_word = kernel_job_word(options.integrity_guards);
+  const std::uint64_t job_key =
+      owned ? ckpt::fnv1a64({n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
+                             static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
+                             born_plan.n_chunks, born_plan.chunk_items,
+                             epol_plan.n_chunks, epol_plan.chunk_items, 0x04EDull,
+                             ownership_hash, halo_hash, kernel_word, policy.job_salt})
+            : ckpt::fnv1a64({n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
+                             static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
+                             born_plan.n_chunks, born_plan.chunk_items,
+                             epol_plan.n_chunks, epol_plan.chunk_items, kernel_word,
+                             policy.job_salt});
   const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
                                   P, job_key);
+
+  // Owned snapshots carry the ownership + halo hashes as one 2-double
+  // section right after the phase head; a restore whose plans would
+  // redistribute differently is rejected (belt to the job key's suspenders —
+  // the key already covers both hashes, this keeps a truncated/corrupt
+  // section from slipping by). Replicated snapshots carry no such section.
+  const std::size_t n_hash_sections = owned ? 1 : 0;
+  const auto hash_section = [&] {
+    std::vector<double> sec(2);
+    std::memcpy(&sec[0], &ownership_hash, sizeof(double));
+    std::memcpy(&sec[1], &halo_hash, sizeof(double));
+    return sec;
+  };
+  const auto hashes_ok = [&](const ckpt::Snapshot& s, std::size_t at) {
+    if (!owned) return true;
+    if (at >= s.sections.size() || s.sections[at].size() != 2) return false;
+    std::uint64_t oh = 0, hh = 0;
+    std::memcpy(&oh, &s.sections[at][0], sizeof(double));
+    std::memcpy(&hh, &s.sections[at][1], sizeof(double));
+    return oh == ownership_hash && hh == halo_hash;
+  };
 
   // Restore decision + application, made once up front on the host so every
   // rank agrees on the cut. Restored chunks land directly in the shared
@@ -1071,17 +1113,22 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
         };
         switch (s.phase) {
           case ckpt::Phase::kBornAccum:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 0);
-            valid = ledger_ok(ledgers[static_cast<std::size_t>(rr)],
+            ledgers[static_cast<std::size_t>(rr)] =
+                ckpt::read_chunk_ledger(s, n_hash_sections);
+            valid = hashes_ok(s, 0) &&
+                    ledger_ok(ledgers[static_cast<std::size_t>(rr)],
                               born_plan.n_chunks, acc_len);
             break;
           case ckpt::Phase::kPush:
-            valid = s.sections.size() == 1 && s.sections[0].size() == acc_len &&
+            valid = s.sections.size() == 1 + n_hash_sections &&
+                    s.sections[0].size() == acc_len && hashes_ok(s, 1) &&
                     s.cursor == 0;
             break;
           case ckpt::Phase::kEpol:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 1);
-            valid = !s.sections.empty() && s.sections[0].size() == n_atoms &&
+            ledgers[static_cast<std::size_t>(rr)] =
+                ckpt::read_chunk_ledger(s, 1 + n_hash_sections);
+            valid = s.sections.size() >= 1 + n_hash_sections &&
+                    s.sections[0].size() == n_atoms && hashes_ok(s, 1) &&
                     ledger_ok(ledgers[static_cast<std::size_t>(rr)],
                               epol_plan.n_chunks, 2);
             break;
@@ -1142,6 +1189,21 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
     int writer = 0;  // lowest surviving rank; publishes the shared answer
 
+    // The atoms this rank pushes: its owned span, or every atom when the
+    // data is replicated. Owned ranks fold only the accumulator elements
+    // serving those atoms.
+    const Segment my_atoms =
+        owned ? ownership.ranks[static_cast<std::size_t>(r)].atoms : Segment{0, n_atoms};
+    std::vector<std::uint32_t> fold_slice;
+    if (owned) {
+      fold_slice = acc_fold_slice(prep.atoms_tree, my_atoms);
+      obs::emit(obs::EventKind::kHaloPlan, my_atoms.count(),
+                halo.ranks[static_cast<std::size_t>(r)].born_halo_atoms);
+    }
+    // Dead ranks as of the most recent aborted collective (ascending). The
+    // owned p2p stages between collectives consult it: deads can't send.
+    std::vector<int> dead_set;
+
     // Hot-array integrity plumbing: injection fires once per scheduled
     // (rank, phase, chunk) even if the chunk is recomputed afterwards.
     const mpisim::CorruptionSchedule& corr = comm.corruption_schedule();
@@ -1192,6 +1254,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
           snap.cursor = ids.size();
           snap.job_key = job_key;
           snap.sections = std::move(head);
+          if (owned) snap.sections.push_back(hash_section());
           if (phase != ckpt::Phase::kPush) {  // kPush carries only the accumulator
             std::vector<std::vector<double>> partials;
             partials.reserve(ids.size());
@@ -1231,20 +1294,26 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       }
     };
 
-    // One Born chunk, fresh-from-zero into its shared slot. `recompute`
-    // marks an integrity recompute: no migration accounting, and the seal
-    // records the clean CRC (the fired flag stops a second injection).
+    // One Born chunk, fresh-from-zero into `out` (the chunk's shared slot,
+    // or a caller's scratch buffer).
+    const auto born_chunk_partial = [&](std::uint32_t c, BornAccumulator& out) {
+      const Segment seg = born_plan.chunk_range(c);
+      if (params.traversal == TraversalMode::kList) {
+        const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
+        born_solver.accumulate_lists(lists, out);
+      } else {
+        born_solver.accumulate_qleaf_range(seg.lo, seg.hi, out);
+      }
+    };
+    // One Born chunk into its shared slot. `recompute` marks an integrity
+    // recompute: no migration accounting, and the seal records the clean CRC
+    // (the fired flag stops a second injection).
     const auto compute_born_chunk = [&](std::uint32_t c, bool recompute = false) {
       const Segment seg = born_plan.chunk_range(c);
       traced_chunk(seg.lo, seg.hi, obs::PhaseId::kBornAccum, [&] {
         mpisim::Comm::ComputeRegion region(comm);
         BornAccumulator scratch = born_solver.make_accumulator();
-        if (params.traversal == TraversalMode::kList) {
-          const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-          born_solver.accumulate_lists(lists, scratch);
-        } else {
-          born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
-        }
+        born_chunk_partial(c, scratch);
         born_partials[c].assign(scratch.flat().begin(), scratch.flat().end());
       });
       seal_born(c);
@@ -1320,6 +1389,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
         const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
         if (st.ok()) break;
         if (comm.kill_requested()) comm.abandon();
+        dead_set = st.dead;
         const std::vector<int> live = live_ranks(P, st.dead);
         writer = live.front();
         const int parts = static_cast<int>(live.size());
@@ -1348,11 +1418,13 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       }
     }
 
-    // ---- Canonical fold + replicated push. Every rank folds the identical
-    // partials in ascending chunk order, so every rank holds the identical
-    // accumulator and Born radii — no gather collective is needed; the data
-    // motion (each rank reading every chunk partial) is charged as one
-    // modeled allgatherv.
+    // ---- Canonical fold, its data motion (each rank reading every chunk's
+    // partial) charged as one modeled allgatherv. A replicated rank folds the
+    // FULL accumulator; an owned rank folds only the elements serving its
+    // owned atoms (their subtree path + own slots), which shrinks the
+    // charged motion from n_chunks * acc_len to n_chunks * |slice|. Both
+    // visit every element in ascending chunk order, so the sliced fold
+    // matches the full fold element by element, to the bit.
     BornAccumulator acc = born_solver.make_accumulator();
     if (skip_to_push && !skip_to_epol) {
       const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
@@ -1361,12 +1433,17 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
     } else if (!skip_to_epol) {
       comm.charge_collective(obs::CollKind::kAllgatherv,
                              static_cast<std::size_t>(born_plan.n_chunks) *
-                                 acc_len * sizeof(double));
+                                 (owned ? fold_slice.size() : acc_len) *
+                                 sizeof(double));
       mpisim::Comm::ComputeRegion region(comm);
       const std::span<double> flat = acc.flat();
       for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
         const ArenaVector<double>& partial = born_partials[c];
-        for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
+        if (owned) {
+          for (const std::uint32_t idx : fold_slice) flat[idx] += partial[idx];
+        } else {
+          for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
+        }
       }
     }
     if (!skip_to_epol && policy.enabled() && boundary_due())
@@ -1374,28 +1451,249 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
           ckpt::Phase::kPush, {},
           {std::vector<double>(acc.flat().begin(), acc.flat().end())});
 
+    // ---- Push this rank's atoms. Owned radii outside owned + halo stay
+    // NaN: an under-imported halo read poisons the energy instead of
+    // silently reading zeros — the 0-ulp equivalence tests lean on this.
     obs::phase_begin(obs::PhaseId::kPush);
-    std::vector<double> born(prep.num_atoms(), 0.0);
+    std::vector<double> born(prep.num_atoms(),
+                             owned ? std::numeric_limits<double>::quiet_NaN() : 0.0);
     if (skip_to_epol) {
       const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
       std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
     } else {
-      traced_chunk(0, n_atoms, obs::PhaseId::kPush, [&] {
+      traced_chunk(my_atoms.lo, my_atoms.hi, obs::PhaseId::kPush, [&] {
         mpisim::Comm::ComputeRegion region(comm);
-        born_solver.push_to_atoms(acc, 0, n_atoms, born);
+        born_solver.push_to_atoms(acc, my_atoms.lo, my_atoms.hi, born);
       });
     }
 
+    // Owned degraded-path Born reconstruction: fold EVERYTHING (lazily,
+    // once) and assign-push just [lo, hi). Exact because the full fold
+    // agrees with the sliced fold per element and push_to_atoms assigns
+    // (never accumulates). On a resumed run the chunk partials are gone with
+    // the earlier phases, so the fold recomputes every chunk fresh-from-zero
+    // in ascending order — same canonical bits, O(N) but degraded-only.
+    // Opens its own compute region: call sites must sit OUTSIDE any
+    // ComputeRegion.
+    std::unique_ptr<BornAccumulator> recovery_acc;
+    const auto reconstruct_born = [&](std::uint32_t lo, std::uint32_t hi) {
+      mpisim::Comm::ComputeRegion region(comm);
+      if (!recovery_acc) {
+        recovery_acc =
+            std::make_unique<BornAccumulator>(born_solver.make_accumulator());
+        const std::span<double> flat = recovery_acc->flat();
+        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
+          if (skip_to_epol) {
+            BornAccumulator scratch = born_solver.make_accumulator();
+            born_chunk_partial(c, scratch);
+            const std::span<const double> part = scratch.flat();
+            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += part[j];
+          } else {
+            const ArenaVector<double>& partial = born_partials[c];
+            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
+          }
+        }
+      }
+      born_solver.push_to_atoms(*recovery_acc, lo, hi, born);
+      comm.add_redistributed_work(hi - lo);
+    };
+
+    // ---- E_pol far-field state. A replicated rank holds every radius, so
+    // the EpolSolver constructor bins them locally. An owned rank builds the
+    // same state from its three exchanges.
+    EpolFarField field;
+    std::vector<double> node_bins;
+    if (owned) {
+      const OwnershipMap::RankSpan& own = ownership.ranks[static_cast<std::size_t>(r)];
+
+      // ---- Point-level Born halo exchange (p2p window: death-free).
+      obs::phase_begin(obs::PhaseId::kBornGather);
+      if (!skip_to_epol)
+        exchange_born_halo(comm, prep, ownership, halo, dead_set, born,
+                           reconstruct_born);
+
+      // ---- Collective (r_min, r_max): each rank publishes {min, -max} over
+      // its owned slice; allreduce_min of exact comparisons is order-free, so
+      // the agreed extrema are bit-identical to a replicated minmax scan. The
+      // writer proxies dead ranks with extrema over their reconstructed
+      // slices.
+      double mm[2] = {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::infinity()};
+      {
+        std::vector<int> proxied;
+        std::vector<std::array<double, 2>> proxy_vals;
+        for (;;) {
+          {
+            mpisim::Comm::ComputeRegion region(comm);
+            mm[0] = std::numeric_limits<double>::infinity();
+            mm[1] = std::numeric_limits<double>::infinity();
+            for (std::uint32_t a = own.atoms.lo; a < own.atoms.hi; ++a) {
+              mm[0] = std::min(mm[0], born[a]);
+              mm[1] = std::min(mm[1], -born[a]);
+            }
+          }
+          std::vector<mpisim::ProxyPub> pubs;
+          pubs.reserve(proxied.size());
+          for (std::size_t i = 0; i < proxied.size(); ++i)
+            pubs.push_back({proxied[i], proxy_vals[i].data()});
+          const mpisim::CollectiveStatus st = comm.allreduce_min_ft(mm, pubs);
+          if (st.ok()) break;
+          if (comm.kill_requested()) comm.abandon();
+          dead_set = st.dead;
+          const std::vector<int> live = live_ranks(P, st.dead);
+          writer = live.front();
+          proxied.clear();
+          proxy_vals.clear();
+          if (r == writer) {
+            proxied = st.dead;
+            proxy_vals.resize(proxied.size());
+            for (std::size_t i = 0; i < proxied.size(); ++i) {
+              const Segment ds = ownership.ranks[static_cast<std::size_t>(proxied[i])].atoms;
+              proxy_vals[i] = {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::infinity()};
+              if (ds.count() == 0) continue;
+              reconstruct_born(ds.lo, ds.hi);
+              mpisim::Comm::ComputeRegion region(comm);
+              for (std::uint32_t a = ds.lo; a < ds.hi; ++a) {
+                proxy_vals[i][0] = std::min(proxy_vals[i][0], born[a]);
+                proxy_vals[i][1] = std::min(proxy_vals[i][1], -born[a]);
+              }
+            }
+          }
+        }
+      }
+      const double agreed_r_min = n_atoms > 0 ? mm[0] : 1.0;
+      const double agreed_r_max = n_atoms > 0 ? -mm[1] : 1.0;
+      field = EpolFarField::make(agreed_r_min, agreed_r_max, params.eps_epol);
+      const int m_bins = field.m_bins;
+
+      // ---- Bin-level halo: allgatherv of owned leaf bin rows (THE far-field
+      // exchange), then scatter into the node store and re-fold the internal
+      // rows locally. leaf_bins/fold_internal_bins are the replicated
+      // constructor's own loops, so the store matches it bit-for-bit.
+      std::vector<int> row_counts(static_cast<std::size_t>(P), 0);
+      std::vector<int> row_displs(static_cast<std::size_t>(P), 0);
+      int row_total = 0;
+      for (int rk = 0; rk < P; ++rk) {
+        row_counts[static_cast<std::size_t>(rk)] = static_cast<int>(
+            ownership.ranks[static_cast<std::size_t>(rk)].atom_leaves.count() *
+            static_cast<std::uint32_t>(m_bins));
+        row_displs[static_cast<std::size_t>(rk)] = row_total;
+        row_total += row_counts[static_cast<std::size_t>(rk)];
+      }
+      const int my_row_count = row_counts[static_cast<std::size_t>(r)];
+      std::vector<double> my_rows(
+          std::max<std::size_t>(static_cast<std::size_t>(my_row_count), 1), 0.0);
+      {
+        mpisim::Comm::ComputeRegion region(comm);
+        const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
+        for (std::uint32_t l = own.atom_leaves.lo; l < own.atom_leaves.hi; ++l) {
+          const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
+          EpolSolver::leaf_bins(prep, born, field, leaf.begin, leaf.end,
+                                my_rows.data() +
+                                    static_cast<std::size_t>(l - own.atom_leaves.lo) *
+                                        static_cast<std::size_t>(m_bins));
+        }
+      }
+      std::vector<double> gathered(
+          std::max<std::size_t>(static_cast<std::size_t>(row_total), 1), 0.0);
+      {
+        std::vector<int> proxied;
+        std::vector<std::vector<double>> proxy_rows;
+        for (;;) {
+          std::vector<mpisim::ProxyPub> pubs;
+          pubs.reserve(proxied.size());
+          for (std::size_t i = 0; i < proxied.size(); ++i)
+            pubs.push_back({proxied[i], proxy_rows[i].data()});
+          const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
+              std::span<const double>(my_rows.data(),
+                                      static_cast<std::size_t>(my_row_count)),
+              gathered, row_counts, row_displs, pubs);
+          if (st.ok()) break;
+          if (comm.kill_requested()) comm.abandon();
+          dead_set = st.dead;
+          const std::vector<int> live = live_ranks(P, st.dead);
+          writer = live.front();
+          proxied.clear();
+          proxy_rows.clear();
+          if (r == writer) {
+            proxied = st.dead;
+            proxy_rows.resize(proxied.size());
+            for (std::size_t i = 0; i < proxied.size(); ++i) {
+              const int d = proxied[i];
+              const OwnershipMap::RankSpan& dspan =
+                  ownership.ranks[static_cast<std::size_t>(d)];
+              proxy_rows[i].assign(
+                  std::max<std::size_t>(
+                      static_cast<std::size_t>(row_counts[static_cast<std::size_t>(d)]), 1),
+                  0.0);
+              if (dspan.atoms.count() > 0) reconstruct_born(dspan.atoms.lo, dspan.atoms.hi);
+              mpisim::Comm::ComputeRegion region(comm);
+              const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
+              for (std::uint32_t l = dspan.atom_leaves.lo; l < dspan.atom_leaves.hi; ++l) {
+                const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
+                EpolSolver::leaf_bins(
+                    prep, born, field, leaf.begin, leaf.end,
+                    proxy_rows[i].data() +
+                        static_cast<std::size_t>(l - dspan.atom_leaves.lo) *
+                            static_cast<std::size_t>(m_bins));
+              }
+            }
+          }
+        }
+      }
+      const std::size_t n_anodes = prep.atoms_tree.nodes().size();
+      node_bins.assign(n_anodes * static_cast<std::size_t>(m_bins), 0.0);
+      {
+        mpisim::Comm::ComputeRegion region(comm);
+        const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
+        for (int rk = 0; rk < P; ++rk) {
+          const Segment ls = ownership.ranks[static_cast<std::size_t>(rk)].atom_leaves;
+          for (std::uint32_t l = ls.lo; l < ls.hi; ++l) {
+            std::memcpy(node_bins.data() +
+                            static_cast<std::size_t>(aleaves[l]) *
+                                static_cast<std::size_t>(m_bins),
+                        gathered.data() +
+                            static_cast<std::size_t>(row_displs[static_cast<std::size_t>(rk)]) +
+                            static_cast<std::size_t>(l - ls.lo) *
+                                static_cast<std::size_t>(m_bins),
+                        static_cast<std::size_t>(m_bins) * sizeof(double));
+          }
+        }
+        EpolSolver::fold_internal_bins(prep.atoms_tree, m_bins, node_bins);
+      }
+    }
+
     // ---- E_pol over this rank's planned chunk order (raw far/near sums per
-    // chunk; the -tau/2 scale is applied once, after the fold).
+    // chunk; the -tau/2 scale is applied once, after the fold). Owned near
+    // entries read the point-level halo.
     obs::phase_begin(obs::PhaseId::kEpol);
     std::unique_ptr<EpolSolver> epol_solver;
     {
       mpisim::Comm::ComputeRegion region(comm);
-      epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
+      epol_solver = owned ? std::make_unique<EpolSolver>(prep, born, params, constants,
+                                                         field, node_bins)
+                          : std::make_unique<EpolSolver>(prep, born, params, constants);
     }
-    const auto compute_epol_chunk = [&](std::uint32_t c, bool recompute = false) {
+    // Owned recovery chunks may reach outside the halo, so their inputs are
+    // reconstructed BEFORE the traced region (double list build, degraded
+    // paths only).
+    const auto ensure_chunk_inputs = [&](const InteractionLists& lists) {
+      for (const InteractionLists::Near& nr : lists.near) {
+        for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
+          const OctreeNode& leaf = prep.atoms_tree.node(node_id);
+          if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
+            reconstruct_born(leaf.begin, leaf.end);
+        }
+      }
+    };
+    const auto compute_epol_chunk = [&](std::uint32_t c, bool recovery,
+                                        bool recompute = false) {
       const Segment seg = epol_plan.chunk_range(c);
+      if (owned && recovery) {
+        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
+        ensure_chunk_inputs(lists);
+      }
       traced_chunk(seg.lo, seg.hi, obs::PhaseId::kEpol, [&] {
         mpisim::Comm::ComputeRegion region(comm);
         double raws[2] = {0.0, 0.0};
@@ -1423,7 +1721,10 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
           continue;
         comm.note_corruption_detected();
         obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        compute_epol_chunk(c, /*recompute=*/true);
+        // recovery=true is a no-op when the chunk's near inputs are still
+        // resident (they are: this rank computed it earlier); it only
+        // reconstructs after a degraded path dropped them.
+        compute_epol_chunk(c, /*recovery=*/true, /*recompute=*/true);
         comm.note_corruption_recomputed();
         obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
       }
@@ -1441,7 +1742,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
                     order.size());
         const std::uint32_t c = order[i];
         if (!epol_ledger.done(c)) {
-          compute_epol_chunk(c);
+          compute_epol_chunk(c, /*recovery=*/false);
           my_epol_ids.push_back(c);
           if (policy.enabled() && policy.every_k_chunks > 0 &&
               ++since_save >= policy.every_k_chunks) {
@@ -1471,6 +1772,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
         const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
         if (st.ok()) break;
         if (comm.kill_requested()) comm.abandon();
+        dead_set = st.dead;
         const std::vector<int> live = live_ranks(P, st.dead);
         writer = live.front();
         const int parts = static_cast<int>(live.size());
@@ -1486,7 +1788,7 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
              i += static_cast<std::size_t>(parts)) {
           const std::uint32_t c = orphans[i];
           if (epol_ledger.done(c)) continue;
-          compute_epol_chunk(c);
+          compute_epol_chunk(c, /*recovery=*/true);
           my_epol_ids.push_back(c);
           comm.add_redistributed_work(epol_plan.chunk_range(c).count());
           recomputed = true;
@@ -1497,8 +1799,8 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
       }
     }
 
-    // Fold the raw sums in ascending chunk order (identical on every rank),
-    // finish once, and let the lowest survivor publish.
+    // Fold the raw sums in ascending chunk order (identical on every rank)
+    // and finish once.
     comm.charge_collective(obs::CollKind::kAllreduce,
                            static_cast<std::size_t>(epol_plan.n_chunks) * 2 *
                                sizeof(double));
@@ -1514,884 +1816,56 @@ RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
                    ? epol_solver->finish_energy_pair(far_total, near_total)
                    : epol_solver->finish_energy(far_total);
     }
+
+    // ---- Publish: the lowest survivor writes the shared answer. Replicated
+    // ranks all hold every radius. Owned slices stream p2p to the writer
+    // (the post-collective window is death-free, so live sends always
+    // land), and dead ranks' slices are reconstructed — owned mode's price
+    // for not holding everyone's radii.
     if (r == writer) {
       energy_shared = energy;
-      std::copy(born.begin(), born.end(), born_shared.begin());
-    }
-    obs::phase_end();
-  });
-
-  result.energy = energy_shared;
-  result.born_sorted = std::move(born_shared);
-  result.compute_seconds = report.max_compute_seconds();
-  result.comm_seconds = report.max_comm_seconds();
-  result.wall_seconds = wall.seconds();
-  result.retries = report.retries;
-  result.redistributed_work_items = report.redistributed_work_items;
-  result.migrated_chunks = report.migrated_chunks;
-  result.corruption_injected = report.corruption_injected;
-  result.corruption_detected = report.corruption_detected;
-  result.corruption_recomputed = report.corruption_recomputed;
-  result.corruption_retransmits = report.corruption_retransmits;
-  result.degraded = report.degraded;
-  result.killed = report.killed;
-  result.resumed = resume;
-  result.stalls_converted = report.stalls_converted;
-  result.error_class = report.error_class;
-  result.replicated_bytes =
-      static_cast<std::size_t>(P) *
-      (prep.replicated_footprint().bytes + acc_len * sizeof(double) +
-       static_cast<std::size_t>(n_atoms) * sizeof(double));
-  result.rank_results = report.ranks;
-  return result;
-}
-
-// Owned-mode driver (DataDistribution::kOwned): oct_balanced's phase and
-// recovery structure, but each rank holds only its OWNED Morton-contiguous
-// leaf ranges plus a planned HALO instead of replicating the molecule's
-// point payload (core/halo_exchange.hpp). The deltas from oct_balanced:
-//
-//  * Ownership + halo plans are built host-side from the chunk/balance
-//    plans (pure geometry), are identical on every rank, and hash into the
-//    checkpoint job key so a restart provably resumes the same
-//    redistribution.
-//  * The canonical Born fold is SLICED: a rank folds only the accumulator
-//    elements serving its owned atoms. Element order within the slice is
-//    ascending-chunk — per element identical to the full fold — so owned
-//    Born radii match replicated radii to the bit.
-//  * Born radii outside owned + halo stay NaN (under-import poisons the
-//    energy instead of silently reading zeros). The halo plan's near sets
-//    are exchanged p2p after the push; far-field needs are met by an
-//    allgatherv of owned leaf bin rows plus a local internal re-fold, so
-//    the far aggregate store is bit-identical on every rank.
-//  * Recovery reads that fall outside the halo (dead ranks' slices, stolen
-//    recovery chunks) are served by reconstruct_born: a lazy full fold of
-//    the shared chunk partials (or a full recompute on a resumed run) plus
-//    an assign-push of just the needed range — exact by per-element fold
-//    independence, O(N) only on degraded paths.
-RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
-                    const GBConstants& constants, const RunOptions& options) {
-  // From driver entry, so host-side planning counts toward wall_seconds.
-  WallTimer wall;
-  RunResult result;
-  result.ranks = std::max(1, options.ranks);
-  result.threads_per_rank = 1;
-  const int P = result.ranks;
-
-  const BornSolver born_solver(prep, params);
-  const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
-  const std::uint32_t n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
-  const std::uint32_t n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
-  const std::size_t acc_len = born_solver.make_accumulator().flat().size();
-
-  // Chunk geometry, costs and balance plans: identical to oct_balanced (the
-  // fold canonicalization and snapshot layout rest on the same invariants).
-  // The planning walks are needed under every policy: the halo plan reads
-  // their near rows.
-  const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P, options.balance_chunk_leaves);
-  const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P, options.balance_chunk_leaves);
-  PlanningWalks walks = walk_planning(prep, params);
-  std::vector<double> born_costs(born_plan.n_chunks, 0.0);
-  std::vector<double> epol_costs(epol_plan.n_chunks, 0.0);
-  if (options.balance != BalancePolicy::kStatic) {
-    born_costs = chunk_costs(born_plan, walks.born.interactions);
-    epol_costs = chunk_costs(epol_plan, walks.epol.interactions);
-  }
-  const BalanceAssignment plan_born = plan_balance(born_costs, P, options.balance);
-  const BalanceAssignment plan_epol = plan_balance(epol_costs, P, options.balance);
-  result.steal_grants = plan_born.steals.size() + plan_epol.steals.size();
-  const auto born_steals = steals_by_thief(plan_born, P);
-  const auto epol_steals = steals_by_thief(plan_epol, P);
-  const std::vector<int> born_executor = executor_of(plan_born, born_plan.n_chunks);
-  const std::vector<int> epol_executor = executor_of(plan_epol, epol_plan.n_chunks);
-
-  // Ownership + halo plans: host-side, plan-derived, identical on every
-  // rank. The halo follows the EXECUTOR chunk assignment, so a policy
-  // change (different steals) changes the halo — both hashes go into the
-  // job key and owned snapshots are deliberately NOT policy-portable.
-  const OwnershipMap ownership = make_ownership_map(prep, P, born_plan, epol_plan);
-  const HaloPlan halo = build_halo_plan(prep, walks, ownership, plan_born,
-                                        born_plan, plan_epol, epol_plan);
-  walks = PlanningWalks{};  // planning-only: release before the ranks run
-  const std::uint64_t ownership_hash = ownership.hash();
-  const std::uint64_t halo_hash = halo.hash();
-
-  std::vector<ArenaVector<double>> born_partials(born_plan.n_chunks);
-  std::vector<std::array<double, 2>> epol_raws(epol_plan.n_chunks,
-                                               std::array<double, 2>{0.0, 0.0});
-  ChunkLedger born_ledger(born_plan.n_chunks);
-  ChunkLedger epol_ledger(epol_plan.n_chunks);
-  std::vector<double> born_shared(prep.num_atoms(), 0.0);
-  double energy_shared = 0.0;
-
-  // Integrity epoch guards over the shared hot arrays (see oct_balanced):
-  // executor-sealed CRCs, re-verified before each phase's token allreduce.
-  std::vector<std::uint32_t> born_crcs(
-      options.corruption.empty() ? 0 : born_plan.n_chunks, 0u);
-  std::vector<std::uint32_t> epol_crcs(
-      options.corruption.empty() ? 0 : epol_plan.n_chunks, 0u);
-
-  const ckpt::CheckpointPolicy& policy = options.checkpoint;
-  const std::uint64_t job_key = ckpt::fnv1a64(
-      {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-       static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
-       born_plan.n_chunks, born_plan.chunk_items, epol_plan.n_chunks,
-       epol_plan.chunk_items, 0x04EDull, ownership_hash, halo_hash,
-       kernel_job_word(options.integrity_guards), policy.job_salt});
-  const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
-                                  P, job_key);
-
-  // Every owned snapshot's head carries the ownership + halo hashes as a
-  // 2-double section; a restore whose plans would redistribute differently
-  // is rejected (belt to the job key's suspenders — the key already covers
-  // both hashes, this keeps a truncated/corrupt section from slipping by).
-  const auto hash_section = [&] {
-    std::vector<double> sec(2);
-    std::memcpy(&sec[0], &ownership_hash, sizeof(double));
-    std::memcpy(&sec[1], &halo_hash, sizeof(double));
-    return sec;
-  };
-  const auto hash_section_ok = [&](const std::vector<double>& sec) {
-    if (sec.size() != 2) return false;
-    std::uint64_t oh = 0, hh = 0;
-    std::memcpy(&oh, &sec[0], sizeof(double));
-    std::memcpy(&hh, &sec[1], sizeof(double));
-    return oh == ownership_hash && hh == halo_hash;
-  };
-
-  std::vector<std::vector<std::uint32_t>> restored_born_ids(
-      static_cast<std::size_t>(P));
-  std::vector<std::vector<std::uint32_t>> restored_epol_ids(
-      static_cast<std::size_t>(P));
-  std::vector<ckpt::Snapshot> restored;
-  bool resume = false;
-  if (policy.enabled() && policy.resume) {
-    if (auto set = store.load_latest()) {
-      bool valid = true;
-      std::vector<ckpt::ChunkLedgerSections> ledgers(static_cast<std::size_t>(P));
-      for (int rr = 0; rr < P && valid; ++rr) {
-        const ckpt::Snapshot& s = (*set)[static_cast<std::size_t>(rr)];
-        const auto ledger_ok = [&](const ckpt::ChunkLedgerSections& led,
-                                   std::uint32_t n_chunks, std::size_t partial_len) {
-          if (!led.ok || s.cursor != led.ids.size()) return false;
-          for (const std::uint32_t id : led.ids)
-            if (id >= n_chunks) return false;
-          for (const std::vector<double>& p : led.partials)
-            if (p.size() != partial_len) return false;
-          return true;
-        };
-        switch (s.phase) {
-          case ckpt::Phase::kBornAccum:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 1);
-            valid = !s.sections.empty() && hash_section_ok(s.sections[0]) &&
-                    ledger_ok(ledgers[static_cast<std::size_t>(rr)],
-                              born_plan.n_chunks, acc_len);
-            break;
-          case ckpt::Phase::kPush:
-            valid = s.sections.size() == 2 && s.sections[0].size() == acc_len &&
-                    hash_section_ok(s.sections[1]) && s.cursor == 0;
-            break;
-          case ckpt::Phase::kEpol:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 2);
-            valid = s.sections.size() >= 2 && s.sections[0].size() == n_atoms &&
-                    hash_section_ok(s.sections[1]) &&
-                    ledger_ok(ledgers[static_cast<std::size_t>(rr)],
-                              epol_plan.n_chunks, 2);
-            break;
-        }
-      }
-      if (valid) {
-        restored = std::move(*set);
-        resume = true;
-        for (int rr = 0; rr < P; ++rr) {
-          const ckpt::Snapshot& s = restored[static_cast<std::size_t>(rr)];
-          ckpt::ChunkLedgerSections& led = ledgers[static_cast<std::size_t>(rr)];
-          if (s.phase == ckpt::Phase::kBornAccum) {
-            for (std::size_t i = 0; i < led.ids.size(); ++i) {
-              born_partials[led.ids[i]].assign(led.partials[i].begin(),
-                                               led.partials[i].end());
-              born_ledger.mark_done(led.ids[i], rr);
-            }
-            restored_born_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
-          } else if (s.phase == ckpt::Phase::kEpol) {
-            for (std::size_t i = 0; i < led.ids.size(); ++i) {
-              epol_raws[led.ids[i]] = {led.partials[i][0], led.partials[i][1]};
-              epol_ledger.mark_done(led.ids[i], rr);
-            }
-            restored_epol_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
+      if (!owned) {
+        std::copy(born.begin(), born.end(), born_shared.begin());
+      } else {
+        std::copy(born.begin() + my_atoms.lo, born.begin() + my_atoms.hi,
+                  born_shared.begin() + my_atoms.lo);
+        for (int rk = 0; rk < P; ++rk) {
+          if (rk == r) continue;
+          const Segment s = ownership.ranks[static_cast<std::size_t>(rk)].atoms;
+          if (s.count() == 0) continue;
+          bool have = false;
+          if (!std::binary_search(dead_set.begin(), dead_set.end(), rk)) {
+            const mpisim::RecvStatus rs = comm.recv_ft<double>(
+                std::span<double>(born_shared.data() + s.lo, s.count()), rk,
+                kTagOwnedBorn);
+            have = rs.ok();
+          }
+          if (!have) {
+            reconstruct_born(s.lo, s.hi);
+            std::copy(born.begin() + s.lo, born.begin() + s.hi,
+                      born_shared.begin() + s.lo);
           }
         }
       }
-    }
-  }
-  const ckpt::Phase resume_phase = resume ? restored[0].phase : ckpt::Phase::kBornAccum;
-
-  // Seal restored chunks' CRCs host-side so the phase-boundary verification
-  // treats them as clean (they passed the snapshot CRC on the way in).
-  if (!options.corruption.empty()) {
-    for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c)
-      if (born_ledger.done(c))
-        born_crcs[c] = support::crc32(born_partials[c].data(),
-                                      born_partials[c].size() * sizeof(double));
-    for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c)
-      if (epol_ledger.done(c))
-        epol_crcs[c] =
-            support::crc32(epol_raws[c].data(), epol_raws[c].size() * sizeof(double));
-  }
-
-  mpisim::Runtime::Config rt;
-  rt.ranks = P;
-  rt.threads_per_rank = 1;
-  rt.cluster = options.cluster;
-  rt.faults = options.faults;
-  rt.kill = options.kill;
-  rt.stall_timeout_seconds = options.stall_timeout_seconds;
-  rt.corruption = options.corruption;
-  rt.integrity_guards = options.integrity_guards;
-
-  const auto report = mpisim::run_on(options.pool, rt, [&](mpisim::Comm& comm) {
-    const int r = comm.rank();
-    const bool skip_to_push = resume && resume_phase >= ckpt::Phase::kPush;
-    const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
-    int writer = 0;
-
-    const OwnershipMap::RankSpan& own = ownership.ranks[static_cast<std::size_t>(r)];
-    const HaloPlan::RankHalo& my_halo = halo.ranks[static_cast<std::size_t>(r)];
-    const std::vector<std::uint32_t> fold_slice =
-        acc_fold_slice(prep.atoms_tree, own.atoms);
-    // Dead ranks as of the most recent aborted collective (ascending).
-    // p2p stages between collectives consult it: deads can't send.
-    std::vector<int> dead_set;
-    obs::emit(obs::EventKind::kHaloPlan, own.atoms.count(),
-              my_halo.born_halo_atoms);
-
-    // Hot-array integrity plumbing (same protocol as oct_balanced): the
-    // executor seals the PRISTINE CRC, then applies any scheduled flip once.
-    const mpisim::CorruptionSchedule& corr = comm.corruption_schedule();
-    std::vector<char> born_fired(corr.empty() ? 0 : born_plan.n_chunks, 0);
-    std::vector<char> epol_fired(corr.empty() ? 0 : epol_plan.n_chunks, 0);
-    const auto seal_born = [&](std::uint32_t c) {
-      if (corr.empty()) return;
-      const std::size_t bytes = born_partials[c].size() * sizeof(double);
-      born_crcs[c] = support::crc32(born_partials[c].data(), bytes);
-      std::uint64_t bit = 0;
-      if (born_fired[c] == 0 &&
-          corr.hot_array_bit(r, mpisim::CorruptionPlan::kBornPartials, c, &bit)) {
-        born_fired[c] = 1;
-        support::flip_bit(born_partials[c].data(), bytes, bit);
-        comm.note_corruption_injected();
-        obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
-      }
-    };
-    const auto seal_epol = [&](std::uint32_t c) {
-      if (corr.empty()) return;
-      const std::size_t bytes = epol_raws[c].size() * sizeof(double);
-      epol_crcs[c] = support::crc32(epol_raws[c].data(), bytes);
-      std::uint64_t bit = 0;
-      if (epol_fired[c] == 0 &&
-          corr.hot_array_bit(r, mpisim::CorruptionPlan::kEpolPartials, c, &bit)) {
-        epol_fired[c] = 1;
-        support::flip_bit(epol_raws[c].data(), bytes, bit);
-        comm.note_corruption_injected();
-        obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
-      }
-    };
-
-    std::uint32_t phase_boundaries = 0;
-    std::uint64_t snapshot_ordinal = 0;  // per-rank save order, for injection
-    const auto boundary_due = [&] {
-      const bool due = policy.every_n_collectives > 0 &&
-                       phase_boundaries % policy.every_n_collectives == 0;
-      ++phase_boundaries;
-      return due;
-    };
-    const auto save_ledger_snapshot =
-        [&](ckpt::Phase phase, const std::vector<std::uint32_t>& ids,
-            std::vector<std::vector<double>> head) {
-          ckpt::Snapshot snap;
-          snap.rank = static_cast<std::uint32_t>(r);
-          snap.ranks = static_cast<std::uint32_t>(P);
-          snap.phase = phase;
-          snap.cursor = ids.size();
-          snap.job_key = job_key;
-          snap.sections = std::move(head);
-          if (phase != ckpt::Phase::kPush) {
-            std::vector<std::vector<double>> partials;
-            partials.reserve(ids.size());
-            for (const std::uint32_t id : ids) {
-              if (phase == ckpt::Phase::kBornAccum)
-                partials.emplace_back(born_partials[id].begin(),
-                                      born_partials[id].end());
-              else
-                partials.push_back({epol_raws[id][0], epol_raws[id][1]});
-            }
-            ckpt::append_chunk_ledger(snap, ids, partials);
-          }
-          const std::string path = store.save(snap);
-          std::uint64_t snap_bit = 0;
-          if (!path.empty() &&
-              comm.corruption_schedule().snapshot_bit(r, snapshot_ordinal,
-                                                      &snap_bit)) {
-            corrupt_snapshot_file(path, snap_bit);
-            comm.note_corruption_injected();
-            obs::emit(obs::EventKind::kCorruptionInject, snapshot_ordinal, 0,
-                      /*site=*/3);
-          }
-          ++snapshot_ordinal;
-        };
-
-    const auto fire_steals = [&](const std::vector<StealEvent>& evs,
-                                 std::size_t& next, std::size_t i,
-                                 std::size_t order_size) {
-      while (next < evs.size() && evs[next].after_processed == i) {
-        const StealEvent& ev = evs[next];
-        comm.steal_rpc(ev.victim, static_cast<std::uint64_t>(order_size - i),
-                       ev.granted, 16, static_cast<std::size_t>(ev.granted) * 16);
-        ++next;
-      }
-    };
-
-    const auto compute_born_chunk = [&](std::uint32_t c, bool recompute = false) {
-      const Segment seg = born_plan.chunk_range(c);
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kBornAccum, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        BornAccumulator scratch = born_solver.make_accumulator();
-        if (params.traversal == TraversalMode::kList) {
-          const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-          born_solver.accumulate_lists(lists, scratch);
-        } else {
-          born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
-        }
-        born_partials[c].assign(scratch.flat().begin(), scratch.flat().end());
-      });
-      seal_born(c);
-      if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
-      born_ledger.mark_done(c, r);
-    };
-
-    const auto verify_born = [&](const std::vector<std::uint32_t>& ids) {
-      if (corr.empty() || !comm.integrity_guards()) return;
-      for (const std::uint32_t c : ids) {
-        const std::size_t bytes = born_partials[c].size() * sizeof(double);
-        if (support::crc32(born_partials[c].data(), bytes) == born_crcs[c])
-          continue;
-        comm.note_corruption_detected();
-        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        compute_born_chunk(c, /*recompute=*/true);
-        comm.note_corruption_recomputed();
-        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
-      }
-    };
-
-    // ---- Born accumulation (same chunk protocol as oct_balanced).
-    obs::phase_begin(obs::PhaseId::kBornAccum);
-    std::vector<std::uint32_t> my_born_ids = restored_born_ids[static_cast<std::size_t>(r)];
-    if (!skip_to_push) {
-      const std::vector<std::uint32_t>& order = plan_born.order[static_cast<std::size_t>(r)];
-      if (policy.enabled())
-        save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {hash_section()});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!born_ledger.done(c)) {
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids,
-                                 {hash_section()});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
-    }
-
-    // ---- Born sync + striped recovery (identical to oct_balanced).
-    obs::phase_begin(obs::PhaseId::kBornReduce);
-    if (!skip_to_push) {
-      double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;
-      for (;;) {
-        // Integrity gate: re-verify every published chunk (including any
-        // death-recovery recomputes from a prior iteration) before the
-        // collective succeeds and the sliced fold begins.
-        verify_born(my_born_ids);
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), born_executor[c]))
-            orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (born_ledger.done(c)) continue;
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          comm.add_redistributed_work(born_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids,
-                               {hash_section()});
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
-      }
-    }
-
-    // ---- SLICED canonical fold: only the accumulator elements serving the
-    // owned atoms (their subtree path + own slots). Ascending chunk order
-    // per element — bit-identical to the full fold, element by element —
-    // and the charged data motion shrinks from n_chunks * acc_len to
-    // n_chunks * |slice|.
-    BornAccumulator acc = born_solver.make_accumulator();
-    if (skip_to_push && !skip_to_epol) {
-      const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-      std::copy(snap.sections[0].begin(), snap.sections[0].end(),
-                acc.flat().begin());
-    } else if (!skip_to_epol) {
-      comm.charge_collective(obs::CollKind::kAllgatherv,
-                             static_cast<std::size_t>(born_plan.n_chunks) *
-                                 fold_slice.size() * sizeof(double));
-      mpisim::Comm::ComputeRegion region(comm);
-      const std::span<double> flat = acc.flat();
-      for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-        const ArenaVector<double>& partial = born_partials[c];
-        for (const std::uint32_t idx : fold_slice) flat[idx] += partial[idx];
-      }
-    }
-    if (!skip_to_epol && policy.enabled() && boundary_due())
-      save_ledger_snapshot(
-          ckpt::Phase::kPush, {},
-          {std::vector<double>(acc.flat().begin(), acc.flat().end()),
-           hash_section()});
-
-    // ---- Push owned atoms only. Everything else stays NaN: an
-    // under-imported halo read poisons the energy instead of silently
-    // reading zeros — the 0-ulp equivalence tests lean on this.
-    obs::phase_begin(obs::PhaseId::kPush);
-    std::vector<double> born(prep.num_atoms(),
-                             std::numeric_limits<double>::quiet_NaN());
-    if (skip_to_epol) {
-      const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-      std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
-    } else {
-      traced_chunk(own.atoms.lo, own.atoms.hi, obs::PhaseId::kPush, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        born_solver.push_to_atoms(acc, own.atoms.lo, own.atoms.hi, born);
-      });
-    }
-
-    // Degraded-path Born reconstruction: fold EVERYTHING (lazily, once) and
-    // assign-push just [lo, hi). Exact because the full fold agrees with the
-    // sliced fold per element and push_to_atoms assigns (never accumulates).
-    // On a resumed run the chunk partials are gone with the earlier phases,
-    // so the fold recomputes every chunk fresh-from-zero in ascending order
-    // — same canonical bits, O(N) but degraded-only. Opens its own compute
-    // region: call sites must sit OUTSIDE any ComputeRegion.
-    std::unique_ptr<BornAccumulator> recovery_acc;
-    const auto reconstruct_born = [&](std::uint32_t lo, std::uint32_t hi) {
-      mpisim::Comm::ComputeRegion region(comm);
-      if (!recovery_acc) {
-        recovery_acc =
-            std::make_unique<BornAccumulator>(born_solver.make_accumulator());
-        const std::span<double> flat = recovery_acc->flat();
-        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-          if (skip_to_epol) {
-            const Segment seg = born_plan.chunk_range(c);
-            BornAccumulator scratch = born_solver.make_accumulator();
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists =
-                  born_solver.build_lists(seg.lo, seg.hi);
-              born_solver.accumulate_lists(lists, scratch);
-            } else {
-              born_solver.accumulate_qleaf_range(seg.lo, seg.hi, scratch);
-            }
-            const std::span<const double> part = scratch.flat();
-            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += part[j];
-          } else {
-            const ArenaVector<double>& partial = born_partials[c];
-            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
-          }
-        }
-      }
-      born_solver.push_to_atoms(*recovery_acc, lo, hi, born);
-      comm.add_redistributed_work(hi - lo);
-    };
-
-    // ---- Point-level Born halo exchange (p2p window: death-free).
-    obs::phase_begin(obs::PhaseId::kBornGather);
-    if (!skip_to_epol)
-      exchange_born_halo(comm, prep, ownership, halo, dead_set, born,
-                         reconstruct_born);
-
-    // ---- Collective (r_min, r_max): each rank publishes {min, -max} over
-    // its owned slice; allreduce_min of exact comparisons is order-free, so
-    // the agreed extrema are bit-identical to a replicated minmax scan. The
-    // writer proxies dead ranks with extrema over their reconstructed
-    // slices.
-    double mm[2] = {std::numeric_limits<double>::infinity(),
-                    std::numeric_limits<double>::infinity()};
-    {
-      std::vector<int> proxied;
-      std::vector<std::array<double, 2>> proxy_vals;
-      for (;;) {
-        {
-          mpisim::Comm::ComputeRegion region(comm);
-          mm[0] = std::numeric_limits<double>::infinity();
-          mm[1] = std::numeric_limits<double>::infinity();
-          for (std::uint32_t a = own.atoms.lo; a < own.atoms.hi; ++a) {
-            mm[0] = std::min(mm[0], born[a]);
-            mm[1] = std::min(mm[1], -born[a]);
-          }
-        }
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (std::size_t i = 0; i < proxied.size(); ++i)
-          pubs.push_back({proxied[i], proxy_vals[i].data()});
-        const mpisim::CollectiveStatus st = comm.allreduce_min_ft(mm, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        proxied.clear();
-        proxy_vals.clear();
-        if (r == writer) {
-          proxied = st.dead;
-          proxy_vals.resize(proxied.size());
-          for (std::size_t i = 0; i < proxied.size(); ++i) {
-            const Segment ds = ownership.ranks[static_cast<std::size_t>(proxied[i])].atoms;
-            proxy_vals[i] = {std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::infinity()};
-            if (ds.count() == 0) continue;
-            reconstruct_born(ds.lo, ds.hi);
-            mpisim::Comm::ComputeRegion region(comm);
-            for (std::uint32_t a = ds.lo; a < ds.hi; ++a) {
-              proxy_vals[i][0] = std::min(proxy_vals[i][0], born[a]);
-              proxy_vals[i][1] = std::min(proxy_vals[i][1], -born[a]);
-            }
-          }
-        }
-      }
-    }
-    const double agreed_r_min = n_atoms > 0 ? mm[0] : 1.0;
-    const double agreed_r_max = n_atoms > 0 ? -mm[1] : 1.0;
-    const EpolFarField field =
-        EpolFarField::make(agreed_r_min, agreed_r_max, params.eps_epol);
-    const int m_bins = field.m_bins;
-
-    // ---- Bin-level halo: allgatherv of owned leaf bin rows (THE far-field
-    // exchange), then scatter into the node store and re-fold the internal
-    // rows locally. leaf_bins/fold_internal_bins are the replicated
-    // constructor's own loops, so the store matches it bit-for-bit.
-    std::vector<int> row_counts(static_cast<std::size_t>(P), 0);
-    std::vector<int> row_displs(static_cast<std::size_t>(P), 0);
-    int row_total = 0;
-    for (int rk = 0; rk < P; ++rk) {
-      row_counts[static_cast<std::size_t>(rk)] = static_cast<int>(
-          ownership.ranks[static_cast<std::size_t>(rk)].atom_leaves.count() *
-          static_cast<std::uint32_t>(m_bins));
-      row_displs[static_cast<std::size_t>(rk)] = row_total;
-      row_total += row_counts[static_cast<std::size_t>(rk)];
-    }
-    const int my_row_count = row_counts[static_cast<std::size_t>(r)];
-    std::vector<double> my_rows(
-        std::max<std::size_t>(static_cast<std::size_t>(my_row_count), 1), 0.0);
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-      for (std::uint32_t l = own.atom_leaves.lo; l < own.atom_leaves.hi; ++l) {
-        const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
-        EpolSolver::leaf_bins(prep, born, field, leaf.begin, leaf.end,
-                              my_rows.data() +
-                                  static_cast<std::size_t>(l - own.atom_leaves.lo) *
-                                      static_cast<std::size_t>(m_bins));
-      }
-    }
-    std::vector<double> gathered(
-        std::max<std::size_t>(static_cast<std::size_t>(row_total), 1), 0.0);
-    {
-      std::vector<int> proxied;
-      std::vector<std::vector<double>> proxy_rows;
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (std::size_t i = 0; i < proxied.size(); ++i)
-          pubs.push_back({proxied[i], proxy_rows[i].data()});
-        const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
-            std::span<const double>(my_rows.data(),
-                                    static_cast<std::size_t>(my_row_count)),
-            gathered, row_counts, row_displs, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        proxied.clear();
-        proxy_rows.clear();
-        if (r == writer) {
-          proxied = st.dead;
-          proxy_rows.resize(proxied.size());
-          for (std::size_t i = 0; i < proxied.size(); ++i) {
-            const int d = proxied[i];
-            const OwnershipMap::RankSpan& dspan =
-                ownership.ranks[static_cast<std::size_t>(d)];
-            proxy_rows[i].assign(
-                std::max<std::size_t>(
-                    static_cast<std::size_t>(row_counts[static_cast<std::size_t>(d)]), 1),
-                0.0);
-            if (dspan.atoms.count() > 0) reconstruct_born(dspan.atoms.lo, dspan.atoms.hi);
-            mpisim::Comm::ComputeRegion region(comm);
-            const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-            for (std::uint32_t l = dspan.atom_leaves.lo; l < dspan.atom_leaves.hi; ++l) {
-              const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
-              EpolSolver::leaf_bins(
-                  prep, born, field, leaf.begin, leaf.end,
-                  proxy_rows[i].data() +
-                      static_cast<std::size_t>(l - dspan.atom_leaves.lo) *
-                          static_cast<std::size_t>(m_bins));
-            }
-          }
-        }
-      }
-    }
-    const std::size_t n_anodes = prep.atoms_tree.nodes().size();
-    std::vector<double> node_bins(n_anodes * static_cast<std::size_t>(m_bins), 0.0);
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-      for (int rk = 0; rk < P; ++rk) {
-        const Segment ls = ownership.ranks[static_cast<std::size_t>(rk)].atom_leaves;
-        for (std::uint32_t l = ls.lo; l < ls.hi; ++l) {
-          std::memcpy(node_bins.data() +
-                          static_cast<std::size_t>(aleaves[l]) *
-                              static_cast<std::size_t>(m_bins),
-                      gathered.data() +
-                          static_cast<std::size_t>(row_displs[static_cast<std::size_t>(rk)]) +
-                          static_cast<std::size_t>(l - ls.lo) *
-                              static_cast<std::size_t>(m_bins),
-                      static_cast<std::size_t>(m_bins) * sizeof(double));
-        }
-      }
-      EpolSolver::fold_internal_bins(prep.atoms_tree, m_bins, node_bins);
-    }
-
-    // ---- E_pol with the injected far-field state; near entries read the
-    // point-level halo. Recovery chunks may reach outside it, so their
-    // inputs are reconstructed BEFORE the traced region (double list build,
-    // degraded paths only).
-    obs::phase_begin(obs::PhaseId::kEpol);
-    std::unique_ptr<EpolSolver> epol_solver;
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants,
-                                                 field, node_bins);
-    }
-    const auto ensure_chunk_inputs = [&](const InteractionLists& lists) {
-      for (const InteractionLists::Near& nr : lists.near) {
-        for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
-          const OctreeNode& leaf = prep.atoms_tree.node(node_id);
-          if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
-            reconstruct_born(leaf.begin, leaf.end);
-        }
-      }
-    };
-    const auto compute_epol_chunk = [&](std::uint32_t c, bool recovery,
-                                        bool recompute = false) {
-      const Segment seg = epol_plan.chunk_range(c);
-      if (recovery) {
-        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-        ensure_chunk_inputs(lists);
-      }
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kEpol, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        double raws[2] = {0.0, 0.0};
-        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-        epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(),
-                                                 raws[0]);
-        epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(),
-                                                  raws[1]);
-        epol_raws[c] = {raws[0], raws[1]};
-      });
-      seal_epol(c);
-      if (!recompute && plan_epol.initial_rank[c] != r) comm.add_migrated_chunk();
-      epol_ledger.mark_done(c, r);
-    };
-
-    const auto verify_epol = [&](const std::vector<std::uint32_t>& ids) {
-      if (corr.empty() || !comm.integrity_guards()) return;
-      for (const std::uint32_t c : ids) {
-        const std::size_t bytes = epol_raws[c].size() * sizeof(double);
-        if (support::crc32(epol_raws[c].data(), bytes) == epol_crcs[c])
-          continue;
-        comm.note_corruption_detected();
-        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        // recovery=true is a no-op when the chunk's near inputs are still
-        // resident (they are: this rank computed it earlier); it only
-        // reconstructs after a degraded path dropped them.
-        compute_epol_chunk(c, /*recovery=*/true, /*recompute=*/true);
-        comm.note_corruption_recomputed();
-        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
-      }
-    };
-
-    std::vector<std::uint32_t> my_epol_ids = restored_epol_ids[static_cast<std::size_t>(r)];
-    {
-      const std::vector<std::uint32_t>& order = plan_epol.order[static_cast<std::size_t>(r)];
-      if (policy.enabled() && boundary_due())
-        save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids,
-                             {born, hash_section()});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!epol_ledger.done(c)) {
-          compute_epol_chunk(c, /*recovery=*/false);
-          my_epol_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids,
-                                 {born, hash_section()});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
-    }
-
-    // ---- E_pol sync + striped recovery.
-    obs::phase_begin(obs::PhaseId::kEpolReduce);
-    {
-      double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;
-      for (;;) {
-        // Same integrity gate as the Born sync.
-        verify_epol(my_epol_ids);
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), epol_executor[c]))
-            orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (epol_ledger.done(c)) continue;
-          compute_epol_chunk(c, /*recovery=*/true);
-          my_epol_ids.push_back(c);
-          comm.add_redistributed_work(epol_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids,
-                               {born, hash_section()});
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
-      }
-    }
-
-    // Fold raw sums in ascending chunk order; finish once.
-    comm.charge_collective(obs::CollKind::kAllreduce,
-                           static_cast<std::size_t>(epol_plan.n_chunks) * 2 *
-                               sizeof(double));
-    double energy = 0.0;
-    {
-      mpisim::Comm::ComputeRegion region(comm);
-      double far_total = 0.0, near_total = 0.0;
-      for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c) {
-        far_total += epol_raws[c][0];
-        near_total += epol_raws[c][1];
-      }
-      energy = epol_solver->finish_energy_pair(far_total, near_total);
-    }
-
-    // ---- Final Born gather: owned slices stream p2p to the writer (the
-    // post-collective window is death-free, so live sends always land);
-    // dead ranks' slices are reconstructed. Replicated mode needs no gather
-    // — this is owned mode's price for not holding everyone's radii.
-    if (r == writer) {
-      energy_shared = energy;
-      std::copy(born.begin() + own.atoms.lo, born.begin() + own.atoms.hi,
-                born_shared.begin() + own.atoms.lo);
-      for (int rk = 0; rk < P; ++rk) {
-        if (rk == r) continue;
-        const Segment s = ownership.ranks[static_cast<std::size_t>(rk)].atoms;
-        if (s.count() == 0) continue;
-        bool have = false;
-        if (!std::binary_search(dead_set.begin(), dead_set.end(), rk)) {
-          const mpisim::RecvStatus rs = comm.recv_ft<double>(
-              std::span<double>(born_shared.data() + s.lo, s.count()), rk,
-              kTagOwnedBorn);
-          have = rs.ok();
-        }
-        if (!have) {
-          reconstruct_born(s.lo, s.hi);
-          std::copy(born.begin() + s.lo, born.begin() + s.hi,
-                    born_shared.begin() + s.lo);
-        }
-      }
-    } else if (own.atoms.count() > 0) {
+    } else if (owned && my_atoms.count() > 0) {
       comm.send<double>(
-          std::span<const double>(born.data() + own.atoms.lo, own.atoms.count()),
+          std::span<const double>(born.data() + my_atoms.lo, my_atoms.count()),
           writer, kTagOwnedBorn);
     }
     obs::phase_end();
   });
 
   result.energy = energy_shared;
-  result.compute_seconds = report.max_compute_seconds();
-  result.comm_seconds = report.max_comm_seconds();
   result.wall_seconds = wall.seconds();
-  result.retries = report.retries;
-  result.redistributed_work_items = report.redistributed_work_items;
-  result.migrated_chunks = report.migrated_chunks;
-  result.corruption_injected = report.corruption_injected;
-  result.corruption_detected = report.corruption_detected;
-  result.corruption_recomputed = report.corruption_recomputed;
-  result.corruption_retransmits = report.corruption_retransmits;
-  result.degraded = report.degraded;
-  result.killed = report.killed;
   result.resumed = resume;
-  result.stalls_converted = report.stalls_converted;
-  result.error_class = report.error_class;
+  absorb_report(result, report);
   result.replicated_bytes =
       static_cast<std::size_t>(P) *
       (prep.replicated_footprint().bytes + acc_len * sizeof(double) +
        static_cast<std::size_t>(n_atoms) * sizeof(double));
   // Logical owned-mode footprint under the final far-field model (bin count
   // depends on the Born extrema, which a killed run never agreed on).
-  if (!report.killed) {
+  if (owned && !report.killed) {
     double mn = 1.0, mx = 1.0;
     if (!born_shared.empty()) {
       const auto ext = std::minmax_element(born_shared.begin(), born_shared.end());
@@ -2406,7 +1880,6 @@ RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
     result.owned_halo_bytes = ofp.halo_bytes;
   }
   result.born_sorted = std::move(born_shared);
-  result.rank_results = report.ranks;
   return result;
 }
 

@@ -43,8 +43,8 @@ struct RunConfig {
   // (the runtime terminates, as a real MPI job would).
   mpisim::FaultPlan faults;
   // Deterministic whole-process kill for checkpoint/restart testing
-  // (mpisim/faults.hpp). Only honoured by the bit-deterministic
-  // configurations above — the same ones that can checkpoint.
+  // (mpisim/faults.hpp). Only the bit-deterministic configurations above
+  // have kill points; Engine's route() rejects a kill anywhere else.
   mpisim::KillPlan kill;
   // Supervisor watchdog: heartbeat-stagnation bound after which a stalled
   // rank is converted into a death (mpisim/runtime.hpp). <= 0 disables.
@@ -56,8 +56,8 @@ struct RunConfig {
   // Checkpoint policy (ckpt/snapshot.hpp): enabled when checkpoint.dir is
   // non-empty. Snapshots are keyed to logical schedule points (phase +
   // leaf-range cursor), so a resumed run reproduces the uninterrupted
-  // answer to the last bit. Ignored outside the bit-deterministic
-  // configurations.
+  // answer to the last bit. Only the bit-deterministic configurations
+  // checkpoint; Engine's route() rejects a checkpoint dir anywhere else.
   ckpt::CheckpointPolicy checkpoint;
   // Persistent rank-thread pool (mpisim/pool.hpp): non-null routes the
   // distributed run onto resident worker threads (the serving layer's

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/kernels_simd.hpp"
@@ -50,14 +51,10 @@ std::uint64_t RunResult::total_bytes_sent() const {
   return total;
 }
 
-RunResult Engine::run(const RunOptions& options) const {
-  ApproxParams params = params_;
-  params.traversal = options.traversal;
-
-  // Explicit SIMD request wins over the GBPOL_SIMD env default; an empty
-  // field leaves the process-wide dispatch untouched (kernels_simd.hpp).
-  if (!options.simd.empty()) simd_set_override(options.simd);
-
+Driver route(const RunOptions& options) {
+  const auto reject = [](const char* field, const char* why) {
+    throw std::invalid_argument(std::string("RunOptions::") + field + ": " + why);
+  };
   EngineMode mode = options.mode;
   if (mode == EngineMode::kAuto) {
     if (options.ranks > 1)
@@ -67,36 +64,68 @@ RunResult Engine::run(const RunOptions& options) const {
     else
       mode = EngineMode::kSerial;
   }
+  const bool owned = options.distribution == DataDistribution::kOwned;
+  const bool balanced = options.balance != BalancePolicy::kStatic;
 
-  switch (mode) {
-    case EngineMode::kSerial:
-      return detail::oct_serial(*prep_, params, constants_);
-    case EngineMode::kCilk:
-      return detail::oct_cilk(*prep_, params, constants_,
-                              options.threads_per_rank);
-    case EngineMode::kAuto:
-    case EngineMode::kDistributed:
-      break;
+  // Shared-memory modes have no ranks to distribute, balance, kill or
+  // checkpoint.
+  if (mode != EngineMode::kDistributed) {
+    if (owned) reject("distribution", "kOwned needs a distributed run");
+    if (balanced) reject("balance", "cross-rank balancing needs a distributed run");
+    if (options.canonical_reduction)
+      reject("canonical_reduction", "the chunk fold needs a distributed run");
+    if (options.kill.armed) reject("kill", "a process kill needs a distributed run");
+    if (options.checkpoint.enabled())
+      reject("checkpoint.dir", "checkpointing needs a distributed run");
+    return mode == EngineMode::kSerial ? Driver::kSerial : Driver::kCilk;
   }
 
-  // Owned-mode data distribution rides the canonical chunk-fold machinery
-  // and is only defined for its bit-deterministic configuration; any other
-  // shape falls back to the replicated routing below (documented on
-  // RunOptions::distribution).
-  if (options.distribution == DataDistribution::kOwned &&
-      options.threads_per_rank <= 1 &&
-      options.division == WorkDivision::kNodeNode &&
-      options.traversal == TraversalMode::kList)
-    return detail::oct_owned(*prep_, params, constants_, options);
+  // The canonical chunk fold is defined for one thread per rank over
+  // whole-leaf node chunks; owned halos are planned from interaction lists.
+  if (owned || balanced || options.canonical_reduction) {
+    if (options.threads_per_rank > 1)
+      reject("threads_per_rank",
+             "the canonical chunk fold (balance, canonical_reduction, kOwned) "
+             "runs one thread per rank");
+    if (options.division != WorkDivision::kNodeNode)
+      reject("division",
+             "the canonical chunk fold (balance, canonical_reduction, kOwned) "
+             "needs kNodeNode");
+    if (owned && options.traversal != TraversalMode::kList)
+      reject("traversal", "kOwned plans its halos from kList interaction lists");
+    return Driver::kCanonical;
+  }
 
-  // Distributed: the canonical chunk-fold path owns every policy except
-  // plain kStatic (which keeps the legacy reduction for baseline parity),
-  // and only supports the bit-deterministic configuration it is defined for.
-  const bool balanced =
-      (options.balance != BalancePolicy::kStatic || options.canonical_reduction) &&
-      options.threads_per_rank <= 1 && options.division == WorkDivision::kNodeNode;
-  if (balanced) return detail::oct_balanced(*prep_, params, constants_, options);
+  // The legacy static path kills and checkpoints at its chunk boundaries,
+  // which exist only for one thread per rank over whole leaves.
+  const bool chunked =
+      options.threads_per_rank <= 1 && options.division != WorkDivision::kAtomBased;
+  if (!chunked && options.kill.armed)
+    reject("kill", "hybrid ranks and kAtomBased have no kill points");
+  if (!chunked && options.checkpoint.enabled())
+    reject("checkpoint.dir", "hybrid ranks and kAtomBased cannot checkpoint");
+  return Driver::kDistributed;
+}
 
+RunResult Engine::run(const RunOptions& options) const {
+  const Driver driver = route(options);
+  ApproxParams params = params_;
+  params.traversal = options.traversal;
+
+  // Explicit SIMD request wins over the GBPOL_SIMD env default; an empty
+  // field leaves the process-wide dispatch untouched (kernels_simd.hpp).
+  if (!options.simd.empty()) simd_set_override(options.simd);
+
+  switch (driver) {
+    case Driver::kSerial:
+      return detail::oct_serial(*prep_, params, constants_);
+    case Driver::kCilk:
+      return detail::oct_cilk(*prep_, params, constants_, options.threads_per_rank);
+    case Driver::kCanonical:
+      return detail::oct_canonical(*prep_, params, constants_, options);
+    case Driver::kDistributed:
+      break;
+  }
   RunConfig config;
   config.ranks = options.ranks;
   config.threads_per_rank = options.threads_per_rank;

@@ -80,23 +80,25 @@ struct RunOptions {
   TraversalMode traversal = TraversalMode::kList;
 
   // Cross-rank balancing (core/balance.hpp). Policies other than kStatic run
-  // the canonical chunk-fold path, which requires threads_per_rank == 1 and
-  // division == kNodeNode; other configurations fall back to the legacy
-  // static path. kStatic + canonical_reduction routes the STATIC split
-  // through the same canonical fold, giving a 0-ulp baseline for policy A/Bs
-  // (plain kStatic keeps the legacy reduction, whose association differs).
+  // the canonical chunk-fold driver, which requires threads_per_rank == 1
+  // and division == kNodeNode; route() throws for any other configuration.
+  // kStatic + canonical_reduction routes the STATIC split through the same
+  // canonical fold, giving a 0-ulp baseline for policy A/Bs (plain kStatic
+  // keeps the legacy reduction, whose association differs).
   BalancePolicy balance = BalancePolicy::kStatic;
   bool canonical_reduction = false;
   std::uint32_t balance_chunk_leaves = 0;  // leaves per chunk; 0 = auto
 
-  // Data residency (core/workdiv.hpp). kOwned routes distributed runs
-  // through the owned-mode driver: ranks own Morton-contiguous leaf ranges
-  // and exchange halos instead of holding the full molecule. Requires the
-  // canonical-fold configuration (threads_per_rank == 1, kNodeNode,
-  // TraversalMode::kList); other shapes fall back to the replicated paths.
+  // Data residency (core/workdiv.hpp). kOwned runs the canonical chunk-fold
+  // driver with owned data: ranks own Morton-contiguous leaf ranges and
+  // exchange halos instead of holding the full molecule. Requires a
+  // distributed run in the canonical-fold configuration (threads_per_rank ==
+  // 1, kNodeNode, TraversalMode::kList); route() throws for any other shape.
   DataDistribution distribution = DataDistribution::kReplicated;
 
-  // Fault injection, process kill, stall supervision (mpisim).
+  // Fault injection, process kill, stall supervision (mpisim). An armed kill
+  // needs a driver with kill points: route() throws for serial/cilk, hybrid
+  // ranks and kAtomBased.
   mpisim::FaultPlan faults;
   mpisim::KillPlan kill;
   double stall_timeout_seconds = 0.0;
@@ -111,6 +113,8 @@ struct RunOptions {
   bool integrity_guards = true;
 
   // Checkpoint/restart (ckpt/snapshot.hpp); enabled when checkpoint.dir set.
+  // route() throws for the shapes that cannot checkpoint (the same ones that
+  // cannot honour a kill).
   ckpt::CheckpointPolicy checkpoint;
 
   // Trajectory preparation reuse (core/incremental.hpp). Consumed by the
@@ -248,6 +252,21 @@ struct RunResult {
   std::uint64_t total_bytes_sent() const;
 };
 
+// The driver a RunOptions runs on.
+enum class Driver {
+  kSerial,       // detail::oct_serial (OCT_SERIAL)
+  kCilk,         // detail::oct_cilk (OCT_CILK)
+  kDistributed,  // detail::oct_distributed (OCT_MPI / OCT_MPI+CILK, the
+                 // paper's static split and reduction)
+  kCanonical,    // detail::oct_canonical (chunk fold: balancing, owned data)
+};
+
+// Engine::run's routing decision, made from the options alone. Resolves
+// EngineMode::kAuto, then names the one driver that honours every field.
+// A shape no driver honours throws std::invalid_argument naming the
+// offending RunOptions field; a run never falls back to another driver.
+Driver route(const RunOptions& options);
+
 class Engine {
  public:
   // The Engine borrows `prep` (it must outlive the Engine) and copies the
@@ -257,6 +276,7 @@ class Engine {
                   const GBConstants& constants = {})
       : prep_(&prep), params_(params), constants_(constants) {}
 
+  // Runs on route(options)'s driver; throws as route() does.
   RunResult run(const RunOptions& options = {}) const;
 
  private:
@@ -296,8 +316,8 @@ struct RunResultDoc {
   std::uint64_t redistributed_work_items = 0;
   std::uint64_t migrated_chunks = 0;
   std::uint64_t steal_grants = 0;
-  // Pure v1 additions (owned mode): absent in documents written before the
-  // owned driver existed, so they parse as zero rather than rejecting.
+  // Pure v1 additions (owned mode): absent in documents written before
+  // owned mode existed, so they parse as zero rather than rejecting.
   std::uint64_t owned_bytes_per_rank = 0;
   std::uint64_t owned_halo_bytes = 0;
   // Pure v1 additions (incremental trajectories): same absent-parses-as-zero
@@ -353,18 +373,15 @@ RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
                    const GBConstants& constants, int threads);
 RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
                           const GBConstants& constants, const RunConfig& config);
-// Canonical chunk-fold path with cross-rank balancing (DESIGN.md "Load
-// balancing"); requires threads_per_rank == 1 and division == kNodeNode.
-RunResult oct_balanced(const Prepared& prep, const ApproxParams& params,
-                       const GBConstants& constants, const RunOptions& options);
-// Owned-mode spatial domain decomposition (DataDistribution::kOwned): ranks
-// own Morton-contiguous leaf ranges and exchange halos per their interaction
-// lists (DESIGN.md "Domain decomposition & halo exchange"); same canonical
-// chunk-fold and recovery protocols as oct_balanced, so energies and Born
-// radii are bit-identical to the replicated drivers. Requires
-// threads_per_rank == 1, WorkDivision::kNodeNode, TraversalMode::kList.
-RunResult oct_owned(const Prepared& prep, const ApproxParams& params,
-                    const GBConstants& constants, const RunOptions& options);
+// The canonical chunk-fold driver with cross-rank balancing (DESIGN.md "Load
+// balancing") for both data distributions: replicated, or owned ranges plus
+// halos (DESIGN.md "Domain decomposition & halo exchange"). One chunk,
+// checkpoint, integrity and recovery protocol, so every policy and both
+// distributions give bit-identical energies and Born radii. Requires
+// threads_per_rank == 1 and WorkDivision::kNodeNode, plus
+// TraversalMode::kList when owned (route() enforces it).
+RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
+                        const GBConstants& constants, const RunOptions& options);
 }  // namespace detail
 
 }  // namespace gbpol

@@ -34,8 +34,8 @@ namespace gbpol {
 
 // The far-field bin model every E_pol far evaluation keys on: geometric
 // Born-radius bins of width (1+eps) starting at r_min, plus the bin-floor
-// radius-product table. Factored out of EpolSolver so the owned-mode driver
-// (core/halo_exchange.hpp) and the distributed-data footprint model build
+// radius-product table. Factored out of EpolSolver so owned-mode runs
+// (core/halo_exchange.hpp) and the owned footprint model build
 // the IDENTICAL model from collectively-agreed (r_min, r_max) — the bin
 // count and table bits match the replicated constructor exactly.
 struct EpolFarField {
@@ -65,7 +65,7 @@ class EpolSolver {
   EpolSolver(const Prepared& prep, std::span<const double> born_sorted,
              const ApproxParams& params, const GBConstants& constants);
 
-  // Injected-state constructor (owned-mode driver): the caller supplies the
+  // Injected-state constructor (owned-mode runs): the caller supplies the
   // far-field model (built from collectively-agreed r_min/r_max) and an
   // external node_bins store (nodes x field.m_bins doubles, flattened; must
   // outlive the solver) instead of having the solver scan the full Born

@@ -99,7 +99,7 @@ TrajectoryDriver::TrajectoryDriver(const Molecule& mol,
                                    const ApproxParams& params,
                                    const GBConstants& constants)
     : mol_(mol), topt_(topt), params_(params), constants_(constants) {
-  // The caches and the owned-mode driver both require the list engine.
+  // The caches and owned-mode runs both require the list engine.
   params_.traversal = TraversalMode::kList;
 
   cur_pos_.resize(mol_.size());
@@ -366,11 +366,7 @@ RunResult TrajectoryDriver::step(std::span<const Vec3> positions,
       journal_->append({.state = ckpt::JobState::kRunning,
                         .attempt = 1,
                         .job = journal_job_id()});
-    const bool serial_shape =
-        options.mode == EngineMode::kSerial ||
-        (options.mode == EngineMode::kAuto && options.ranks <= 1 &&
-         options.threads_per_rank <= 1);
-    if (serial_shape) {
+    if (route(options) == Driver::kSerial) {
       const bool fresh = !caches_->born_acc_valid;
       result = evaluate_serial(options, fresh, atom_leaf_changed, q_leaf_changed);
     } else {

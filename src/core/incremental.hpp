@@ -48,8 +48,8 @@
 // are bit-identical and the energy differs only by the per-segment
 // reassociation of the E_pol near fold (<= 1e-12 relative).
 //
-// Distributed scope: RunOptions routing to the replicated or owned drivers
-// evaluates through Engine::run on the delta-maintained Prepared
+// Distributed scope: a distributed RunOptions shape (replicated or owned
+// data) evaluates through Engine::run on the delta-maintained Prepared
 // (preparation-level reuse; the per-leaf evaluation caches are serial-only).
 // CheckpointPolicy::job_salt carries the step index so within-step snapshots
 // of different frames can never satisfy each other's resume. A campaign_dir
@@ -104,7 +104,7 @@ class TrajectoryDriver {
 
   // Advances one step: atoms at `positions` (input order, mol.size() long),
   // evaluated under `options`. TraversalMode is forced to kList (the only
-  // engine the caches and the owned driver support). Serial shapes use the
+  // engine the caches and owned-mode runs support). Serial shapes use the
   // in-process evaluation caches; every other shape routes through
   // Engine::run on the delta-maintained Prepared with
   // checkpoint.job_salt = step index. Returns the step's RunResult with the

@@ -67,16 +67,14 @@ enum class DataDistribution {
   kOwned        // ranks own leaf ranges and exchange halos
 };
 
-// Work-division strategies for the distributed drivers (paper §IV-A, plus
-// the explicit cross-rank dynamic balancing of §VI's future work).
+// Work-division strategies for the distributed drivers (paper §IV-A). The
+// explicit cross-rank dynamic balancing of §VI's future work is
+// BalancePolicy (core/balance.hpp).
 enum class WorkDivision {
   kNodeNode,     // default: leaf-node segments for both phases (error is
                  // independent of the number of processes)
   kAtomBased,    // atom-index segments (Gromacs-style; error drifts with P)
-  kNodeBalanced, // node-node with point-balanced leaf segments (extension)
-  kDynamic       // ranks fetch leaf chunks from a shared work counter,
-                 // each fetch charged as an RPC to rank 0 (extension: the
-                 // paper's "explicit dynamic load balancing" future work)
+  kNodeBalanced  // node-node with point-balanced leaf segments (extension)
 };
 
 }  // namespace gbpol

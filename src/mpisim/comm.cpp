@@ -391,12 +391,6 @@ CollectiveStatus Comm::allgatherv_bytes_ft(const void* send, void* recv,
   return st;
 }
 
-void Comm::charge_rpc(int peer, std::size_t bytes) {
-  SharedState& s = *shared_;
-  charge(2.0 * s.cost.p2p(rank_, peer, bytes));  // request + response
-  bytes_sent_ += bytes;
-}
-
 void Comm::steal_rpc(int victim, std::uint64_t remaining, std::uint64_t granted,
                      std::size_t request_bytes, std::size_t grant_bytes) {
   SharedState& s = *shared_;

@@ -162,11 +162,6 @@ class Comm {
     return recv_bytes_ft(data.data(), data.size_bytes(), src, tag);
   }
 
-  // Charges the modeled cost of a request/response round trip to `peer`
-  // without moving data — used by the dynamic work-distribution scheme,
-  // whose shared chunk counter models a work server hosted on `peer`.
-  void charge_rpc(int peer, std::size_t bytes);
-
   // Steal round trip against `victim` for the cross-rank balancer: a
   // request carrying this rank's gossiped progress counter and a grant
   // carrying `granted` chunk descriptors back. Charges both p2p legs and

@@ -87,7 +87,7 @@ struct MetricsSnapshot {
   std::vector<double> rank_chunk_service_seconds;
   std::array<std::uint64_t, kServiceHistBins> chunk_service_hist{};
 
-  // Cross-rank chunk migration (balanced driver path): chunks a rank
+  // Cross-rank chunk migration (canonical chunk-fold driver): chunks a rank
   // computed that the initial partition assigned to some OTHER rank.
   std::vector<std::uint64_t> rank_migrated_chunks;
 

@@ -92,24 +92,6 @@ void hash_evaluation_params(Hasher& h, const ServeRequest& r,
   h.add(resolved_simd(run));
 }
 
-bool is_serial_shape(const RunOptions& run) {
-  switch (run.mode) {
-    case EngineMode::kSerial:
-      return true;
-    case EngineMode::kCilk:
-    case EngineMode::kDistributed:
-      return false;
-    case EngineMode::kAuto:
-      return run.ranks <= 1 && run.threads_per_rank <= 1;
-  }
-  return false;
-}
-
-bool is_distributed_shape(const RunOptions& run) {
-  return run.mode == EngineMode::kDistributed ||
-         (run.mode == EngineMode::kAuto && run.ranks > 1);
-}
-
 constexpr char kAutoIdPrefix[] = "req-";
 
 // Fixed-width hex of the request content hash; stamped into the journal
@@ -200,7 +182,8 @@ int resolved_soak_requests(const ServiceOptions& options, int quick_scale,
   return quick_scale;
 }
 
-Service::Service(ServiceOptions options) : options_(std::move(options)) {
+Service::Service(ServiceOptions options)
+    : options_(std::move(options)), driver_(route(options_.run)) {
   // The service owns its pool and its journal/trace destinations; a
   // caller-set pool or an engine-level campaign dir / trace file would
   // double-route every request. "-" is the explicit-off switch, so the
@@ -225,7 +208,8 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
         next_sequence_ = seen + 1;
     }
   }
-  if (is_distributed_shape(options_.run) && options_.run.ranks >= 1)
+  if ((driver_ == Driver::kDistributed || driver_ == Driver::kCanonical) &&
+      options_.run.ranks >= 1)
     pool_ = std::make_unique<mpisim::PersistentPool>(options_.run.ranks);
 }
 
@@ -381,7 +365,7 @@ RunResult Service::compute(const Pending& pending, std::uint64_t full_key,
   // shapes only; the evaluation caches are serial, and the distributed
   // delta-maintained Prepared would break the 0-ulp cold-twin story).
   const auto family = families_.find(family_key);
-  if (options_.delta_routing && is_serial_shape(options_.run) &&
+  if (options_.delta_routing && driver_ == Driver::kSerial &&
       family != families_.end()) {
     Family& fam = family->second;
     if (fam.driver == nullptr) {

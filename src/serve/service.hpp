@@ -175,6 +175,9 @@ struct ServiceStats {
 
 class Service {
  public:
+  // Throws std::invalid_argument (naming the field, as Engine's route()
+  // does) when options.run is a shape no driver runs, so a misconfigured
+  // service fails at construction instead of on every request.
   explicit Service(ServiceOptions options = {});
   ~Service();
 
@@ -236,6 +239,7 @@ class Service {
                                                Prepared prep);
 
   ServiceOptions options_;
+  Driver driver_;  // route(options_.run), decided once
   std::string campaign_dir_;
 
   // Serializes the serving side: drain()/serve() hold it end to end, so the

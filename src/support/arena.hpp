@@ -5,7 +5,7 @@
 // Why mmap instead of operator new: anonymous pages are COMMITTED BY FIRST
 // TOUCH. A fresh slab reserves only address space; the physical page behind
 // each cache line materializes on the first write, on the NUMA node of the
-// writing thread. Arrays the balanced driver fills from the owning rank's
+// writing thread. Arrays the canonical chunk-fold driver fills from the owning rank's
 // worker therefore land in that worker's local memory without any explicit
 // placement calls — the classic first-touch discipline of NUMA-aware HPC
 // codes. (Single-socket machines see the same code path; placement is just a

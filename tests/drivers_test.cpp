@@ -84,7 +84,7 @@ TEST(DriversEdgeTest, MoreRanksThanLeavesGivesEmptySegmentsNotCrashes) {
   const RunResult serial = run_serial(tiny, params);
   for (const WorkDivision division :
        {WorkDivision::kNodeNode, WorkDivision::kAtomBased,
-        WorkDivision::kNodeBalanced, WorkDivision::kDynamic}) {
+        WorkDivision::kNodeBalanced}) {
     RunOptions options = distributed_options(16);
     options.division = division;
     const RunResult r = engine.run(options);
@@ -180,21 +180,6 @@ TEST_F(DriversTest, BalancedNodeDivisionMatchesDefaultEnergy) {
   const RunResult b = engine.run(balanced);
   // Same set of leaf-vs-tree interactions, different grouping only.
   EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-10);
-}
-
-TEST_F(DriversTest, DynamicDivisionMatchesStaticEnergy) {
-  // kDynamic self-schedules the same leaf set, so the energy equals the
-  // static division up to the order partial sums are folded.
-  ApproxParams params;
-  const Engine engine(fix().prep, params, GBConstants{});
-  const RunOptions station = distributed_options(6);
-  RunOptions dynamic = station;
-  dynamic.division = WorkDivision::kDynamic;
-  const RunResult a = engine.run(station);
-  const RunResult b = engine.run(dynamic);
-  EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-9);
-  // Each chunk fetch is charged as an RPC: dynamic must report more comm.
-  EXPECT_GT(b.comm_seconds, a.comm_seconds);
 }
 
 TEST_F(DriversTest, FaultFreeRunsReportZeroRetriesAndRedistribution) {

@@ -1,4 +1,5 @@
-// Engine facade contract: mode routing, the RunOptions factories, the
+// Engine facade contract: mode routing (the route() table: rejected shapes
+// throw naming the field, supported shapes run), the RunOptions factories, the
 // traversal override, env-default resolution for the two destination
 // fields, and the versioned RunResult JSON schema (round-trip fixed point +
 // loud rejection of unknown versions).
@@ -7,9 +8,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +97,156 @@ TEST_F(EngineTest, RunOptionsTraversalOverridesConstructionParams) {
   const RunResult c = engine.run(serial_options(TraversalMode::kRecursive));
   const RunResult d = list_engine.run(serial_options(TraversalMode::kRecursive));
   ASSERT_EQ(c.energy, d.energy);
+}
+
+// --- routing -------------------------------------------------------------
+
+// Every shape no driver honours throws std::invalid_argument naming the
+// offending field, both from route() and from Engine::run: a run never
+// falls back to a driver other than the one its options name.
+TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
+  const std::string dir = ::testing::TempDir() + "/gbpol_route_unused";
+  struct Rejected {
+    const char* label;
+    const char* field;
+    RunOptions options;
+  };
+  std::vector<Rejected> table;
+  const auto add = [&](const char* label, const char* field, RunOptions o) {
+    table.push_back({label, field, std::move(o)});
+  };
+  RunOptions o;
+
+  // kOwned outside the canonical-fold configuration.
+  o = distributed_options(3, 2);
+  o.distribution = DataDistribution::kOwned;
+  add("owned hybrid", "threads_per_rank", o);
+  o = distributed_options(3);
+  o.distribution = DataDistribution::kOwned;
+  o.division = WorkDivision::kNodeBalanced;
+  add("owned kNodeBalanced", "division", o);
+  o = distributed_options(3);
+  o.distribution = DataDistribution::kOwned;
+  o.traversal = TraversalMode::kRecursive;
+  add("owned kRecursive", "traversal", o);
+
+  // Balancing or canonical_reduction outside it.
+  o = distributed_options(3, 2);
+  o.balance = BalancePolicy::kSteal;
+  add("kSteal hybrid", "threads_per_rank", o);
+  o = distributed_options(3);
+  o.balance = BalancePolicy::kCostModel;
+  o.division = WorkDivision::kAtomBased;
+  add("kCostModel kAtomBased", "division", o);
+  o = distributed_options(3, 2);
+  o.canonical_reduction = true;
+  add("canonical_reduction hybrid", "threads_per_rank", o);
+  o = distributed_options(3);
+  o.canonical_reduction = true;
+  o.division = WorkDivision::kNodeBalanced;
+  add("canonical_reduction kNodeBalanced", "division", o);
+
+  // Kill or checkpoint on a legacy shape without kill points.
+  o = distributed_options(2, 2);
+  o.kill.armed = true;
+  add("kill hybrid", "kill", o);
+  o = distributed_options(2, 2);
+  o.checkpoint.dir = dir;
+  add("checkpoint hybrid", "checkpoint.dir", o);
+  o = distributed_options(3);
+  o.division = WorkDivision::kAtomBased;
+  o.kill.armed = true;
+  add("kill kAtomBased", "kill", o);
+  o = distributed_options(3);
+  o.division = WorkDivision::kAtomBased;
+  o.checkpoint.dir = dir;
+  add("checkpoint kAtomBased", "checkpoint.dir", o);
+
+  // Distributed-only fields on the shared-memory modes.
+  o = serial_options();
+  o.distribution = DataDistribution::kOwned;
+  add("owned serial", "distribution", o);
+  o = cilk_options(2);
+  o.balance = BalancePolicy::kSteal;
+  add("kSteal cilk", "balance", o);
+  o = RunOptions{};  // kAuto resolving to serial
+  o.canonical_reduction = true;
+  add("canonical_reduction auto-serial", "canonical_reduction", o);
+  o = cilk_options(2);
+  o.kill.armed = true;
+  add("kill cilk", "kill", o);
+  o = serial_options();
+  o.checkpoint.dir = dir;
+  add("checkpoint serial", "checkpoint.dir", o);
+
+  const Engine engine(*prep_);
+  for (const Rejected& row : table) {
+    SCOPED_TRACE(row.label);
+    const std::string expected = std::string("RunOptions::") + row.field + ":";
+    try {
+      (void)route(row.options);
+      ADD_FAILURE() << "route accepted the shape";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)engine.run(row.options), std::invalid_argument);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+// Every supported shape routes to its driver and runs. The canonical-fold
+// shapes (every policy, canonical_reduction, owned data) agree to the bit;
+// the other list-traversal drivers agree with them to reassociation
+// distance, and cilk's dual-tree recursion to its approximation error.
+TEST_F(EngineTest, RouteRunsEverySupportedShape) {
+  struct Supported {
+    const char* label;
+    Driver driver;
+    RunOptions options;
+  };
+  std::vector<Supported> table;
+  const auto add = [&](const char* label, Driver driver, RunOptions o) {
+    table.push_back({label, driver, std::move(o)});
+  };
+  RunOptions o;
+  add("serial", Driver::kSerial, serial_options());
+  add("cilk", Driver::kCilk, cilk_options(2));
+  add("2x2 hybrid", Driver::kDistributed, distributed_options(2, 2));
+  add("1-thread kStatic replicated", Driver::kDistributed, distributed_options(3));
+  o = distributed_options(3);
+  o.balance = BalancePolicy::kCostModel;
+  add("kCostModel replicated", Driver::kCanonical, o);
+  o.balance = BalancePolicy::kSteal;
+  add("kSteal replicated", Driver::kCanonical, o);
+  RunOptions canonical_options = distributed_options(3);
+  canonical_options.canonical_reduction = true;
+  add("canonical_reduction", Driver::kCanonical, canonical_options);
+  for (const BalancePolicy policy :
+       {BalancePolicy::kStatic, BalancePolicy::kCostModel, BalancePolicy::kSteal}) {
+    o = distributed_options(3);
+    o.distribution = DataDistribution::kOwned;
+    o.balance = policy;
+    add("owned", Driver::kCanonical, o);
+  }
+
+  const Engine engine(*prep_);
+  const RunResult serial = engine.run(serial_options());
+  const RunResult canonical = engine.run(canonical_options);
+  for (const Supported& row : table) {
+    SCOPED_TRACE(std::string(row.label) + " balance=" +
+                 std::to_string(static_cast<int>(row.options.balance)));
+    EXPECT_EQ(route(row.options), row.driver);
+    const RunResult r = engine.run(row.options);
+    const double tolerance = row.driver == Driver::kCilk ? 0.05 : 1e-9;
+    EXPECT_NEAR(r.energy, serial.energy, tolerance * std::abs(serial.energy));
+    const bool owned = row.options.distribution == DataDistribution::kOwned;
+    EXPECT_EQ(r.owned_bytes_per_rank > 0, owned);
+    if (row.driver == Driver::kCanonical) {
+      EXPECT_EQ(r.energy, canonical.energy);
+      EXPECT_EQ(r.born_sorted, canonical.born_sorted);
+    }
+  }
 }
 
 // --- env-default resolution ----------------------------------------------

@@ -144,17 +144,6 @@ TEST(RuntimeTest, AllreduceMinMax) {
   }
 }
 
-TEST(RuntimeTest, ChargeRpcAddsCommTime) {
-  Runtime::Config config;
-  config.ranks = 2;
-  const auto report = Runtime::run(config, [&](Comm& comm) {
-    if (comm.rank() == 1) comm.charge_rpc(0, 64);
-  });
-  EXPECT_EQ(report.ranks[0].comm_seconds, 0.0);
-  EXPECT_GT(report.ranks[1].comm_seconds, 0.0);
-  EXPECT_EQ(report.ranks[1].bytes_sent, 64u);
-}
-
 TEST(RuntimeTest, ReduceOnlyRootHasTotal) {
   Runtime::Config config;
   config.ranks = 4;

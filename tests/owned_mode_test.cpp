@@ -307,20 +307,5 @@ TEST(OwnedModeTest, MoreRanksThanLeavesStillMatches) {
   expect_bit_identical(owned, baseline);
 }
 
-TEST(OwnedModeTest, NonCanonicalShapesFallBackToReplicatedRouting) {
-  // distribution = kOwned with a shape the owned driver doesn't define
-  // (recursive traversal) must still produce the correct answer through the
-  // replicated fallback and report no owned footprint.
-  const Prepared prep = build_prep(kGolden[0]);
-  RunOptions options = owned_options(3);
-  options.traversal = TraversalMode::kRecursive;
-  RunOptions repl = replicated_options(3);
-  repl.traversal = TraversalMode::kRecursive;
-  const RunResult a = run(prep, options);
-  const RunResult b = run(prep, repl);
-  expect_bit_identical(a, b);
-  EXPECT_EQ(a.owned_bytes_per_rank, 0u);
-}
-
 }  // namespace
 }  // namespace gbpol

@@ -446,6 +446,23 @@ TEST(ServeTest, ServiceNeutralizesEngineLevelTraceAndCampaignRouting) {
   EXPECT_TRUE(resolved_campaign_dir(service.options().run).empty());
 }
 
+TEST(ServeTest, UnroutableRunShapeThrowsAtConstruction) {
+  // The constructor checks the run shape once through Engine's route(): a
+  // shape no driver runs fails here, naming the field, rather than retrying
+  // and then quarantining every request the service accepts.
+  ServiceOptions options;
+  options.campaign_dir = "-";
+  options.run = distributed_options(2, /*threads_per_rank=*/2);
+  options.run.distribution = DataDistribution::kOwned;
+  try {
+    Service service(options);
+    ADD_FAILURE() << "Service accepted kOwned with threads_per_rank = 2";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("threads_per_rank"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ServeTest, PooledRankExceptionFailsTheJobNotTheProcess) {
   // A pooled rank throwing a real exception must surface to run()'s caller
   // (so the campaign can quarantine the job) and leave the pool — and every
