@@ -68,9 +68,8 @@ int main() {
                                 {"steal", BalancePolicy::kSteal, {}}};
   for (Entry& e : entries) {
     RunOptions options = distributed_options(ranks);
-    options.balance = e.policy;
-    options.canonical_reduction = true;  // identical fold for all three
-    options.balance_chunk_leaves = 1;    // fine-grained chunks: room to steal
+    options.balance = e.policy;         // identical fold for all three
+    options.balance_chunk_leaves = 1;  // fine-grained chunks: room to steal
     e.result = engine.run(options);
   }
 

@@ -53,12 +53,9 @@ int main() {
     // The replicated twin at the SAME rank count: the canonical chunk plan
     // is a function of the rank count, so the 0-ulp contract is stated
     // against the same-P replicated fold.
-    RunOptions replicated = distributed_options(ranks);
-    replicated.canonical_reduction = true;
-    const RunResult baseline = engine.run(replicated);
+    const RunResult baseline = engine.run(distributed_options(ranks));
 
     RunOptions options = distributed_options(ranks);
-    options.canonical_reduction = true;
     options.distribution = DataDistribution::kOwned;
     RunResult owned = engine.run(options);
     if (owned.owned_bytes_per_rank == 0 || owned.replicated_bytes == 0) {

@@ -3,8 +3,9 @@
 # (unit, property, checkpoint, balance, owned, integrity, incremental, serve,
 # trace) under each, plus repo-wide gates: the removed run_oct_* free
 # functions and the superseded distributed paths (the oct_balanced driver,
-# the distributed_data ghost-exchange prototype, WorkDivision::kDynamic and
-# Comm::charge_rpc) must not reappear anywhere (the Engine/Service API
+# the distributed_data ghost-exchange prototype, WorkDivision::kDynamic,
+# Comm::charge_rpc, the canonical_reduction opt-in and the legacy
+# checkpoint chunking) must not reappear anywhere (the Engine/Service API
 # surface is final; one canonical chunk-fold driver), the balance_stress
 # bench must
 # hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
@@ -60,10 +61,12 @@ fi
 
 echo "=== grep gate: superseded distributed paths stay deleted ==="
 # One canonical chunk-fold driver (detail::oct_canonical) serves replicated
-# and owned data; DataDistribution::kOwned replaced the ghost-exchange
-# prototype and BalancePolicy::kSteal replaced the shared-counter kDynamic
-# division with its RPC charge. None of them may come back.
-if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc' \
+# and owned data, and plain OCT_MPI runs on it, so the canonical_reduction
+# opt-in and the legacy checkpoint chunking (checkpoint.chunk_leaves) are
+# gone; DataDistribution::kOwned replaced the ghost-exchange prototype and
+# BalancePolicy::kSteal replaced the shared-counter kDynamic division with
+# its RPC charge. None of them may come back.
+if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves' \
     src bench tests examples 2>/dev/null; then
   echo "check.sh: superseded distributed path found in-tree (use Engine::run; route() picks oct_distributed or oct_canonical)" >&2
   exit 1

@@ -1,14 +1,15 @@
 // Versioned, CRC-checksummed binary snapshots of per-rank solver state.
 //
 // A snapshot is keyed to a LOGICAL point in the distributed schedule — the
-// driver phase it was taken in plus a leaf-range cursor inside that phase —
-// never to wall time. Restoring every rank to snapshots of the same phase
-// therefore lands the whole job on a consistent cut: between collectives no
-// messages are in flight, so "all ranks inside phase P, each at its own
-// cursor" replays the remaining schedule exactly (the chunked evaluation
-// loops in core/drivers.cpp deposit into accumulator slots in the same
-// per-slot order as an uninterrupted full-range pass, which is what makes
-// the resumed E_pol and Born radii bit-identical, 0 ulp).
+// driver phase it was taken in plus the number of chunks this rank had
+// published within that phase — never to wall time. Restoring every rank
+// to snapshots of the same phase therefore lands the whole job on a
+// consistent cut: between collectives no messages are in flight, so "all
+// ranks inside phase P, each with its own published chunks" replays the
+// remaining schedule exactly (the canonical chunk fold in core/drivers.cpp
+// folds fresh-from-zero chunk partials in ascending chunk order, whoever
+// computed them, which is what makes the resumed E_pol and Born radii
+// bit-identical, 0 ulp).
 //
 // Torn or corrupt files (truncated write, flipped bytes, version bump) are
 // DETECTED — magic + version + whole-payload CRC32 — and simply skipped by
@@ -44,14 +45,14 @@ std::uint64_t fnv1a64(std::initializer_list<std::uint64_t> words);
 
 constexpr std::uint32_t kSnapshotVersion = 1;
 
-// The distributed driver's resumable phases, in schedule order. A snapshot
+// The canonical driver's resumable phases, in schedule order. A snapshot
 // at phase P contains everything needed to skip phases < P (including the
 // results of the collectives separating them).
 enum class Phase : std::uint32_t {
-  kBornAccum = 0,  // partial Born integrals; payload: accumulator, cursor = q-leaf
-  kPush = 1,       // post-allreduce; payload: reduced accumulator
-  kEpol = 2,       // post-allgatherv; payload: Born radii + raw energy sums,
-                   // cursor = atom-tree leaf
+  kBornAccum = 0,  // payload: the ledger of published Born chunk partials
+  kPush = 1,       // post-sync; payload: this rank's folded accumulator slice
+  kEpol = 2,       // post-radii exchange; payload: Born radii + the ledger of
+                   // published E_pol raw pairs
 };
 
 struct Snapshot {
@@ -59,7 +60,7 @@ struct Snapshot {
   std::uint32_t rank = 0;
   std::uint32_t ranks = 0;
   Phase phase = Phase::kBornAccum;
-  std::uint64_t cursor = 0;   // absolute leaf index reached within `phase`
+  std::uint64_t cursor = 0;   // chunks in this rank's ledger within `phase`
   std::uint64_t job_key = 0;
   std::vector<std::vector<double>> sections;
 };
@@ -96,12 +97,13 @@ struct ChunkLedgerSections {
 ChunkLedgerSections read_chunk_ledger(const Snapshot& snap,
                                       std::size_t first_section);
 
-// When to checkpoint. Attached to a driver RunConfig; an empty dir disables
-// the whole subsystem (zero overhead on the default path).
+// When to checkpoint. Attached to RunOptions; an empty dir disables the
+// whole subsystem (zero overhead on the default path). The chunks counted
+// by every_k_chunks are the canonical fold's (RunOptions::
+// balance_chunk_leaves).
 struct CheckpointPolicy {
   std::string dir;                        // snapshot directory; empty = off
   bool resume = false;                    // load latest consistent set first
-  std::uint32_t chunk_leaves = 16;        // leaves per evaluation chunk
   std::uint32_t every_k_chunks = 4;       // snapshot every K chunks; 0 = off
   std::uint32_t every_n_collectives = 1;  // phase-entry snapshot cadence; 0 = off
   // Caller-supplied word folded into every driver's job_key. The trajectory

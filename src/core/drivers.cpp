@@ -17,7 +17,6 @@
 #include "core/engine.hpp"
 #include "core/halo_exchange.hpp"
 #include "core/kernels_simd.hpp"
-#include "support/arena.hpp"
 #include "mpisim/pool.hpp"
 #include "mpisim/runtime.hpp"
 #include "obs/trace.hpp"
@@ -346,15 +345,15 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
   double energy_shared = 0.0;
   std::size_t per_rank_extra_bytes = 0;
 
-  // Degraded-mode recovery needs the bit-deterministic configurations: one
+  // Degraded-mode recovery needs a bit-deterministic configuration: one
   // thread per rank (no work-stealing merge order) and a node division
-  // (whole leaves, so a dead rank's range re-partitions exactly). For those,
-  // the fault-tolerant collectives + recovery loops below are used even in
-  // fault-free runs (they fold in the identical order, so results match the
-  // plain path bit-for-bit). Other configurations keep the plain
-  // collectives, which fail fast if a rank dies.
-  const bool use_ft = p == 1 && (config.division == WorkDivision::kNodeNode ||
-                                 config.division == WorkDivision::kNodeBalanced);
+  // (whole leaves, so a dead rank's range re-partitions exactly). Of those,
+  // only kNodeBalanced runs here (one-thread kNodeNode takes the canonical
+  // chunk fold). It uses the fault-tolerant collectives + recovery relays
+  // below even in fault-free runs (they fold in the identical order, so
+  // results match the plain path bit-for-bit). Hybrid ranks and kAtomBased
+  // keep the plain collectives, which fail fast if a rank dies.
+  const bool use_ft = p == 1 && config.division == WorkDivision::kNodeBalanced;
 
   const auto q_segment = [&](int rr) {
     return config.division == WorkDivision::kNodeBalanced
@@ -367,64 +366,11 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
                : even_segment(n_aleaves, P, rr);
   };
 
-  // ---- Checkpoint/restart (ckpt/snapshot.hpp). Only the bit-deterministic
-  // configurations checkpoint: their chunked re-execution is bit-identical
-  // to the uninterrupted run, so a resumed job lands on the same answer to
-  // the last ulp. The kill plan rides the same chunk loops (its polls are
-  // the chunk boundaries), so it is honoured under the same conditions.
-  const ckpt::CheckpointPolicy& policy = config.checkpoint;
-  const bool use_ckpt = use_ft && (policy.enabled() || config.kill.armed);
-  const std::uint32_t chunk = std::max<std::uint32_t>(1, policy.chunk_leaves);
-  const std::uint64_t job_key = ckpt::fnv1a64(
-      {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-       static_cast<std::uint64_t>(config.division),
-       static_cast<std::uint64_t>(params.traversal),
-       kernel_job_word(config.integrity_guards), policy.job_salt});
-  const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
-                                  P, job_key);
-
-  // Restore decision, made once up front so every rank agrees on the cut.
-  // The set must pass shape validation in full — section lengths and cursors
-  // consistent with THIS job — or it is ignored wholesale: a corrupt or
-  // mismatched store can cost a cold start, never a wrong answer.
-  std::vector<ckpt::Snapshot> restored;
-  bool resume = false;
-  if (use_ft && policy.enabled() && policy.resume) {
-    if (auto set = store.load_latest()) {
-      const std::size_t acc_len = born_solver.make_accumulator().flat().size();
-      bool valid = true;
-      for (int rr = 0; rr < P && valid; ++rr) {
-        const ckpt::Snapshot& s = (*set)[static_cast<std::size_t>(rr)];
-        switch (s.phase) {
-          case ckpt::Phase::kBornAccum:
-            valid = s.sections.size() == 1 && s.sections[0].size() == acc_len &&
-                    s.cursor <= static_cast<std::uint64_t>(q_segment(rr).count());
-            break;
-          case ckpt::Phase::kPush:
-            valid = s.sections.size() == 1 && s.sections[0].size() == acc_len &&
-                    s.cursor == 0;
-            break;
-          case ckpt::Phase::kEpol:
-            valid = s.sections.size() == 2 && s.sections[0].size() == n_atoms &&
-                    s.sections[1].size() == 2 &&
-                    s.cursor <= static_cast<std::uint64_t>(l_segment(rr).count());
-            break;
-        }
-      }
-      if (valid) {
-        restored = std::move(*set);
-        resume = true;
-      }
-    }
-  }
-  const ckpt::Phase resume_phase = resume ? restored[0].phase : ckpt::Phase::kBornAccum;
-
   mpisim::Runtime::Config rt;
   rt.ranks = P;
   rt.threads_per_rank = p;
   rt.cluster = config.cluster;
   rt.faults = config.faults;
-  if (use_ckpt) rt.kill = config.kill;
   rt.stall_timeout_seconds = config.stall_timeout_seconds;
   rt.corruption = config.corruption;
   rt.integrity_guards = config.integrity_guards;
@@ -435,42 +381,9 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     std::unique_ptr<ws::Scheduler> sched;
     if (p > 1) sched = std::make_unique<ws::Scheduler>(p);
 
-    // Resume bookkeeping: phases before resume_phase are skipped — their
-    // results (including the separating collectives') are in the snapshot.
-    const bool skip_to_push = resume && resume_phase >= ckpt::Phase::kPush;
-    const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
-    std::uint32_t phase_boundaries = 0;
-    std::uint64_t snapshot_ordinal = 0;  // per-rank save order, for injection
-    const auto save_snapshot = [&](ckpt::Phase phase, std::uint64_t cursor,
-                                   std::vector<std::vector<double>> sections) {
-      ckpt::Snapshot snap;
-      snap.rank = static_cast<std::uint32_t>(r);
-      snap.ranks = static_cast<std::uint32_t>(P);
-      snap.phase = phase;
-      snap.cursor = cursor;
-      snap.job_key = job_key;
-      snap.sections = std::move(sections);
-      const std::string path = store.save(snap);
-      std::uint64_t bit = 0;
-      if (!path.empty() &&
-          comm.corruption_schedule().snapshot_bit(r, snapshot_ordinal, &bit)) {
-        corrupt_snapshot_file(path, bit);
-        comm.note_corruption_injected();
-        obs::emit(obs::EventKind::kCorruptionInject, snapshot_ordinal, 0,
-                  /*site=*/3);
-      }
-      ++snapshot_ordinal;
-    };
-    // Collective-boundary snapshot cadence (policy.every_n_collectives).
-    const auto boundary_due = [&] {
-      const bool due = policy.every_n_collectives > 0 &&
-                       phase_boundaries % policy.every_n_collectives == 0;
-      ++phase_boundaries;
-      return due;
-    };
     // Chain receive for the recovery relays: a predecessor can only vanish
-    // mid-chain when a process kill made it abandon — then this rank
-    // abandons too. Any other mid-chain loss is a protocol breach (scheduled
+    // mid-chain when the job is doomed (a pooled rank failed, raising the
+    // kill flag) — then this rank abandons too. Any other mid-chain loss is a protocol breach (scheduled
     // deaths happen at collective entries, never inside a chain).
     const auto chain_recv = [&](std::span<double> buf, int src, int tag) {
       const mpisim::RecvStatus rs = comm.recv_ft(buf, src, tag);
@@ -485,51 +398,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     obs::phase_begin(obs::PhaseId::kBornAccum);
     const Segment q_seg = q_segment(r);
     BornAccumulator acc = born_solver.make_accumulator();
-    if (p == 1 && use_ckpt) {
-      // Chunked evaluation with kill polls and periodic snapshots. Chunk
-      // concatenation is bit-identical to the one-shot full-range pass:
-      // build_lists emits entries per source leaf in ascending order, so the
-      // per-slot deposit order is unchanged (same argument as the recovery
-      // relay chains below).
-      std::uint32_t done = 0;  // leaves completed within this rank's segment
-      if (resume && !skip_to_push) {
-        const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-        std::copy(snap.sections[0].begin(), snap.sections[0].end(),
-                  acc.flat().begin());
-        done = static_cast<std::uint32_t>(snap.cursor);
-      }
-      // Phase-entry snapshot: keeps the kBornAccum restore set complete for
-      // every rank from the first poll on, whatever the kill timing.
-      if (!skip_to_push && policy.enabled())
-        save_snapshot(ckpt::Phase::kBornAccum, done,
-                      {std::vector<double>(acc.flat().begin(), acc.flat().end())});
-      std::uint32_t since_save = 0;
-      while (!skip_to_push && done < q_seg.count()) {
-        const std::uint32_t lo = q_seg.lo + done;
-        const std::uint32_t hi = std::min(lo + chunk, q_seg.hi);
-        traced_chunk(lo, hi, obs::PhaseId::kBornAccum, [&] {
-          mpisim::Comm::ComputeRegion region(comm);
-          if (params.traversal == TraversalMode::kList) {
-            const InteractionLists lists = born_solver.build_lists(lo, hi);
-            born_solver.accumulate_lists(lists, acc);
-          } else {
-            born_solver.accumulate_qleaf_range(lo, hi, acc);
-          }
-        });
-        done = hi - q_seg.lo;
-        // Commit the due snapshot BEFORE the kill poll: progress is durable
-        // at every poll point, and a kill only ever loses work since the
-        // last commit — the SIGKILL model never snapshots at the kill point
-        // itself.
-        if (policy.enabled() && policy.every_k_chunks > 0 &&
-            ++since_save >= policy.every_k_chunks) {
-          since_save = 0;
-          save_snapshot(ckpt::Phase::kBornAccum, done,
-                        {std::vector<double>(acc.flat().begin(), acc.flat().end())});
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-    } else if (p == 1) {
+    if (p == 1) {
       traced_chunk(q_seg.lo, q_seg.hi, obs::PhaseId::kBornAccum, [&] {
         mpisim::Comm::ComputeRegion region(comm);
         if (params.traversal == TraversalMode::kList) {
@@ -590,15 +459,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     // the same per-slot order as one full-range pass). The last survivor
     // keeps the result and publishes it as the dead rank's proxy on retry.
     obs::phase_begin(obs::PhaseId::kBornReduce);
-    if (use_ft && skip_to_push) {
-      // The allreduce's result is part of the snapshot: kPush captured the
-      // post-collective accumulator; kEpol no longer needs it at all.
-      if (!skip_to_epol) {
-        const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-        std::copy(snap.sections[0].begin(), snap.sections[0].end(),
-                  acc.flat().begin());
-      }
-    } else if (use_ft) {
+    if (use_ft) {
       std::map<int, BornAccumulator> proxy_accs;  // dead rank -> its partial
       for (;;) {
         std::vector<mpisim::ProxyPub> pubs;
@@ -636,19 +497,11 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
       comm.allreduce_sum(acc.flat());
     }
 
-    // Phase boundary: entering kPush with the post-allreduce accumulator.
-    if (use_ckpt && !skip_to_epol && policy.enabled() && boundary_due())
-      save_snapshot(ckpt::Phase::kPush, 0,
-                    {std::vector<double>(acc.flat().begin(), acc.flat().end())});
-
     // ---- Step 4: Born radii for this rank's atom segment.
     obs::phase_begin(obs::PhaseId::kPush);
     const Segment a_seg = even_segment(n_atoms, P, r);
     std::vector<double> born(prep.num_atoms(), 0.0);
-    if (skip_to_epol) {
-      // Born radii come out of the kEpol snapshot below; the push and the
-      // gather both happened before the cut.
-    } else if (p == 1) {
+    if (p == 1) {
       traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kPush, [&] {
         mpisim::Comm::ComputeRegion region(comm);
         born_solver.push_to_atoms(acc, a_seg.lo, a_seg.hi, born);
@@ -676,10 +529,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     // atom, so survivors each recompute a sub-range of the dead rank's atom
     // segment directly (no chaining needed for bit-equality) and ship it to
     // the proxy, which assembles the full slice and republishes it.
-    if (skip_to_epol) {
-      const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-      std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
-    } else if (use_ft) {
+    if (use_ft) {
       std::map<int, std::vector<double>> proxy_born;  // dead rank -> slice
       for (;;) {
         std::vector<mpisim::ProxyPub> pubs;
@@ -734,55 +584,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
         mpisim::Comm::ComputeRegion region(comm);
         epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
       }
-      if (use_ckpt) {
-        // Chunked energy with kill polls and periodic snapshots, mirroring
-        // the Born loop. Raw far/near sums continue across chunks and are
-        // scaled ONCE at the end — the same one-finish convention as the
-        // fault-free single pass and the recovery relays, keeping the
-        // chunked fold bit-identical.
-        const Segment l_seg = l_segment(r);
-        double raws[2] = {0.0, 0.0};
-        std::uint32_t done = 0;
-        if (skip_to_epol) {
-          const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
-          raws[0] = snap.sections[1][0];
-          raws[1] = snap.sections[1][1];
-          done = static_cast<std::uint32_t>(snap.cursor);
-        }
-        // Phase boundary: entering kEpol with the gathered Born radii.
-        if (policy.enabled() && boundary_due())
-          save_snapshot(ckpt::Phase::kEpol, done,
-                        {born, std::vector<double>{raws[0], raws[1]}});
-        std::uint32_t since_save = 0;
-        while (done < l_seg.count()) {
-          const std::uint32_t lo = l_seg.lo + done;
-          const std::uint32_t hi = std::min(lo + chunk, l_seg.hi);
-          traced_chunk(lo, hi, obs::PhaseId::kEpol, [&] {
-            mpisim::Comm::ComputeRegion region(comm);
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists = epol_solver->build_lists(lo, hi);
-              epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(),
-                                                       raws[0]);
-              epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(),
-                                                        raws[1]);
-            } else {
-              epol_solver->accumulate_energy_leaf_range(lo, hi, raws[0]);
-            }
-          });
-          done = hi - l_seg.lo;
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_snapshot(ckpt::Phase::kEpol, done,
-                          {born, std::vector<double>{raws[0], raws[1]}});
-          }
-          if (comm.poll_kill()) comm.abandon();
-        }
-        partial[0] = params.traversal == TraversalMode::kList
-                         ? epol_solver->finish_energy(raws[0]) +
-                               epol_solver->finish_energy(raws[1])
-                         : epol_solver->finish_energy(raws[0]);
-      } else if (config.division == WorkDivision::kAtomBased) {
+      if (config.division == WorkDivision::kAtomBased) {
         traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kEpol, [&] {
           mpisim::Comm::ComputeRegion region(comm);
           partial[0] = epol_solver->energy_for_atom_range(a_seg.lo, a_seg.hi);
@@ -880,7 +682,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
             } else {
               proxy_partial[d] =
                   params.traversal == TraversalMode::kList
-                      ? epol_solver->finish_energy(raws[0]) + epol_solver->finish_energy(raws[1])
+                      ? epol_solver->finish_energy_pair(raws[0], raws[1])
                       : epol_solver->finish_energy(raws[0]);
             }
           }
@@ -908,7 +710,6 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
   result.energy = energy_shared;
   result.born_sorted = std::move(born_shared);
   result.wall_seconds = wall.seconds();
-  result.resumed = resume;
   absorb_report(result, report);
   // Replicated-data accounting: every rank holds a full copy of the trees,
   // payloads, accumulator and Born array (paper §V-B memory comparison).
@@ -935,26 +736,26 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
 // that dies there has already finished and published its chunks for the
 // current phase; only its NEXT-phase chunks ever need recovery.
 //
-// The distribution decides only the stages where the data layouts differ:
+// Both distributions share one ownership map: each rank OWNS a
+// Morton-contiguous range of leaves (core/halo_exchange.hpp), built
+// host-side from the chunk plans, identical on every rank, and hashed into
+// the checkpoint job key and every snapshot, so a restart provably resumes
+// the same redistribution. Every rank folds only the accumulator elements
+// serving its owned atoms and pushes only those atoms; radii it does not
+// hold stay NaN (a missing import poisons the energy instead of silently
+// reading zeros). Recovery reads of radii a rank does not hold (dead ranks'
+// slices, stolen recovery chunks) are served by reconstruct_born. The
+// distribution decides only how the other radii arrive:
 //
-//  * kReplicated: every rank folds the FULL accumulator and pushes every
-//    atom from it, so every rank holds the identical Born radii (no gather
-//    is needed) and builds its own E_pol far-field store.
-//  * kOwned: each rank holds only its OWNED Morton-contiguous leaf ranges
-//    plus a planned HALO instead of the molecule's whole point payload
-//    (core/halo_exchange.hpp). Ownership + halo plans are built host-side
-//    from the chunk/balance plans, identical on every rank, and hash into
-//    the checkpoint job key and every snapshot, so a restart provably
-//    resumes the same redistribution. The Born fold is SLICED to the
-//    accumulator elements serving the owned atoms and only owned atoms are
-//    pushed; radii outside owned + halo stay NaN (under-import poisons the
-//    energy instead of silently reading zeros). The far field comes from
-//    three exchanges: the Born halo p2p, an extrema allreduce_min, and an
-//    allgatherv of owned leaf bin rows plus a local internal re-fold, so
-//    the far aggregate store is bit-identical on every rank. Recovery reads
-//    outside the halo (dead ranks' slices, stolen recovery chunks) are
-//    served by reconstruct_born, and the writer finally gathers the owned
-//    Born slices p2p.
+//  * kReplicated: owned mode with every leaf resident. One allgatherv of
+//    the pushed radii gives every rank the identical full Born array, from
+//    which it builds its own E_pol far-field store.
+//  * kOwned: each rank holds only its owned leaves plus a planned HALO
+//    instead of the molecule's whole point payload. The far field comes
+//    from three exchanges: the Born halo p2p, an extrema allreduce_min, and
+//    an allgatherv of owned leaf bin rows plus a local internal re-fold, so
+//    the far aggregate store is bit-identical on every rank. The writer
+//    finally gathers the owned Born slices p2p.
 RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
                         const GBConstants& constants, const RunOptions& options) {
   // From driver entry, so host-side planning counts toward wall_seconds.
@@ -1004,26 +805,26 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   const std::vector<int> born_executor = executor_of(plan_born, born_plan.n_chunks);
   const std::vector<int> epol_executor = executor_of(plan_epol, epol_plan.n_chunks);
 
-  // Ownership + halo plans (kOwned): host-side, plan-derived, identical on
-  // every rank. The halo follows the EXECUTOR chunk assignment, so a policy
-  // change (different steals) changes the halo.
-  OwnershipMap ownership;
+  // Ownership map: host-side, plan-derived, identical on every rank. Every
+  // run has one — a replicated rank folds and pushes only its owned atoms
+  // too, then allgathers the radii. The halo plan (kOwned only) follows the
+  // EXECUTOR chunk assignment, so a policy change (different steals) changes
+  // the halo; a replicated run has every leaf resident and no halo.
+  const OwnershipMap ownership = make_ownership_map(prep, P, born_plan, epol_plan);
   HaloPlan halo;
-  if (owned) {
-    ownership = make_ownership_map(prep, P, born_plan, epol_plan);
+  if (owned)
     halo = build_halo_plan(prep, walks, ownership, plan_born, born_plan, plan_epol,
                            epol_plan);
-  }
   walks = PlanningWalks{};  // planning-only: release before the ranks run
-  const std::uint64_t ownership_hash = owned ? ownership.hash() : 0;
+  const std::uint64_t ownership_hash = ownership.hash();
   const std::uint64_t halo_hash = owned ? halo.hash() : 0;
 
   // Shared cross-rank state: each chunk slot is written by exactly one rank
   // (ledger discipline), then read by all after the phase sync's barrier.
-  // Arena-backed per-chunk partials: each chunk's vector owns a private page
-  // arena, so its pages are committed (first touch) by the worker thread of
-  // the rank that computes the chunk — NUMA-local on multi-socket hosts.
-  std::vector<ArenaVector<double>> born_partials(born_plan.n_chunks);
+  // Each Born chunk's accumulator is allocated and filled on the thread of
+  // the rank that computes it, so that thread first-touches its pages —
+  // NUMA-local on multi-socket hosts.
+  std::vector<BornAccumulator> born_partials(born_plan.n_chunks);
   std::vector<std::array<double, 2>> epol_raws(epol_plan.n_chunks,
                                                std::array<double, 2>{0.0, 0.0});
   ChunkLedger born_ledger(born_plan.n_chunks);
@@ -1043,34 +844,28 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   std::vector<std::uint32_t> epol_crcs(
       options.corruption.empty() ? 0 : epol_plan.n_chunks, 0u);
 
-  // ---- Checkpoint/restart. The job key covers the chunk geometry but NOT
-  // the balance policy: replicated snapshots are policy-portable, because a
-  // restored chunk's partial is identical wherever (and under whichever
-  // policy) it was computed. Owned keys also fold in the ownership + halo
-  // hashes — the halo follows the policy's steals — so owned snapshots are
+  // ---- Checkpoint/restart. The job key covers the chunk geometry and the
+  // ownership + halo hashes but NOT the balance policy. The ownership map is
+  // policy-independent and a replicated run's halo hash is zero, so
+  // replicated snapshots are policy-portable: a restored chunk's partial is
+  // identical wherever (and under whichever policy) it was computed. The
+  // owned halo follows the policy's steals, so owned snapshots are
   // deliberately tied to the plans they were written under.
   const ckpt::CheckpointPolicy& policy = options.checkpoint;
-  const std::uint64_t kernel_word = kernel_job_word(options.integrity_guards);
-  const std::uint64_t job_key =
-      owned ? ckpt::fnv1a64({n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-                             static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
-                             born_plan.n_chunks, born_plan.chunk_items,
-                             epol_plan.n_chunks, epol_plan.chunk_items, 0x04EDull,
-                             ownership_hash, halo_hash, kernel_word, policy.job_salt})
-            : ckpt::fnv1a64({n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-                             static_cast<std::uint64_t>(params.traversal), 0xBA1Aull,
-                             born_plan.n_chunks, born_plan.chunk_items,
-                             epol_plan.n_chunks, epol_plan.chunk_items, kernel_word,
-                             policy.job_salt});
+  const std::uint64_t job_key = ckpt::fnv1a64(
+      {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
+       static_cast<std::uint64_t>(params.traversal), 0xBA1Aull, born_plan.n_chunks,
+       born_plan.chunk_items, epol_plan.n_chunks, epol_plan.chunk_items, 0x04EDull,
+       ownership_hash, halo_hash, kernel_job_word(options.integrity_guards),
+       policy.job_salt});
   const ckpt::SnapshotStore store(policy.enabled() ? policy.dir : std::string("."),
                                   P, job_key);
 
-  // Owned snapshots carry the ownership + halo hashes as one 2-double
+  // Every snapshot carries the ownership + halo hashes as one 2-double
   // section right after the phase head; a restore whose plans would
   // redistribute differently is rejected (belt to the job key's suspenders —
   // the key already covers both hashes, this keeps a truncated/corrupt
-  // section from slipping by). Replicated snapshots carry no such section.
-  const std::size_t n_hash_sections = owned ? 1 : 0;
+  // section from slipping by).
   const auto hash_section = [&] {
     std::vector<double> sec(2);
     std::memcpy(&sec[0], &ownership_hash, sizeof(double));
@@ -1078,7 +873,6 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     return sec;
   };
   const auto hashes_ok = [&](const ckpt::Snapshot& s, std::size_t at) {
-    if (!owned) return true;
     if (at >= s.sections.size() || s.sections[at].size() != 2) return false;
     std::uint64_t oh = 0, hh = 0;
     std::memcpy(&oh, &s.sections[at][0], sizeof(double));
@@ -1113,22 +907,19 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
         };
         switch (s.phase) {
           case ckpt::Phase::kBornAccum:
-            ledgers[static_cast<std::size_t>(rr)] =
-                ckpt::read_chunk_ledger(s, n_hash_sections);
+            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 1);
             valid = hashes_ok(s, 0) &&
                     ledger_ok(ledgers[static_cast<std::size_t>(rr)],
                               born_plan.n_chunks, acc_len);
             break;
           case ckpt::Phase::kPush:
-            valid = s.sections.size() == 1 + n_hash_sections &&
-                    s.sections[0].size() == acc_len && hashes_ok(s, 1) &&
-                    s.cursor == 0;
+            valid = s.sections.size() == 2 && s.sections[0].size() == acc_len &&
+                    hashes_ok(s, 1) && s.cursor == 0;
             break;
           case ckpt::Phase::kEpol:
-            ledgers[static_cast<std::size_t>(rr)] =
-                ckpt::read_chunk_ledger(s, 1 + n_hash_sections);
-            valid = s.sections.size() >= 1 + n_hash_sections &&
-                    s.sections[0].size() == n_atoms && hashes_ok(s, 1) &&
+            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 2);
+            valid = s.sections.size() >= 2 && s.sections[0].size() == n_atoms &&
+                    hashes_ok(s, 1) &&
                     ledger_ok(ledgers[static_cast<std::size_t>(rr)],
                               epol_plan.n_chunks, 2);
             break;
@@ -1142,8 +933,10 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
           ckpt::ChunkLedgerSections& led = ledgers[static_cast<std::size_t>(rr)];
           if (s.phase == ckpt::Phase::kBornAccum) {
             for (std::size_t i = 0; i < led.ids.size(); ++i) {
-              born_partials[led.ids[i]].assign(led.partials[i].begin(),
-                                               led.partials[i].end());
+              BornAccumulator& partial = born_partials[led.ids[i]];
+              partial = born_solver.make_accumulator();
+              std::copy(led.partials[i].begin(), led.partials[i].end(),
+                        partial.flat().begin());
               born_ledger.mark_done(led.ids[i], rr);
             }
             restored_born_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
@@ -1165,8 +958,8 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   if (!options.corruption.empty()) {
     for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c)
       if (born_ledger.done(c))
-        born_crcs[c] = support::crc32(born_partials[c].data(),
-                                      born_partials[c].size() * sizeof(double));
+        born_crcs[c] = support::crc32(born_partials[c].flat().data(),
+                                      born_partials[c].flat().size_bytes());
     for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c)
       if (epol_ledger.done(c))
         epol_crcs[c] =
@@ -1189,17 +982,15 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
     int writer = 0;  // lowest surviving rank; publishes the shared answer
 
-    // The atoms this rank pushes: its owned span, or every atom when the
-    // data is replicated. Owned ranks fold only the accumulator elements
-    // serving those atoms.
-    const Segment my_atoms =
-        owned ? ownership.ranks[static_cast<std::size_t>(r)].atoms : Segment{0, n_atoms};
-    std::vector<std::uint32_t> fold_slice;
-    if (owned) {
-      fold_slice = acc_fold_slice(prep.atoms_tree, my_atoms);
+    // The atoms this rank pushes — its owned span, under either
+    // distribution — and the accumulator elements serving them, the only
+    // ones it folds.
+    const Segment my_atoms = ownership.ranks[static_cast<std::size_t>(r)].atoms;
+    const std::vector<std::uint32_t> fold_slice =
+        acc_fold_slice(prep.atoms_tree, my_atoms);
+    if (owned)
       obs::emit(obs::EventKind::kHaloPlan, my_atoms.count(),
                 halo.ranks[static_cast<std::size_t>(r)].born_halo_atoms);
-    }
     // Dead ranks as of the most recent aborted collective (ascending). The
     // owned p2p stages between collectives consult it: deads can't send.
     std::vector<int> dead_set;
@@ -1211,13 +1002,14 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     std::vector<char> epol_fired(corr.empty() ? 0 : epol_plan.n_chunks, 0);
     const auto seal_born = [&](std::uint32_t c) {
       if (corr.empty()) return;
-      const std::size_t bytes = born_partials[c].size() * sizeof(double);
-      born_crcs[c] = support::crc32(born_partials[c].data(), bytes);
+      const std::span<double> flat = born_partials[c].flat();
+      const std::size_t bytes = flat.size_bytes();
+      born_crcs[c] = support::crc32(flat.data(), bytes);
       std::uint64_t bit = 0;
       if (born_fired[c] == 0 &&
           corr.hot_array_bit(r, mpisim::CorruptionPlan::kBornPartials, c, &bit)) {
         born_fired[c] = 1;
-        support::flip_bit(born_partials[c].data(), bytes, bit);
+        support::flip_bit(flat.data(), bytes, bit);
         comm.note_corruption_injected();
         obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
       }
@@ -1254,14 +1046,14 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
           snap.cursor = ids.size();
           snap.job_key = job_key;
           snap.sections = std::move(head);
-          if (owned) snap.sections.push_back(hash_section());
+          snap.sections.push_back(hash_section());
           if (phase != ckpt::Phase::kPush) {  // kPush carries only the accumulator
             std::vector<std::vector<double>> partials;
             partials.reserve(ids.size());
             for (const std::uint32_t id : ids) {
               if (phase == ckpt::Phase::kBornAccum)
-                partials.emplace_back(born_partials[id].begin(),
-                                      born_partials[id].end());
+                partials.emplace_back(born_partials[id].flat().begin(),
+                                      born_partials[id].flat().end());
               else
                 partials.push_back({epol_raws[id][0], epol_raws[id][1]});
             }
@@ -1294,9 +1086,9 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       }
     };
 
-    // One Born chunk, fresh-from-zero into `out` (the chunk's shared slot,
-    // or a caller's scratch buffer).
-    const auto born_chunk_partial = [&](std::uint32_t c, BornAccumulator& out) {
+    // One Born chunk, fresh-from-zero.
+    const auto born_chunk_partial = [&](std::uint32_t c) {
+      BornAccumulator out = born_solver.make_accumulator();
       const Segment seg = born_plan.chunk_range(c);
       if (params.traversal == TraversalMode::kList) {
         const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
@@ -1304,6 +1096,7 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       } else {
         born_solver.accumulate_qleaf_range(seg.lo, seg.hi, out);
       }
+      return out;
     };
     // One Born chunk into its shared slot. `recompute` marks an integrity
     // recompute: no migration accounting, and the seal records the clean CRC
@@ -1312,9 +1105,7 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       const Segment seg = born_plan.chunk_range(c);
       traced_chunk(seg.lo, seg.hi, obs::PhaseId::kBornAccum, [&] {
         mpisim::Comm::ComputeRegion region(comm);
-        BornAccumulator scratch = born_solver.make_accumulator();
-        born_chunk_partial(c, scratch);
-        born_partials[c].assign(scratch.flat().begin(), scratch.flat().end());
+        born_partials[c] = born_chunk_partial(c);
       });
       seal_born(c);
       if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
@@ -1327,8 +1118,8 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     const auto verify_born = [&](const std::vector<std::uint32_t>& ids) {
       if (corr.empty() || !comm.integrity_guards()) return;
       for (const std::uint32_t c : ids) {
-        const std::size_t bytes = born_partials[c].size() * sizeof(double);
-        if (support::crc32(born_partials[c].data(), bytes) == born_crcs[c])
+        const std::size_t bytes = born_partials[c].flat().size_bytes();
+        if (support::crc32(born_partials[c].flat().data(), bytes) == born_crcs[c])
           continue;
         comm.note_corruption_detected();
         obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
@@ -1419,12 +1210,11 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     }
 
     // ---- Canonical fold, its data motion (each rank reading every chunk's
-    // partial) charged as one modeled allgatherv. A replicated rank folds the
-    // FULL accumulator; an owned rank folds only the elements serving its
-    // owned atoms (their subtree path + own slots), which shrinks the
-    // charged motion from n_chunks * acc_len to n_chunks * |slice|. Both
-    // visit every element in ascending chunk order, so the sliced fold
-    // matches the full fold element by element, to the bit.
+    // partial) charged as one modeled allgatherv. A rank folds only the
+    // elements serving its owned atoms (their subtree path + own slots), so
+    // the charged motion is n_chunks * |slice|, not n_chunks * acc_len. The
+    // slice visits every element in ascending chunk order, so it matches a
+    // full fold element by element, to the bit.
     BornAccumulator acc = born_solver.make_accumulator();
     if (skip_to_push && !skip_to_epol) {
       const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
@@ -1433,17 +1223,12 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     } else if (!skip_to_epol) {
       comm.charge_collective(obs::CollKind::kAllgatherv,
                              static_cast<std::size_t>(born_plan.n_chunks) *
-                                 (owned ? fold_slice.size() : acc_len) *
-                                 sizeof(double));
+                                 fold_slice.size() * sizeof(double));
       mpisim::Comm::ComputeRegion region(comm);
       const std::span<double> flat = acc.flat();
       for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-        const ArenaVector<double>& partial = born_partials[c];
-        if (owned) {
-          for (const std::uint32_t idx : fold_slice) flat[idx] += partial[idx];
-        } else {
-          for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
-        }
+        const double* partial = born_partials[c].flat().data();
+        for (const std::uint32_t idx : fold_slice) flat[idx] += partial[idx];
       }
     }
     if (!skip_to_epol && policy.enabled() && boundary_due())
@@ -1451,12 +1236,12 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
           ckpt::Phase::kPush, {},
           {std::vector<double>(acc.flat().begin(), acc.flat().end())});
 
-    // ---- Push this rank's atoms. Owned radii outside owned + halo stay
-    // NaN: an under-imported halo read poisons the energy instead of
-    // silently reading zeros — the 0-ulp equivalence tests lean on this.
+    // ---- Push this rank's owned atoms. Radii outside them (and, owned, the
+    // halo) stay NaN: a read of radii that never arrived poisons the energy
+    // instead of silently reading zeros — the 0-ulp equivalence tests lean
+    // on this.
     obs::phase_begin(obs::PhaseId::kPush);
-    std::vector<double> born(prep.num_atoms(),
-                             owned ? std::numeric_limits<double>::quiet_NaN() : 0.0);
+    std::vector<double> born(prep.num_atoms(), std::numeric_limits<double>::quiet_NaN());
     if (skip_to_epol) {
       const ckpt::Snapshot& snap = restored[static_cast<std::size_t>(r)];
       std::copy(snap.sections[0].begin(), snap.sections[0].end(), born.begin());
@@ -1467,36 +1252,74 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       });
     }
 
-    // Owned degraded-path Born reconstruction: fold EVERYTHING (lazily,
-    // once) and assign-push just [lo, hi). Exact because the full fold
-    // agrees with the sliced fold per element and push_to_atoms assigns
-    // (never accumulates). On a resumed run the chunk partials are gone with
-    // the earlier phases, so the fold recomputes every chunk fresh-from-zero
-    // in ascending order — same canonical bits, O(N) but degraded-only.
-    // Opens its own compute region: call sites must sit OUTSIDE any
-    // ComputeRegion.
+    // Degraded-path Born reconstruction of radii this rank does not hold
+    // (dead ranks' slices, owned recovery reads outside the halo): fold
+    // EVERYTHING (lazily, once) and assign-push just [lo, hi). Exact because
+    // the full fold agrees with the sliced fold per element and push_to_atoms
+    // assigns (never accumulates). On a resumed run the chunk partials are
+    // gone with the earlier phases, so the fold recomputes every chunk
+    // fresh-from-zero in ascending order — same canonical bits, O(N) but
+    // degraded-only. Opens its own compute region: call sites must sit
+    // OUTSIDE any ComputeRegion.
     std::unique_ptr<BornAccumulator> recovery_acc;
     const auto reconstruct_born = [&](std::uint32_t lo, std::uint32_t hi) {
       mpisim::Comm::ComputeRegion region(comm);
       if (!recovery_acc) {
         recovery_acc =
             std::make_unique<BornAccumulator>(born_solver.make_accumulator());
-        const std::span<double> flat = recovery_acc->flat();
         for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c) {
-          if (skip_to_epol) {
-            BornAccumulator scratch = born_solver.make_accumulator();
-            born_chunk_partial(c, scratch);
-            const std::span<const double> part = scratch.flat();
-            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += part[j];
-          } else {
-            const ArenaVector<double>& partial = born_partials[c];
-            for (std::size_t j = 0; j < flat.size(); ++j) flat[j] += partial[j];
-          }
+          if (skip_to_push)
+            recovery_acc->add(born_chunk_partial(c));
+          else
+            recovery_acc->add(born_partials[c]);
         }
       }
       born_solver.push_to_atoms(*recovery_acc, lo, hi, born);
       comm.add_redistributed_work(hi - lo);
     };
+
+    // ---- Replicated: allgatherv of the pushed radii, so every rank holds
+    // every radius (a resumed kEpol snapshot already holds them all). The
+    // writer proxies dead ranks with their reconstructed slices.
+    if (!owned && !skip_to_epol) {
+      obs::phase_begin(obs::PhaseId::kBornGather);
+      std::vector<int> counts(static_cast<std::size_t>(P));
+      std::vector<int> displs(static_cast<std::size_t>(P));
+      for (int rk = 0; rk < P; ++rk) {
+        const Segment s = ownership.ranks[static_cast<std::size_t>(rk)].atoms;
+        counts[static_cast<std::size_t>(rk)] = static_cast<int>(s.count());
+        displs[static_cast<std::size_t>(rk)] = static_cast<int>(s.lo);
+      }
+      std::vector<int> proxied;
+      std::vector<std::vector<double>> proxy_slices;
+      for (;;) {
+        std::vector<mpisim::ProxyPub> pubs;
+        pubs.reserve(proxied.size());
+        for (std::size_t i = 0; i < proxied.size(); ++i)
+          pubs.push_back({proxied[i], proxy_slices[i].data()});
+        const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
+            std::span<const double>(born.data() + my_atoms.lo, my_atoms.count()),
+            born, counts, displs, pubs);
+        if (st.ok()) break;
+        if (comm.kill_requested()) comm.abandon();
+        dead_set = st.dead;
+        writer = live_ranks(P, st.dead).front();
+        proxied.clear();
+        proxy_slices.clear();
+        if (r == writer) {
+          proxied = st.dead;
+          proxy_slices.resize(proxied.size());
+          for (std::size_t i = 0; i < proxied.size(); ++i) {
+            const Segment ds = ownership.ranks[static_cast<std::size_t>(proxied[i])].atoms;
+            proxy_slices[i].assign(std::max<std::size_t>(ds.count(), 1), 0.0);
+            if (ds.count() == 0) continue;
+            reconstruct_born(ds.lo, ds.hi);
+            std::copy(born.begin() + ds.lo, born.begin() + ds.hi,
+                      proxy_slices[i].begin());
+          }
+        }
+      }
+    }
 
     // ---- E_pol far-field state. A replicated rank holds every radius, so
     // the EpolSolver constructor bins them locally. An owned rank builds the

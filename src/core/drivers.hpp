@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/snapshot.hpp"
 #include "core/born_octree.hpp"
 #include "core/epol_octree.hpp"
 #include "core/prepared.hpp"
@@ -36,16 +35,12 @@ struct RunConfig {
   mpisim::ClusterModel cluster = mpisim::ClusterModel::lonestar4();
   WorkDivision division = WorkDivision::kNodeNode;
   // Deterministic fault schedule replayed by the runtime (empty = fault-free).
-  // Death recovery (degraded mode) is supported for the node divisions
-  // (kNodeNode / kNodeBalanced) with threads_per_rank == 1 — the bit-
-  // deterministic configurations, where survivors can reproduce a dead
-  // rank's partial results exactly. Other configurations fail fast on death
-  // (the runtime terminates, as a real MPI job would).
+  // Death recovery (degraded mode) is supported for kNodeBalanced with
+  // threads_per_rank == 1 — the bit-deterministic configuration here, where
+  // survivors can reproduce a dead rank's partial results exactly (one-thread
+  // kNodeNode runs the canonical chunk fold instead). Other configurations
+  // fail fast on death (the runtime terminates, as a real MPI job would).
   mpisim::FaultPlan faults;
-  // Deterministic whole-process kill for checkpoint/restart testing
-  // (mpisim/faults.hpp). Only the bit-deterministic configurations above
-  // have kill points; Engine's route() rejects a kill anywhere else.
-  mpisim::KillPlan kill;
   // Supervisor watchdog: heartbeat-stagnation bound after which a stalled
   // rank is converted into a death (mpisim/runtime.hpp). <= 0 disables.
   double stall_timeout_seconds = 0.0;
@@ -53,12 +48,6 @@ struct RunConfig {
   // switch (mpisim/faults.hpp). Guards OFF is canary-test only.
   mpisim::CorruptionPlan corruption;
   bool integrity_guards = true;
-  // Checkpoint policy (ckpt/snapshot.hpp): enabled when checkpoint.dir is
-  // non-empty. Snapshots are keyed to logical schedule points (phase +
-  // leaf-range cursor), so a resumed run reproduces the uninterrupted
-  // answer to the last bit. Only the bit-deterministic configurations
-  // checkpoint; Engine's route() rejects a checkpoint dir anywhere else.
-  ckpt::CheckpointPolicy checkpoint;
   // Persistent rank-thread pool (mpisim/pool.hpp): non-null routes the
   // distributed run onto resident worker threads (the serving layer's
   // amortized rank setup); null spawns per-run threads as before. Results

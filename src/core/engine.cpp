@@ -72,38 +72,35 @@ Driver route(const RunOptions& options) {
   if (mode != EngineMode::kDistributed) {
     if (owned) reject("distribution", "kOwned needs a distributed run");
     if (balanced) reject("balance", "cross-rank balancing needs a distributed run");
-    if (options.canonical_reduction)
-      reject("canonical_reduction", "the chunk fold needs a distributed run");
     if (options.kill.armed) reject("kill", "a process kill needs a distributed run");
     if (options.checkpoint.enabled())
       reject("checkpoint.dir", "checkpointing needs a distributed run");
     return mode == EngineMode::kSerial ? Driver::kSerial : Driver::kCilk;
   }
 
-  // The canonical chunk fold is defined for one thread per rank over
-  // whole-leaf node chunks; owned halos are planned from interaction lists.
-  if (owned || balanced || options.canonical_reduction) {
-    if (options.threads_per_rank > 1)
-      reject("threads_per_rank",
-             "the canonical chunk fold (balance, canonical_reduction, kOwned) "
-             "runs one thread per rank");
-    if (options.division != WorkDivision::kNodeNode)
-      reject("division",
-             "the canonical chunk fold (balance, canonical_reduction, kOwned) "
-             "needs kNodeNode");
+  // The paper's OCT_MPI shape — one thread per rank over whole-leaf node
+  // chunks — runs the canonical chunk fold; owned halos are planned from
+  // interaction lists.
+  if (options.threads_per_rank <= 1 && options.division == WorkDivision::kNodeNode) {
     if (owned && options.traversal != TraversalMode::kList)
       reject("traversal", "kOwned plans its halos from kList interaction lists");
     return Driver::kCanonical;
   }
 
-  // The legacy static path kills and checkpoints at its chunk boundaries,
-  // which exist only for one thread per rank over whole leaves.
-  const bool chunked =
-      options.threads_per_rank <= 1 && options.division != WorkDivision::kAtomBased;
-  if (!chunked && options.kill.armed)
-    reject("kill", "hybrid ranks and kAtomBased have no kill points");
-  if (!chunked && options.checkpoint.enabled())
-    reject("checkpoint.dir", "hybrid ranks and kAtomBased cannot checkpoint");
+  // Hybrid ranks and the kAtomBased / kNodeBalanced ablations run the
+  // paper's static reduction, which has no chunks to balance, own, kill at
+  // or checkpoint.
+  if (owned || balanced) {
+    if (options.threads_per_rank > 1)
+      reject("threads_per_rank",
+             "the canonical chunk fold (balance, kOwned) runs one thread per rank");
+    reject("division", "the canonical chunk fold (balance, kOwned) needs kNodeNode");
+  }
+  if (options.kill.armed)
+    reject("kill", "hybrid ranks, kAtomBased and kNodeBalanced have no kill points");
+  if (options.checkpoint.enabled())
+    reject("checkpoint.dir",
+           "hybrid ranks, kAtomBased and kNodeBalanced cannot checkpoint");
   return Driver::kDistributed;
 }
 
@@ -132,9 +129,7 @@ RunResult Engine::run(const RunOptions& options) const {
   config.cluster = options.cluster;
   config.division = options.division;
   config.faults = options.faults;
-  config.kill = options.kill;
   config.stall_timeout_seconds = options.stall_timeout_seconds;
-  config.checkpoint = options.checkpoint;
   config.corruption = options.corruption;
   config.integrity_guards = options.integrity_guards;
   config.pool = options.pool;

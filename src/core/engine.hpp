@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
 #include "core/balance.hpp"
 #include "core/drivers.hpp"
 #include "mpisim/runtime.hpp"
@@ -79,14 +80,13 @@ struct RunOptions {
   // on the params the Engine was constructed with).
   TraversalMode traversal = TraversalMode::kList;
 
-  // Cross-rank balancing (core/balance.hpp). Policies other than kStatic run
-  // the canonical chunk-fold driver, which requires threads_per_rank == 1
-  // and division == kNodeNode; route() throws for any other configuration.
-  // kStatic + canonical_reduction routes the STATIC split through the same
-  // canonical fold, giving a 0-ulp baseline for policy A/Bs (plain kStatic
-  // keeps the legacy reduction, whose association differs).
+  // Cross-rank balancing (core/balance.hpp). Every distributed run with one
+  // thread per rank and division == kNodeNode (the paper's OCT_MPI) runs
+  // the canonical chunk-fold driver under every policy, kStatic included, so
+  // all policies agree to the bit. Policies other than kStatic need that
+  // shape; route() throws for any other configuration. The chunk geometry
+  // (balance_chunk_leaves) is also the checkpoint and kill granularity.
   BalancePolicy balance = BalancePolicy::kStatic;
-  bool canonical_reduction = false;
   std::uint32_t balance_chunk_leaves = 0;  // leaves per chunk; 0 = auto
 
   // Data residency (core/workdiv.hpp). kOwned runs the canonical chunk-fold
@@ -97,8 +97,8 @@ struct RunOptions {
   DataDistribution distribution = DataDistribution::kReplicated;
 
   // Fault injection, process kill, stall supervision (mpisim). An armed kill
-  // needs a driver with kill points: route() throws for serial/cilk, hybrid
-  // ranks and kAtomBased.
+  // needs the canonical chunk fold's kill points: route() throws for
+  // serial/cilk, hybrid ranks, kAtomBased and kNodeBalanced.
   mpisim::FaultPlan faults;
   mpisim::KillPlan kill;
   double stall_timeout_seconds = 0.0;
@@ -113,8 +113,8 @@ struct RunOptions {
   bool integrity_guards = true;
 
   // Checkpoint/restart (ckpt/snapshot.hpp); enabled when checkpoint.dir set.
-  // route() throws for the shapes that cannot checkpoint (the same ones that
-  // cannot honour a kill).
+  // Only the canonical chunk fold checkpoints: route() throws for the shapes
+  // that cannot honour a kill.
   ckpt::CheckpointPolicy checkpoint;
 
   // Trajectory preparation reuse (core/incremental.hpp). Consumed by the
@@ -256,9 +256,11 @@ struct RunResult {
 enum class Driver {
   kSerial,       // detail::oct_serial (OCT_SERIAL)
   kCilk,         // detail::oct_cilk (OCT_CILK)
-  kDistributed,  // detail::oct_distributed (OCT_MPI / OCT_MPI+CILK, the
-                 // paper's static split and reduction)
-  kCanonical,    // detail::oct_canonical (chunk fold: balancing, owned data)
+  kDistributed,  // detail::oct_distributed (OCT_MPI+CILK hybrid ranks and
+                 // the kAtomBased / kNodeBalanced ablations: the paper's
+                 // static split and reduction)
+  kCanonical,    // detail::oct_canonical (OCT_MPI: the chunk fold, every
+                 // balance policy, replicated or owned data)
 };
 
 // Engine::run's routing decision, made from the options alone. Resolves

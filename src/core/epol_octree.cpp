@@ -104,7 +104,8 @@ EpolSolver::EpolSolver(const Prepared& prep, std::span<const double> born_sorted
   node_bins_view_ = node_bins_ext;
 }
 
-double EpolSolver::finish_energy_pair(double raw_far, double raw_near) const {
+[[gnu::noinline]] double EpolSolver::finish_energy_pair(double raw_far,
+                                                        double raw_near) const {
   return finish_energy(raw_far) + finish_energy(raw_near);
 }
 
@@ -337,8 +338,10 @@ double EpolSolver::energy_near_range(const InteractionLists& lists, std::size_t 
 }
 
 double EpolSolver::energy_from_lists(const InteractionLists& lists) const {
-  return energy_far_range(lists, 0, lists.far.size()) +
-         energy_near_range(lists, 0, lists.near.size());
+  double raw_far = 0.0, raw_near = 0.0;
+  accumulate_energy_far_range(lists, 0, lists.far.size(), raw_far);
+  accumulate_energy_near_range(lists, 0, lists.near.size(), raw_near);
+  return finish_energy_pair(raw_far, raw_near);
 }
 
 template <bool kApproxMath>

@@ -124,12 +124,13 @@ class EpolSolver {
   void accumulate_energy_near_range(const InteractionLists& lists, std::size_t lo,
                                     std::size_t hi, double& raw) const;
   double finish_energy(double raw) const { return scale_ * raw; }
-  // Two-term finish for the kList drivers (separate far/near raw sums).
-  // Deliberately out of line: the expression scale*far + scale*near is
-  // FMA-contractible, and if it inlined into more than one driver the
-  // compiler could contract one call site but not another, breaking the
-  // bit-equality contract between them. One TU-private instance means one
-  // rounding pattern everywhere.
+  // Two-term finish for every kList energy (separate far/near raw sums):
+  // energy_from_lists, the drivers and the recovery relays all call it.
+  // Deliberately out of line (and noinline, so not even this TU inlines
+  // it): the expression scale*far + scale*near is FMA-contractible, and if
+  // it inlined into more than one call site the compiler could contract one
+  // but not another, breaking the bit-equality contract between them. One
+  // compiled instance means one rounding pattern everywhere.
   double finish_energy_pair(double raw_far, double raw_near) const;
 
   // Atom-based division: contribution of sorted atom slots [atom_lo, atom_hi).

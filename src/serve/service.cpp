@@ -67,8 +67,17 @@ void hash_preparation_params(Hasher& h, const ServeRequest& r) {
   h.add(static_cast<std::uint64_t>(r.params.leaf_capacity));
 }
 
+// Version of the evaluation-key recipe below, hashed first. Bump it
+// whenever the recipe changes or a route starts producing different bits for
+// the same options, so no memo entry or journal stamp written under an older
+// recipe can ever match. Format 2: plain one-thread OCT_MPI runs on the
+// canonical chunk fold, whose answers differ from the legacy reduction's in
+// the last bits, and the run shape lost its chunk-fold opt-in word.
+constexpr std::uint64_t kRequestKeyFormat = 2;
+
 void hash_evaluation_params(Hasher& h, const ServeRequest& r,
                             const RunOptions& run) {
+  h.add(kRequestKeyFormat);
   h.add(static_cast<std::uint64_t>(r.params.radius_kernel));
   h.add(r.params.eps_born);
   h.add(r.params.eps_epol);
@@ -85,7 +94,6 @@ void hash_evaluation_params(Hasher& h, const ServeRequest& r,
   h.add(static_cast<std::uint64_t>(run.division));
   h.add(static_cast<std::uint64_t>(run.traversal));
   h.add(static_cast<std::uint64_t>(run.balance));
-  h.add(static_cast<std::uint64_t>(run.canonical_reduction));
   h.add(static_cast<std::uint64_t>(run.balance_chunk_leaves));
   h.add(static_cast<std::uint64_t>(run.distribution));
   h.add(static_cast<std::uint64_t>(run.integrity_guards));

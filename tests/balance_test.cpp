@@ -252,7 +252,6 @@ class BalancePolicyTest : public ::testing::Test {
   static RunOptions balanced_options(int ranks, BalancePolicy policy) {
     RunOptions options = distributed_options(ranks);
     options.balance = policy;
-    options.canonical_reduction = true;  // kStatic baseline on the same fold
     return options;
   }
 
@@ -339,11 +338,11 @@ TEST_F(BalancePolicyTest, StealResumesBitExactlyAfterKillRestart) {
     RunOptions options = balanced_options(5, BalancePolicy::kSteal);
     options.checkpoint.dir = seed_dir;
     options.checkpoint.every_k_chunks = 1;
-    options.checkpoint.chunk_leaves = 1 + static_cast<std::uint32_t>(seed % 3);
     options.checkpoint.every_n_collectives = 1;
     options.kill.armed = true;
     options.kill.rank = static_cast<int>(seed % 5);
-    options.kill.collective_seq = seed % 2 == 0 ? 0 : 1;  // Born / Epol sync
+    // Born / Epol chunk loops (collective 1 is the radii allgatherv).
+    options.kill.collective_seq = seed % 2 == 0 ? 0 : 2;
     options.kill.tick = 1 + seed;
     const RunResult killed = run(options);
     SCOPED_TRACE("seed=" + std::to_string(seed));

@@ -260,11 +260,15 @@ class CheckpointDriverTest : public ::testing::Test {
     delete mol_;
   }
 
-  static RunOptions base_config(int ranks) {
+  // Plain OCT_MPI on the canonical chunk fold. The chunk geometry is the
+  // kill and snapshot granularity, and it shapes the fold, so each test's
+  // clean reference uses the same chunking as its checkpointed runs.
+  static RunOptions base_config(int ranks, std::uint32_t chunk_leaves) {
     RunOptions config;
     config.mode = EngineMode::kDistributed;
     config.ranks = ranks;
     config.division = WorkDivision::kNodeNode;
+    config.balance_chunk_leaves = chunk_leaves;
     return config;
   }
 
@@ -291,11 +295,10 @@ surface::SurfaceQuadrature* CheckpointDriverTest::quad_ = nullptr;
 Prepared* CheckpointDriverTest::prep_ = nullptr;
 
 TEST_F(CheckpointDriverTest, CheckpointingRunMatchesCleanRunExactly) {
-  const RunResult clean = run(base_config(3));
+  const RunResult clean = run(base_config(3, 4));
   ASSERT_NE(clean.energy, 0.0);
-  RunOptions config = base_config(3);
+  RunOptions config = base_config(3, 4);
   config.checkpoint.dir = fresh_dir("drv_plain");
-  config.checkpoint.chunk_leaves = 4;
   config.checkpoint.every_k_chunks = 2;
   const RunResult ckpt = run(config);
   expect_bit_identical(ckpt, clean);
@@ -305,10 +308,9 @@ TEST_F(CheckpointDriverTest, CheckpointingRunMatchesCleanRunExactly) {
 }
 
 TEST_F(CheckpointDriverTest, KillDuringBornPhaseResumesBitExactly) {
-  const RunResult clean = run(base_config(3));
-  RunOptions config = base_config(3);
+  const RunResult clean = run(base_config(3, 2));
+  RunOptions config = base_config(3, 2);
   config.checkpoint.dir = fresh_dir("drv_kill_born");
-  config.checkpoint.chunk_leaves = 2;
   config.checkpoint.every_k_chunks = 1;
   config.kill = {.armed = true, .rank = 1, .collective_seq = 0, .tick = 3};
   const RunResult killed = run(config);
@@ -327,12 +329,11 @@ TEST_F(CheckpointDriverTest, KillDuringEnergyPhaseResumesBitExactly) {
   for (const TraversalMode traversal :
        {TraversalMode::kList, TraversalMode::kRecursive}) {
     SCOPED_TRACE(traversal == TraversalMode::kList ? "list" : "recursive");
-    const RunResult clean = run(base_config(3), traversal);
-    RunOptions config = base_config(3);
+    const RunResult clean = run(base_config(3, 2), traversal);
+    RunOptions config = base_config(3, 2);
     config.checkpoint.dir = fresh_dir("drv_kill_epol");
-    config.checkpoint.chunk_leaves = 2;
     config.checkpoint.every_k_chunks = 1;
-    // Collective 2 = after the Born allreduce + allgatherv: the E_pol loop.
+    // Collective 2 = after the Born token + radii allgatherv: the E_pol loop.
     config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
     const RunResult killed = run(config, traversal);
     EXPECT_TRUE(killed.killed);
@@ -346,10 +347,9 @@ TEST_F(CheckpointDriverTest, KillDuringEnergyPhaseResumesBitExactly) {
 }
 
 TEST_F(CheckpointDriverTest, CorruptSnapshotsFallBackNeverWrongAnswer) {
-  const RunResult clean = run(base_config(3));
-  RunOptions config = base_config(3);
+  const RunResult clean = run(base_config(3, 2));
+  RunOptions config = base_config(3, 2);
   config.checkpoint.dir = fresh_dir("drv_corrupt");
-  config.checkpoint.chunk_leaves = 2;
   config.checkpoint.every_k_chunks = 1;
   config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
   const RunResult killed = run(config);
@@ -371,7 +371,7 @@ TEST_F(CheckpointDriverTest, CorruptSnapshotsFallBackNeverWrongAnswer) {
 
 TEST_F(CheckpointDriverTest, SnapshotFromAnotherKernelTierIsNeverResumed) {
   // The default tier of this host; the test needs one that differs from SoA.
-  RunOptions config = base_config(3);
+  RunOptions config = base_config(3, 2);
   config.simd = "auto";
   const RunResult clean = run(config);
   const SimdDispatch tier = simd_dispatch();
@@ -379,7 +379,6 @@ TEST_F(CheckpointDriverTest, SnapshotFromAnotherKernelTierIsNeverResumed) {
 
   // Killed mid-E_pol under forced SoA: the store holds SoA chunk partials.
   config.checkpoint.dir = fresh_dir("drv_tier_mix");
-  config.checkpoint.chunk_leaves = 2;
   config.checkpoint.every_k_chunks = 1;
   config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
   config.simd = "off";
@@ -399,9 +398,8 @@ TEST_F(CheckpointDriverTest, SnapshotFromAnotherKernelTierIsNeverResumed) {
 }
 
 TEST_F(CheckpointDriverTest, ResumeAfterCompletionStillExact) {
-  RunOptions config = base_config(2);
+  RunOptions config = base_config(2, 4);
   config.checkpoint.dir = fresh_dir("drv_recomplete");
-  config.checkpoint.chunk_leaves = 4;
   config.checkpoint.every_k_chunks = 1;
   const RunResult first = run(config);
   config.checkpoint.resume = true;

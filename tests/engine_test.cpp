@@ -55,11 +55,10 @@ TEST_F(EngineTest, FactoriesSetTheAdvertisedShape) {
   EXPECT_EQ(dist.ranks, 8);
   EXPECT_EQ(dist.threads_per_rank, 2);
   // The side-channel-free defaults: empty destinations, no faults, static
-  // balance on the legacy reduction.
+  // balance.
   EXPECT_TRUE(dist.trace_out.empty());
   EXPECT_TRUE(dist.campaign_dir.empty());
   EXPECT_EQ(dist.balance, BalancePolicy::kStatic);
-  EXPECT_FALSE(dist.canonical_reduction);
 }
 
 TEST_F(EngineTest, AutoModeRoutesByTopology) {
@@ -130,7 +129,7 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o.traversal = TraversalMode::kRecursive;
   add("owned kRecursive", "traversal", o);
 
-  // Balancing or canonical_reduction outside it.
+  // Balancing outside it.
   o = distributed_options(3, 2);
   o.balance = BalancePolicy::kSteal;
   add("kSteal hybrid", "threads_per_rank", o);
@@ -138,13 +137,6 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o.balance = BalancePolicy::kCostModel;
   o.division = WorkDivision::kAtomBased;
   add("kCostModel kAtomBased", "division", o);
-  o = distributed_options(3, 2);
-  o.canonical_reduction = true;
-  add("canonical_reduction hybrid", "threads_per_rank", o);
-  o = distributed_options(3);
-  o.canonical_reduction = true;
-  o.division = WorkDivision::kNodeBalanced;
-  add("canonical_reduction kNodeBalanced", "division", o);
 
   // Kill or checkpoint on a legacy shape without kill points.
   o = distributed_options(2, 2);
@@ -161,6 +153,14 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o.division = WorkDivision::kAtomBased;
   o.checkpoint.dir = dir;
   add("checkpoint kAtomBased", "checkpoint.dir", o);
+  o = distributed_options(3);
+  o.division = WorkDivision::kNodeBalanced;
+  o.kill.armed = true;
+  add("kill kNodeBalanced", "kill", o);
+  o = distributed_options(3);
+  o.division = WorkDivision::kNodeBalanced;
+  o.checkpoint.dir = dir;
+  add("checkpoint kNodeBalanced", "checkpoint.dir", o);
 
   // Distributed-only fields on the shared-memory modes.
   o = serial_options();
@@ -169,9 +169,6 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o = cilk_options(2);
   o.balance = BalancePolicy::kSteal;
   add("kSteal cilk", "balance", o);
-  o = RunOptions{};  // kAuto resolving to serial
-  o.canonical_reduction = true;
-  add("canonical_reduction auto-serial", "canonical_reduction", o);
   o = cilk_options(2);
   o.kill.armed = true;
   add("kill cilk", "kill", o);
@@ -196,9 +193,9 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
 }
 
 // Every supported shape routes to its driver and runs. The canonical-fold
-// shapes (every policy, canonical_reduction, owned data) agree to the bit;
-// the other list-traversal drivers agree with them to reassociation
-// distance, and cilk's dual-tree recursion to its approximation error.
+// shapes (plain OCT_MPI, every policy, owned data) agree to the bit; the
+// other list-traversal drivers agree with them to reassociation distance,
+// and cilk's dual-tree recursion to its approximation error.
 TEST_F(EngineTest, RouteRunsEverySupportedShape) {
   struct Supported {
     const char* label;
@@ -213,15 +210,16 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
   add("serial", Driver::kSerial, serial_options());
   add("cilk", Driver::kCilk, cilk_options(2));
   add("2x2 hybrid", Driver::kDistributed, distributed_options(2, 2));
-  add("1-thread kStatic replicated", Driver::kDistributed, distributed_options(3));
+  o = distributed_options(3);
+  o.division = WorkDivision::kNodeBalanced;
+  add("kNodeBalanced", Driver::kDistributed, o);
+  const RunOptions canonical_options = distributed_options(3);
+  add("1-thread kStatic replicated", Driver::kCanonical, canonical_options);
   o = distributed_options(3);
   o.balance = BalancePolicy::kCostModel;
   add("kCostModel replicated", Driver::kCanonical, o);
   o.balance = BalancePolicy::kSteal;
   add("kSteal replicated", Driver::kCanonical, o);
-  RunOptions canonical_options = distributed_options(3);
-  canonical_options.canonical_reduction = true;
-  add("canonical_reduction", Driver::kCanonical, canonical_options);
   for (const BalancePolicy policy :
        {BalancePolicy::kStatic, BalancePolicy::kCostModel, BalancePolicy::kSteal}) {
     o = distributed_options(3);
@@ -246,6 +244,27 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
       EXPECT_EQ(r.energy, canonical.energy);
       EXPECT_EQ(r.born_sorted, canonical.born_sorted);
     }
+  }
+
+  // Plain OCT_MPI is the canonical fold at every rank count: bit-identical
+  // to both balance policies and to owned data at the same P.
+  for (const int ranks : {1, 3, 5, 8}) {
+    const RunResult plain = engine.run(distributed_options(ranks));
+    for (const BalancePolicy policy : {BalancePolicy::kCostModel, BalancePolicy::kSteal}) {
+      o = distributed_options(ranks);
+      o.balance = policy;
+      const RunResult r = engine.run(o);
+      SCOPED_TRACE("P=" + std::to_string(ranks) +
+                   " balance=" + std::to_string(static_cast<int>(policy)));
+      EXPECT_EQ(r.energy, plain.energy);
+      EXPECT_EQ(r.born_sorted, plain.born_sorted);
+    }
+    o = distributed_options(ranks);
+    o.distribution = DataDistribution::kOwned;
+    const RunResult owned = engine.run(o);
+    SCOPED_TRACE("P=" + std::to_string(ranks) + " owned");
+    EXPECT_EQ(owned.energy, plain.energy);
+    EXPECT_EQ(owned.born_sorted, plain.born_sorted);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "molecule/generate.hpp"
 #include "mpisim/runtime.hpp"
 #include "surface/quadrature.hpp"
+#include "test_helpers.hpp"
 
 namespace gbpol {
 namespace {
@@ -286,10 +287,31 @@ surface::SurfaceQuadrature* FaultedDriverTest::quad_ = nullptr;
 Prepared* FaultedDriverTest::prep_ = nullptr;
 
 TEST_F(FaultedDriverTest, DeathAtEachCollectiveRecoversBitExactly) {
-  const RunResult clean = run(4, {});
+  // The relay chains of the paper's static reduction, which the
+  // kNodeBalanced ablation still runs.
+  const WorkDivision division = WorkDivision::kNodeBalanced;
+  const RunResult clean = run(4, {}, TraversalMode::kList, division);
   ASSERT_NE(clean.energy, 0.0);
   // Kill rank 2 at each of the driver's three collectives in turn:
   // 0 = Born allreduce, 1 = Born-radius allgatherv, 2 = energy reduce.
+  for (const std::uint64_t seq : {0u, 1u, 2u}) {
+    FaultPlan plan;
+    plan.deaths.push_back({.rank = 2, .collective_seq = seq});
+    const RunResult faulty = run(4, plan, TraversalMode::kList, division);
+    SCOPED_TRACE("death at collective " + std::to_string(seq));
+    expect_bit_identical(faulty, clean);
+    EXPECT_TRUE(faulty.degraded);
+    EXPECT_GE(faulty.retries, 3u);  // every survivor aborted at least once
+    EXPECT_GT(faulty.redistributed_work_items, 0u);
+  }
+}
+
+TEST_F(FaultedDriverTest, DeathAtEachCollectiveRecoversBitExactlyOnTheChunkFold) {
+  // Plain OCT_MPI runs the canonical chunk fold: survivors recompute the
+  // dead rank's orphaned chunks and the writer proxies its radii.
+  const RunResult clean = run(4, {});
+  ASSERT_NE(clean.energy, 0.0);
+  // 0 = Born token, 1 = radii allgatherv, 2 = E_pol token.
   for (const std::uint64_t seq : {0u, 1u, 2u}) {
     FaultPlan plan;
     plan.deaths.push_back({.rank = 2, .collective_seq = seq});
@@ -297,8 +319,8 @@ TEST_F(FaultedDriverTest, DeathAtEachCollectiveRecoversBitExactly) {
     SCOPED_TRACE("death at collective " + std::to_string(seq));
     expect_bit_identical(faulty, clean);
     EXPECT_TRUE(faulty.degraded);
-    EXPECT_GE(faulty.retries, 3u);  // every survivor aborted at least once
-    EXPECT_GT(faulty.redistributed_work_items, 0u);
+    EXPECT_EQ(faulty.redistributed_work_items,
+              testing::canonical_death_redistribution(*prep_, 4, 2, seq));
   }
 }
 

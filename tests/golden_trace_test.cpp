@@ -65,6 +65,8 @@ TEST_F(GoldenTraceTest, PlannedFaultsAppearExactlyInTrace) {
   ApproxParams params;
   RunOptions config;
   config.ranks = 3;
+  // The relay chains of the paper's static reduction (kNodeBalanced).
+  config.division = WorkDivision::kNodeBalanced;
   config.faults.deaths.push_back({/*rank=*/2, /*collective_seq=*/0});
   // First rank0 -> rank1 send is the Born recovery relay hand-off; losing
   // its first two copies forces exactly two retransmit rounds at rank 1.
@@ -107,9 +109,41 @@ TEST_F(GoldenTraceTest, PlannedFaultsAppearExactlyInTrace) {
   }
 }
 
+// The chunk-fold twin: plain OCT_MPI has no p2p traffic to drop, so a death
+// at each of its collectives (0 = Born token, 1 = radii allgatherv, 2 = E_pol
+// token) shows up as exactly that one death, and the answer is unchanged.
+TEST_F(GoldenTraceTest, PlannedDeathsAppearExactlyInTraceOnTheChunkFold) {
+  ApproxParams params;
+  RunOptions clean;
+  clean.mode = EngineMode::kDistributed;
+  clean.ranks = 3;
+  const RunResult reference = Engine(fix().prep, params, GBConstants{}).run(clean);
+  for (const std::uint64_t seq : {0u, 1u, 2u}) {
+    RunOptions config = clean;
+    config.faults.deaths.push_back({/*rank=*/2, /*collective_seq=*/seq});
+    const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
+    SCOPED_TRACE("death at collective " + std::to_string(seq));
+
+    const auto deaths = events_of(run.trace, obs::EventKind::kDeath);
+    ASSERT_EQ(deaths.size(), 1u);
+    EXPECT_EQ(deaths[0].rank, 2);
+    EXPECT_EQ(deaths[0].a, seq);
+    EXPECT_EQ(deaths[0].arg,
+              static_cast<std::uint8_t>(obs::DeathCause::kScheduled));
+    EXPECT_TRUE(events_of(run.trace, obs::EventKind::kRetransmit).empty());
+
+    EXPECT_TRUE(run.result.degraded);
+    EXPECT_EQ(run.result.energy, reference.energy);
+    EXPECT_EQ(run.result.born_sorted, reference.born_sorted);
+    EXPECT_EQ(run.result.redistributed_work_items,
+              testing::canonical_death_redistribution(fix().prep, 3, 2, seq));
+  }
+}
+
 // The canonical collective sequence is a function of the distribution mode:
-// replicated canonical runs two token allreduces; owned mode adds the exact
-// Born-extrema min-allreduce and the leaf-row allgatherv. Every rank's main
+// replicated runs the two token allreduces around the radii allgatherv;
+// owned mode replaces the allgatherv with the exact Born-extrema
+// min-allreduce and the leaf-row allgatherv. Every rank's main
 // stream must show exactly the expected kinds, in order, fault-free.
 TEST_F(GoldenTraceTest, CollectiveKindSequenceMatchesDistributionMode) {
   for (const DataDistribution dist :
@@ -117,7 +151,6 @@ TEST_F(GoldenTraceTest, CollectiveKindSequenceMatchesDistributionMode) {
     ApproxParams params;
     RunOptions config;
     config.ranks = 4;
-    config.canonical_reduction = true;
     config.distribution = dist;
     const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
     SCOPED_TRACE(dist == DataDistribution::kOwned ? "owned" : "replicated");
@@ -141,7 +174,6 @@ TEST_F(GoldenTraceTest, OwnedFaultFreeReplayIsBitIdentical) {
   ApproxParams params;
   RunOptions config;
   config.ranks = 4;
-  config.canonical_reduction = true;
   config.distribution = DataDistribution::kOwned;
   const TracedRun a = run_traced(fix().prep, params, GBConstants{}, config);
   const TracedRun b = run_traced(fix().prep, params, GBConstants{}, config);
@@ -161,7 +193,6 @@ TEST_F(GoldenTraceTest, OwnedFaultedReplayIsBitIdenticalAndExact) {
   RunOptions clean;
   clean.mode = EngineMode::kDistributed;
   clean.ranks = 3;
-  clean.canonical_reduction = true;
   const RunResult replicated =
       Engine(fix().prep, params, GBConstants{}).run(clean);
 
@@ -185,7 +216,6 @@ TEST_F(GoldenTraceTest, OwnedHaloEventsMatchByteMetrics) {
   ApproxParams params;
   RunOptions config;
   config.ranks = kRanks;
-  config.canonical_reduction = true;
   config.distribution = DataDistribution::kOwned;
   const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
   ASSERT_GT(run.result.owned_bytes_per_rank, 0u);

@@ -121,15 +121,13 @@ TEST(IncrementalDifferential, SerialWithResurfaceCadence) {
 }
 
 TEST(IncrementalDifferential, DistributedReplicated) {
-  RunOptions base = distributed_options(3);
-  base.canonical_reduction = true;
+  const RunOptions base = distributed_options(3);
   differential_battery(kGolden[0], base, 4);
   differential_battery(kGolden[1], base, 4);
 }
 
 TEST(IncrementalDifferential, OwnedMode) {
   RunOptions base = distributed_options(3);
-  base.canonical_reduction = true;
   base.distribution = DataDistribution::kOwned;
   differential_battery(kGolden[0], base, 4);
   differential_battery(kGolden[2], base, 3);
@@ -163,8 +161,7 @@ TEST(IncrementalDifferential, SerialVsReplicatedEnergies) {
   const Molecule mol = molgen::synthetic_protein(400, 21);
   TrajectoryDriver serial_driver(mol);
   TrajectoryDriver dist_driver(mol);
-  RunOptions dist = distributed_options(3);
-  dist.canonical_reduction = true;
+  const RunOptions dist = distributed_options(3);
 
   std::vector<Vec3> pos = initial_positions(mol);
   std::uint64_t rng = 99;

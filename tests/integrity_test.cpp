@@ -223,14 +223,13 @@ class IntegrityDriverTest : public ::testing::Test {
     delete mol_;
   }
 
-  // Canonical chunk-fold, replicated data: kStatic routed through the
-  // canonical reduction so corrupted and clean runs share the fold order.
+  // Canonical chunk-fold, replicated data: corrupted and clean runs share
+  // the fold order.
   static RunOptions balanced_config(int ranks) {
     RunOptions config;
     config.mode = EngineMode::kDistributed;
     config.ranks = ranks;
     config.division = WorkDivision::kNodeNode;
-    config.canonical_reduction = true;
     config.balance_chunk_leaves = 2;
     return config;
   }
@@ -239,7 +238,6 @@ class IntegrityDriverTest : public ::testing::Test {
   // gather run through the checksummed p2p framing.
   static RunOptions owned_config(int ranks) {
     RunOptions config = balanced_config(ranks);
-    config.canonical_reduction = false;
     config.distribution = DataDistribution::kOwned;
     return config;
   }

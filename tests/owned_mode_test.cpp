@@ -37,11 +37,8 @@ Prepared build_prep(const Golden& g) {
   return Prepared::build(mol, quad, 16);
 }
 
-RunOptions replicated_options(int ranks) {
-  RunOptions options = distributed_options(ranks);
-  options.canonical_reduction = true;  // the chunk-fold baseline
-  return options;
-}
+// Plain OCT_MPI: the replicated chunk-fold baseline.
+RunOptions replicated_options(int ranks) { return distributed_options(ranks); }
 
 RunOptions owned_options(int ranks) {
   RunOptions options = replicated_options(ranks);
@@ -193,7 +190,6 @@ TEST(OwnedModeTest, ResumesBitExactlyAfterKillRestart) {
     RunOptions options = owned_options(ranks);
     options.checkpoint.dir = dir;
     options.checkpoint.every_k_chunks = 1;
-    options.checkpoint.chunk_leaves = 1 + static_cast<std::uint32_t>(seed % 3);
     options.checkpoint.every_n_collectives = 1;
     options.kill.armed = true;
     options.kill.rank = static_cast<int>(seed % ranks);

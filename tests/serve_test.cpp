@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/journal.hpp"
 #include "core/incremental.hpp"
 #include "molecule/generate.hpp"
 #include "obs/trace.hpp"
@@ -382,6 +383,61 @@ TEST(ServeTest, JournalReplayRejectsASameIdRequestWithDifferentContent) {
   EXPECT_EQ(replay.path, ServePath::kReplayed);
   const RunResult ftwin = direct_cold(make_request(first_mol), options.run);
   EXPECT_EQ(replay.result.energy, ftwin.energy);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServeTest, JournalEntryWithAnOldFormatRequestKeyIsRecomputed) {
+  // Request keys carry a format word. A journal written under the previous
+  // format — when plain OCT_MPI still ran the legacy reduction, whose bits
+  // differ from the canonical chunk fold's — must never answer a request
+  // now: its entries are recomputed, not honoured.
+  //
+  // The request_key the previous format stamped for exactly this request
+  // (id "legacy", synthetic_protein(90, 73), run = distributed_options(3),
+  // default ServiceOptions otherwise).
+  constexpr char kOldFormatKey[] = "4046dc03f68efb89";
+  const std::string dir = temp_dir("oldkey");
+  const Molecule mol = molgen::synthetic_protein(90, 73);
+  ServiceOptions options;
+  options.campaign_dir = dir;
+  options.delta_routing = false;
+  options.run = distributed_options(3);
+  const RunResult twin = direct_cold(make_request(mol), options.run);
+  {
+    Service service(options);
+    (void)service.serve(make_request(mol, "legacy"));
+  }
+
+  // Restamp the journaled answer as an old-format entry holding a wrong
+  // energy, which a replay would hand back verbatim.
+  const std::string path = dir + "/service.journal";
+  std::vector<ckpt::JournalRecord> records = ckpt::Journal::replay_file(path);
+  std::filesystem::remove(path);
+  {
+    ckpt::Journal journal(path);
+    bool stamped = false;
+    for (ckpt::JournalRecord record : records) {
+      if (record.state == ckpt::JobState::kDone && record.job == "legacy") {
+        RunResult stale = twin;
+        stale.energy += 1.0;
+        obs::json::Value doc = run_result_to_json(stale, record.job);
+        doc.as_object().emplace_back("request_key",
+                                     obs::json::Value(std::string(kOldFormatKey)));
+        record.detail = doc.dump();
+        stamped = true;
+      }
+      journal.append(std::move(record));
+    }
+    ASSERT_TRUE(stamped);
+  }
+
+  Service restarted(options);
+  const ServeResult r = restarted.serve(make_request(mol, "legacy"));
+  EXPECT_NE(r.path, ServePath::kReplayed);
+  EXPECT_FALSE(r.from_journal);
+  EXPECT_EQ(restarted.stats().replay_rejected, 1u);
+  EXPECT_EQ(r.result.energy, twin.energy);
+  EXPECT_EQ(r.result.born_sorted, twin.born_sorted);
   std::filesystem::remove_all(dir);
 }
 

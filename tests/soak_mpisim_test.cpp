@@ -124,15 +124,16 @@ TEST_F(SoakMpisimTest, DeathHeavySchedulesRecoverBitExactly) {
 // rank, collective phase, poll tick) with seeded checkpoint cadence, then
 // restarts with resume enabled. Whether the kill fired, and whether the
 // restart resumed from snapshots or fell back to a cold start, the final
-// answer must equal the uninterrupted run to the last bit.
+// answer must equal the uninterrupted run at the same chunk granularity to
+// the last bit (the chunk fold changes with the boundaries, so each
+// granularity has its own reference).
 TEST_F(SoakMpisimTest, KillAndRestartSchedulesResumeBitExactly) {
   constexpr int kSeedsPerRankCount = 18;
   const std::string base =
       ::testing::TempDir() + "/gbpol_soak_ckpt_" + std::to_string(::getpid());
 
   for (const int ranks : {3, 5, 8}) {
-    const RunResult clean = run(ranks, {});
-    ASSERT_NE(clean.energy, 0.0);
+    std::map<std::uint32_t, RunResult> references;
     for (int s = 0; s < kSeedsPerRankCount; ++s) {
       const std::uint64_t seed =
           static_cast<std::uint64_t>(ranks) * 100 + static_cast<std::uint64_t>(s);
@@ -142,9 +143,17 @@ TEST_F(SoakMpisimTest, KillAndRestartSchedulesResumeBitExactly) {
       RunOptions config;
       config.mode = EngineMode::kDistributed;
       config.ranks = ranks;
+      config.balance_chunk_leaves = 1 + static_cast<std::uint32_t>(seed % 4);
+      auto reference = references.find(config.balance_chunk_leaves);
+      if (reference == references.end()) {
+        RunResult clean = Engine(*prep_, ApproxParams{}, GBConstants{}).run(config);
+        ASSERT_NE(clean.energy, 0.0);
+        reference =
+            references.emplace(config.balance_chunk_leaves, std::move(clean)).first;
+      }
+      const RunResult& clean = reference->second;
       config.checkpoint.dir = dir;
       config.checkpoint.every_k_chunks = 1 + static_cast<std::uint32_t>(seed % 2);
-      config.checkpoint.chunk_leaves = 1 + static_cast<std::uint32_t>(seed % 4);
       config.checkpoint.every_n_collectives = 1;
       config.kill.armed = true;
       config.kill.rank = static_cast<int>(seed % static_cast<std::uint64_t>(ranks));
@@ -220,8 +229,8 @@ TEST_F(SoakMpisimTest, CascadingDeathDuringRecoveryStaysBitExact) {
 TEST_F(SoakMpisimTest, StealSchedulesMatchCanonicalStaticBitExactly) {
   constexpr int kSeedsPerRankCount = 30;
   for (const int ranks : {3, 5, 8}) {
-    // kStatic + canonical_reduction baseline per chunk granularity (the
-    // fold changes with the boundaries, so each granularity has its own).
+    // Plain kStatic baseline per chunk granularity (the fold changes with
+    // the boundaries, so each granularity has its own).
     std::map<std::uint32_t, RunResult> baselines;
     for (int s = 0; s < kSeedsPerRankCount; ++s) {
       const std::uint64_t seed =
@@ -235,8 +244,9 @@ TEST_F(SoakMpisimTest, StealSchedulesMatchCanonicalStaticBitExactly) {
           s % 5 == 4 ? BalancePolicy::kCostModel : BalancePolicy::kSteal;
       options.balance_chunk_leaves = chunk_leaves;
       if (s % 3 == 0) {
-        // The balanced path always reaches collective_seq 0 and 1 (the Born
-        // and Epol phase syncs), so these deaths are guaranteed to fire.
+        // The replicated chunk fold always reaches collective_seq 0 and 1
+        // (the Born phase sync and the radii allgatherv), so these deaths
+        // are guaranteed to fire.
         options.faults.deaths.push_back(
             {.rank = static_cast<int>(seed % static_cast<std::uint64_t>(ranks)),
              .collective_seq = seed % 2});
@@ -247,7 +257,6 @@ TEST_F(SoakMpisimTest, StealSchedulesMatchCanonicalStaticBitExactly) {
         RunOptions canonical;
         canonical.mode = EngineMode::kDistributed;
         canonical.ranks = ranks;
-        canonical.canonical_reduction = true;  // kStatic on the same fold
         canonical.balance_chunk_leaves = chunk_leaves;
         RunResult clean =
             Engine(*prep_, ApproxParams{}, GBConstants{}).run(canonical);
@@ -313,7 +322,6 @@ TEST_F(SoakMpisimTest, OwnedSchedulesMatchReplicatedCanonicalBitExactly) {
         RunOptions canonical;
         canonical.mode = EngineMode::kDistributed;
         canonical.ranks = ranks;
-        canonical.canonical_reduction = true;  // replicated kStatic fold
         canonical.balance_chunk_leaves = chunk_leaves;
         RunResult clean =
             Engine(*prep_, ApproxParams{}, GBConstants{}).run(canonical);
@@ -360,10 +368,7 @@ TEST_F(SoakMpisimTest, RandomCorruptionSchedulesRecoverBitExactly) {
       base.mode = EngineMode::kDistributed;
       base.ranks = ranks;
       base.balance_chunk_leaves = 2;
-      if (owned)
-        base.distribution = DataDistribution::kOwned;
-      else
-        base.canonical_reduction = true;  // kStatic on the canonical fold
+      if (owned) base.distribution = DataDistribution::kOwned;
       const RunResult clean =
           Engine(*prep_, ApproxParams{}, GBConstants{}).run(base);
       ASSERT_NE(clean.energy, 0.0);

@@ -2,6 +2,8 @@
 // surface quadratures and Prepared octrees.
 #pragma once
 
+#include "core/balance.hpp"
+#include "core/halo_exchange.hpp"
 #include "core/naive.hpp"
 #include "core/prepared.hpp"
 #include "molecule/generate.hpp"
@@ -40,6 +42,26 @@ inline std::vector<double> naive_born_sorted(const Fixture& f) {
   for (std::size_t slot = 0; slot < sorted.size(); ++slot)
     sorted[slot] = f.naive_born[f.prep.atoms_tree.permutation()[slot]];
   return sorted;
+}
+
+// Work items a plain OCT_MPI run (the canonical chunk fold: kStatic,
+// default chunking, replicated data) redistributes when rank `dead` dies at
+// collective `seq` (0 = Born token, 1 = radii allgatherv, 2 = E_pol token).
+// Deaths fire at collective entry, so the dead rank's Born chunks are
+// already published; the writer reconstructs its atom slice for the radii
+// allgatherv and the survivors recompute its E_pol chunks (one item per
+// atom and per atom-tree leaf). A death at the E_pol token orphans nothing.
+inline std::uint64_t canonical_death_redistribution(const Prepared& prep,
+                                                    int ranks, int dead,
+                                                    std::uint64_t seq) {
+  if (seq >= 2) return 0;
+  const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
+  const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
+  const OwnershipMap own = make_ownership_map(prep, ranks,
+                                              make_chunk_plan(n_qleaves, ranks, 0),
+                                              make_chunk_plan(n_aleaves, ranks, 0));
+  const OwnershipMap::RankSpan& span = own.ranks[static_cast<std::size_t>(dead)];
+  return span.atoms.count() + span.atom_leaves.count();
 }
 
 }  // namespace gbpol::testing

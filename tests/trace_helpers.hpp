@@ -45,9 +45,9 @@ inline std::vector<obs::Event> events_of(const obs::Trace& trace,
 // Fault-free collective-enter CollKind sequence a surviving rank emits on
 // the canonical chunk-fold drivers, keyed by distribution mode. Cost-only
 // accounting (Comm::charge_collective) emits no enter events, so these are
-// the REAL collectives only: the replicated canonical driver runs the Born
-// and Epol phase-sync token allreduces; owned mode inserts the exact
-// Born-extrema min-allreduce and the owned-leaf-row allgatherv between them.
+// the REAL collectives only: the Born and Epol phase-sync token allreduces,
+// with the replicated radii allgatherv between them — or, owned, the exact
+// Born-extrema min-allreduce and the owned-leaf-row allgatherv.
 inline std::vector<obs::CollKind> expected_collective_kinds(DataDistribution d) {
   using obs::CollKind;
   if (d == DataDistribution::kOwned)
@@ -55,7 +55,9 @@ inline std::vector<obs::CollKind> expected_collective_kinds(DataDistribution d) 
             CollKind::kAllreduce,    // Born extrema (allreduce_min pair)
             CollKind::kAllgatherv,   // owned leaf bin rows
             CollKind::kAllreduce};   // Epol phase sync
-  return {CollKind::kAllreduce, CollKind::kAllreduce};
+  return {CollKind::kAllreduce,      // Born phase sync
+          CollKind::kAllgatherv,     // pushed Born radii
+          CollKind::kAllreduce};     // Epol phase sync
 }
 
 // The observed enter-kind sequence of one stream (empty for worker streams,
