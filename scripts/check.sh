@@ -61,12 +61,14 @@ fi
 
 echo "=== grep gate: superseded distributed paths stay deleted ==="
 # One canonical chunk-fold driver (detail::oct_canonical) serves replicated
-# and owned data, and plain OCT_MPI runs on it, so the canonical_reduction
-# opt-in and the legacy checkpoint chunking (checkpoint.chunk_leaves) are
-# gone; DataDistribution::kOwned replaced the ghost-exchange prototype and
-# BalancePolicy::kSteal replaced the shared-counter kDynamic division with
-# its RPC charge. None of them may come back.
-if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves' \
+# and owned data, and plain OCT_MPI and hybrid OCT_MPI+CILK run on it, so the
+# canonical_reduction opt-in, the legacy checkpoint chunking
+# (checkpoint.chunk_leaves) and the hybrid driver's parallel list builders
+# and list grain are gone; DataDistribution::kOwned replaced the
+# ghost-exchange prototype and BalancePolicy::kSteal replaced the
+# shared-counter kDynamic division with its RPC charge. None of them may
+# come back.
+if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves|build_lists_parallel|build_interaction_lists_parallel|list_grain' \
     src bench tests examples 2>/dev/null; then
   echo "check.sh: superseded distributed path found in-tree (use Engine::run; route() picks oct_distributed or oct_canonical)" >&2
   exit 1

@@ -7,15 +7,16 @@
 
 namespace gbpol {
 
-ChunkPlan make_chunk_plan(std::uint32_t n_items, int ranks,
+ChunkPlan make_chunk_plan(std::uint32_t n_items, int workers,
                           std::uint32_t chunk_items) {
   ChunkPlan plan;
   plan.n_items = n_items;
   if (chunk_items == 0) {
-    // Auto: a handful of chunks per rank so stealing has granularity to work
-    // with, derived only from the job shape (policy-independent).
+    // Auto: a handful of chunks per worker thread so stealing (across ranks
+    // and inside a hybrid rank's pool) has granularity to work with, derived
+    // only from the job shape (policy-independent).
     const std::uint32_t parts =
-        8u * static_cast<std::uint32_t>(std::max(1, ranks));
+        8u * static_cast<std::uint32_t>(std::max(1, workers));
     chunk_items = (n_items + parts - 1) / parts;
   }
   plan.chunk_items = std::max<std::uint32_t>(1, chunk_items);

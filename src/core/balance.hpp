@@ -33,8 +33,9 @@ namespace gbpol {
 
 // Policy-independent chunk geometry: chunks of `chunk_items` consecutive
 // items (the last chunk may be short). `chunk_items == 0` picks
-// ceil(n / (8 * ranks)) — a few chunks per rank, derived only from the job
-// shape so every policy agrees on the boundaries.
+// ceil(n / (8 * workers)) — a few chunks per worker thread (ranks x
+// threads_per_rank), derived only from the job shape so every policy agrees
+// on the boundaries, and P x p and (P*p) x 1 runs cut identical chunks.
 struct ChunkPlan {
   std::uint32_t n_items = 0;
   std::uint32_t chunk_items = 1;
@@ -47,7 +48,7 @@ struct ChunkPlan {
   }
 };
 
-ChunkPlan make_chunk_plan(std::uint32_t n_items, int ranks,
+ChunkPlan make_chunk_plan(std::uint32_t n_items, int workers,
                           std::uint32_t chunk_items);
 
 // Per-chunk cost estimates from exact per-leaf work counts (one entry per

@@ -162,19 +162,6 @@ InteractionLists BornSolver::build_lists(std::uint32_t q_leaf_lo,
   return lists;
 }
 
-InteractionLists BornSolver::build_lists_parallel(ws::Scheduler& sched,
-                                                  std::uint32_t q_leaf_lo,
-                                                  std::uint32_t q_leaf_hi) const {
-  InteractionLists lists = build_interaction_lists_parallel(
-      sched, prep_->atoms_tree, prep_->q_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = false,
-       .source_leaf_lo = q_leaf_lo,
-       .source_leaf_hi = q_leaf_hi});
-  lists.build_tiles(prep_->atoms_tree, prep_->q_tree, kBornTileCost);
-  return lists;
-}
-
 template <int Power, bool Dipole>
 void BornSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
                                 std::size_t hi, BornAccumulator& acc) const {

@@ -81,11 +81,9 @@ class BornSolver {
   // accumulate_qleaf_range into flat near/far lists; evaluation then runs as
   // chunked loops over the lists with batched SoA near kernels.
   InteractionLists build_lists(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi) const;
-  InteractionLists build_lists_parallel(ws::Scheduler& sched, std::uint32_t q_leaf_lo,
-                                        std::uint32_t q_leaf_hi) const;
-  // Far / near list segments [lo, hi) — chunkable by any parallel_for; far
-  // entries write node_s, near entries write atom_s, so chunks of the SAME
-  // list on distinct accumulators merge without double counting.
+  // Far / near list segments [lo, hi). Far entries write node_s, near
+  // entries write atom_s, so segments of the SAME list on distinct
+  // accumulators merge without double counting.
   void accumulate_far_range(const InteractionLists& lists, std::size_t lo,
                             std::size_t hi, BornAccumulator& acc) const;
   void accumulate_near_range(const InteractionLists& lists, std::size_t lo,

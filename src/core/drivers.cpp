@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -69,14 +70,6 @@ std::vector<PairTask> expand_pair_frontier(const Octree& tree_a, const Octree& t
   return terminal;
 }
 
-// Chunk grain for flat loops over interaction lists: ~64 chunks per worker
-// gives the stealing scheduler slack without per-entry task overhead. This is
-// the granularity fix the list engine buys — the recursive engine could only
-// parallelize over source leaves.
-std::size_t list_grain(std::size_t size, int workers) {
-  return std::max<std::size_t>(1, size / (64 * static_cast<std::size_t>(workers)));
-}
-
 // Tag bases for the degraded-mode recovery chains; + dead rank id
 // disambiguates concurrent recoveries of different ranks.
 constexpr int kTagBornChain = 9000;
@@ -107,23 +100,86 @@ int index_of(const std::vector<int>& live, int rank) {
                           live.begin());
 }
 
+// One leaf range of each phase under either traversal engine: the list
+// engine's build + far + near, or the recursive walk. E_pol leaves raw
+// (unscaled) sums — {far, near} under kList, {total, 0} under kRecursive —
+// that finish_epol scales once.
+void accumulate_born(const BornSolver& solver, TraversalMode traversal, Segment leaves,
+                     BornAccumulator& acc) {
+  if (traversal == TraversalMode::kList)
+    solver.accumulate_lists(solver.build_lists(leaves.lo, leaves.hi), acc);
+  else
+    solver.accumulate_qleaf_range(leaves.lo, leaves.hi, acc);
+}
+
+void accumulate_epol(const EpolSolver& solver, TraversalMode traversal, Segment leaves,
+                     double* raws) {
+  if (traversal != TraversalMode::kList) {
+    solver.accumulate_energy_leaf_range(leaves.lo, leaves.hi, raws[0]);
+    return;
+  }
+  const InteractionLists lists = solver.build_lists(leaves.lo, leaves.hi);
+  solver.accumulate_energy_far_range(lists, 0, lists.far.size(), raws[0]);
+  solver.accumulate_energy_near_range(lists, 0, lists.near.size(), raws[1]);
+}
+
+double finish_epol(const EpolSolver& solver, TraversalMode traversal, const double* raws) {
+  return traversal == TraversalMode::kList ? solver.finish_energy_pair(raws[0], raws[1])
+                                           : solver.finish_energy(raws[0]);
+}
+
+double epol_energy(const EpolSolver& solver, TraversalMode traversal, Segment leaves) {
+  double raws[2] = {0.0, 0.0};
+  accumulate_epol(solver, traversal, leaves, raws);
+  return finish_epol(solver, traversal, raws);
+}
+
+// A recovering survivor's share of the dead executors' chunks: every
+// `parts`-th of them (a plan-derived list, identical on every survivor),
+// from slot `my`, minus the chunks already published — a rank dying at a
+// collective entry has published its current-phase chunks.
+std::vector<std::uint32_t> recovery_stripe(const std::vector<int>& executor,
+                                           const std::vector<int>& dead, int my,
+                                           int parts, const ChunkLedger& ledger) {
+  std::vector<std::uint32_t> orphans;
+  for (std::uint32_t c = 0; c < executor.size(); ++c)
+    if (std::binary_search(dead.begin(), dead.end(), executor[c])) orphans.push_back(c);
+  std::vector<std::uint32_t> stripe;
+  for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
+       i += static_cast<std::size_t>(parts))
+    if (!ledger.done(orphans[i])) stripe.push_back(orphans[i]);
+  return stripe;
+}
+
+// Makespan of `seconds`, in order, greedily list-scheduled over p workers:
+// each next chunk goes to the worker that frees up first.
+double list_schedule_makespan(std::span<const double> seconds, int p) {
+  std::vector<double> free_at(static_cast<std::size_t>(p), 0.0);
+  for (const double s : seconds) *std::min_element(free_at.begin(), free_at.end()) += s;
+  return *std::max_element(free_at.begin(), free_at.end());
+}
+
 // Wraps one unit of dispatched work in kChunkDispatch/kChunkDone events plus
 // service-time accounting. The session check keeps the un-traced hot path
-// free of even the clock reads.
+// free of even the clock reads. Returns the service nanoseconds (0 when
+// untraced); with `record` false the caller records them instead — a pool
+// worker's caller does, because a rank's metrics slot has one writer, the
+// rank thread.
 template <typename Body>
-void traced_chunk(std::uint64_t lo, std::uint64_t hi, obs::PhaseId phase,
-                  Body&& body) {
+std::uint64_t traced_chunk(std::uint64_t lo, std::uint64_t hi, obs::PhaseId phase,
+                           Body&& body, bool record = true) {
   if (!obs::session_active()) {
     body();
-    return;
+    return 0;
   }
   const auto arg = static_cast<std::uint8_t>(phase);
   obs::emit(obs::EventKind::kChunkDispatch, lo, hi, arg);
   WallTimer timer;
   body();
-  obs::add_chunk_service(obs::current_rank(),
-                         static_cast<std::uint64_t>(timer.seconds() * 1e9));
+  const auto ns = static_cast<std::uint64_t>(timer.seconds() * 1e9);
+  if (record) obs::add_chunk_service(obs::current_rank(), ns);
   obs::emit(obs::EventKind::kChunkDone, lo, hi, arg);
+  return ns;
 }
 
 // Phase bracket for pool phases: returns max-over-workers busy seconds.
@@ -215,12 +271,7 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
   const BornSolver born_solver(prep, params);
   BornAccumulator acc = born_solver.make_accumulator();
   const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
-  if (params.traversal == TraversalMode::kList) {
-    const InteractionLists lists = born_solver.build_lists(0, n_qleaves);
-    born_solver.accumulate_lists(lists, acc);
-  } else {
-    born_solver.accumulate_qleaf_range(0, n_qleaves, acc);
-  }
+  accumulate_born(born_solver, params.traversal, {0, n_qleaves}, acc);
 
   result.born_sorted.assign(prep.num_atoms(), 0.0);
   born_solver.push_to_atoms(acc, 0, static_cast<std::uint32_t>(prep.num_atoms()),
@@ -228,12 +279,7 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
 
   const EpolSolver epol_solver(prep, result.born_sorted, params, constants);
   const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
-  if (params.traversal == TraversalMode::kList) {
-    const InteractionLists lists = epol_solver.build_lists(0, n_aleaves);
-    result.energy = epol_solver.energy_from_lists(lists);
-  } else {
-    result.energy = epol_solver.energy_for_leaf_range(0, n_aleaves);
-  }
+  result.energy = epol_energy(epol_solver, params.traversal, {0, n_aleaves});
 
   result.compute_seconds = cpu.seconds();
   result.wall_seconds = wall.seconds();
@@ -320,14 +366,12 @@ RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
 }
 
 RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
-                          const GBConstants& constants, const RunConfig& config) {
+                          const GBConstants& constants, const RunOptions& options) {
   // From driver entry, so host-side planning counts toward wall_seconds.
   WallTimer wall;
   RunResult result;
-  result.ranks = std::max(1, config.ranks);
-  result.threads_per_rank = std::max(1, config.threads_per_rank);
+  result.ranks = std::max(1, options.ranks);
   const int P = result.ranks;
-  const int p = result.threads_per_rank;
 
   const BornSolver born_solver(prep, params);
   const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
@@ -336,50 +380,43 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
 
   // Precomputed point-balanced segments for the kNodeBalanced extension.
   std::vector<Segment> balanced_q, balanced_a;
-  if (config.division == WorkDivision::kNodeBalanced) {
+  if (options.division == WorkDivision::kNodeBalanced) {
     balanced_q = leaf_segments_by_points(prep.q_tree, P);
     balanced_a = leaf_segments_by_points(prep.atoms_tree, P);
   }
 
   std::vector<double> born_shared(prep.num_atoms(), 0.0);  // filled by rank 0
   double energy_shared = 0.0;
-  std::size_t per_rank_extra_bytes = 0;
 
-  // Degraded-mode recovery needs a bit-deterministic configuration: one
-  // thread per rank (no work-stealing merge order) and a node division
-  // (whole leaves, so a dead rank's range re-partitions exactly). Of those,
-  // only kNodeBalanced runs here (one-thread kNodeNode takes the canonical
-  // chunk fold). It uses the fault-tolerant collectives + recovery relays
-  // below even in fault-free runs (they fold in the identical order, so
-  // results match the plain path bit-for-bit). Hybrid ranks and kAtomBased
-  // keep the plain collectives, which fail fast if a rank dies.
-  const bool use_ft = p == 1 && config.division == WorkDivision::kNodeBalanced;
+  // Degraded-mode recovery needs a node division (whole leaves, so a dead
+  // rank's range re-partitions exactly): kNodeBalanced uses the
+  // fault-tolerant collectives + recovery relays below even in fault-free
+  // runs (they fold in the identical order, so results match the plain path
+  // bit-for-bit). kAtomBased keeps the plain collectives, which fail fast if
+  // a rank dies.
+  const bool use_ft = options.division == WorkDivision::kNodeBalanced;
 
   const auto q_segment = [&](int rr) {
-    return config.division == WorkDivision::kNodeBalanced
+    return options.division == WorkDivision::kNodeBalanced
                ? balanced_q[static_cast<std::size_t>(rr)]
                : even_segment(n_qleaves, P, rr);
   };
   const auto l_segment = [&](int rr) {
-    return config.division == WorkDivision::kNodeBalanced
+    return options.division == WorkDivision::kNodeBalanced
                ? balanced_a[static_cast<std::size_t>(rr)]
                : even_segment(n_aleaves, P, rr);
   };
 
   mpisim::Runtime::Config rt;
   rt.ranks = P;
-  rt.threads_per_rank = p;
-  rt.cluster = config.cluster;
-  rt.faults = config.faults;
-  rt.stall_timeout_seconds = config.stall_timeout_seconds;
-  rt.corruption = config.corruption;
-  rt.integrity_guards = config.integrity_guards;
+  rt.cluster = options.cluster;
+  rt.faults = options.faults;
+  rt.stall_timeout_seconds = options.stall_timeout_seconds;
+  rt.corruption = options.corruption;
+  rt.integrity_guards = options.integrity_guards;
 
-  const auto report = mpisim::run_on(config.pool, rt, [&](mpisim::Comm& comm) {
+  const auto report = mpisim::run_on(options.pool, rt, [&](mpisim::Comm& comm) {
     const int r = comm.rank();
-    // Hybrid ranks own a worker pool; pure-MPI ranks compute inline.
-    std::unique_ptr<ws::Scheduler> sched;
-    if (p > 1) sched = std::make_unique<ws::Scheduler>(p);
 
     // Chain receive for the recovery relays: a predecessor can only vanish
     // mid-chain when the job is doomed (a pooled rank failed, raising the
@@ -398,52 +435,10 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     obs::phase_begin(obs::PhaseId::kBornAccum);
     const Segment q_seg = q_segment(r);
     BornAccumulator acc = born_solver.make_accumulator();
-    if (p == 1) {
-      traced_chunk(q_seg.lo, q_seg.hi, obs::PhaseId::kBornAccum, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        if (params.traversal == TraversalMode::kList) {
-          const InteractionLists lists = born_solver.build_lists(q_seg.lo, q_seg.hi);
-          born_solver.accumulate_lists(lists, acc);
-        } else {
-          born_solver.accumulate_qleaf_range(q_seg.lo, q_seg.hi, acc);
-        }
-      });
-    } else {
-      std::vector<BornAccumulator> worker_acc(static_cast<std::size_t>(p));
-      for (auto& wa : worker_acc) wa = born_solver.make_accumulator();
-      sched->reset_stats();
-      if (params.traversal == TraversalMode::kList) {
-        // Build once, then flat chunked loops over both lists: task count is
-        // list-length bound, not quadrature-leaf bound.
-        const InteractionLists lists =
-            born_solver.build_lists_parallel(*sched, q_seg.lo, q_seg.hi);
-        ws::parallel_for(*sched, 0, lists.far.size(), list_grain(lists.far.size(), p),
-                         [&](std::size_t lo, std::size_t hi) {
-                           auto& wa = worker_acc[static_cast<std::size_t>(
-                               ws::Scheduler::worker_id())];
-                           born_solver.accumulate_far_range(lists, lo, hi, wa);
-                         });
-        ws::parallel_for(*sched, 0, lists.near.size(),
-                         list_grain(lists.near.size(), p),
-                         [&](std::size_t lo, std::size_t hi) {
-                           auto& wa = worker_acc[static_cast<std::size_t>(
-                               ws::Scheduler::worker_id())];
-                           born_solver.accumulate_near_range(lists, lo, hi, wa);
-                         });
-      } else {
-        ws::parallel_for(*sched, q_seg.lo, q_seg.hi, 1,
-                         [&](std::size_t lo, std::size_t hi) {
-                           auto& wa = worker_acc[static_cast<std::size_t>(
-                               ws::Scheduler::worker_id())];
-                           born_solver.accumulate_qleaf_range(
-                               static_cast<std::uint32_t>(lo),
-                               static_cast<std::uint32_t>(hi), wa);
-                         });
-      }
-      comm.add_compute_seconds(sched->stats().max_busy());
-      mpisim::Comm::ComputeRegion region(comm);  // merge on the rank thread
-      for (int w = 0; w < p; ++w) acc.add(worker_acc[static_cast<std::size_t>(w)]);
-    }
+    traced_chunk(q_seg.lo, q_seg.hi, obs::PhaseId::kBornAccum, [&] {
+      mpisim::Comm::ComputeRegion region(comm);
+      accumulate_born(born_solver, params.traversal, q_seg, acc);
+    });
 
     // ---- Step 3: gather partial integrals from every rank.
     //
@@ -478,12 +473,7 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
           const Segment sub = sub_segment(d_seg, parts, my);
           if (sub.count() > 0) {
             mpisim::Comm::ComputeRegion region(comm);
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists = born_solver.build_lists(sub.lo, sub.hi);
-              born_solver.accumulate_lists(lists, chain);
-            } else {
-              born_solver.accumulate_qleaf_range(sub.lo, sub.hi, chain);
-            }
+            accumulate_born(born_solver, params.traversal, sub, chain);
           }
           comm.add_redistributed_work(sub.count());
           if (my + 1 < parts) {
@@ -501,21 +491,10 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     obs::phase_begin(obs::PhaseId::kPush);
     const Segment a_seg = even_segment(n_atoms, P, r);
     std::vector<double> born(prep.num_atoms(), 0.0);
-    if (p == 1) {
-      traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kPush, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        born_solver.push_to_atoms(acc, a_seg.lo, a_seg.hi, born);
-      });
-    } else {
-      sched->reset_stats();
-      ws::parallel_for(*sched, a_seg.lo, a_seg.hi,
-                       std::max<std::size_t>(1, a_seg.count() / (16u * static_cast<unsigned>(p))),
-                       [&](std::size_t lo, std::size_t hi) {
-                         born_solver.push_to_atoms(acc, static_cast<std::uint32_t>(lo),
-                                                   static_cast<std::uint32_t>(hi), born);
-                       });
-      comm.add_compute_seconds(sched->stats().max_busy());
-    }
+    traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kPush, [&] {
+      mpisim::Comm::ComputeRegion region(comm);
+      born_solver.push_to_atoms(acc, a_seg.lo, a_seg.hi, born);
+    });
 
     // ---- Step 5: gather all Born-radius segments.
     obs::phase_begin(obs::PhaseId::kBornGather);
@@ -577,130 +556,65 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     // ---- Step 6: partial energy for this rank's leaf (or atom) segment.
     obs::phase_begin(obs::PhaseId::kEpol);
     double partial[1] = {0.0};
+    // Bin construction is replicated per rank; count it as compute.
+    std::unique_ptr<EpolSolver> epol_solver;
     {
-      // Bin construction is replicated per rank; count it as compute.
-      std::unique_ptr<EpolSolver> epol_solver;
-      {
-        mpisim::Comm::ComputeRegion region(comm);
-        epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
-      }
-      if (config.division == WorkDivision::kAtomBased) {
-        traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kEpol, [&] {
-          mpisim::Comm::ComputeRegion region(comm);
-          partial[0] = epol_solver->energy_for_atom_range(a_seg.lo, a_seg.hi);
-        });
-      } else {
-        const Segment l_seg = config.division == WorkDivision::kNodeBalanced
-                                  ? balanced_a[static_cast<std::size_t>(r)]
-                                  : even_segment(n_aleaves, P, r);
-        if (p == 1) {
-          traced_chunk(l_seg.lo, l_seg.hi, obs::PhaseId::kEpol, [&] {
-            mpisim::Comm::ComputeRegion region(comm);
-            if (params.traversal == TraversalMode::kList) {
-              const InteractionLists lists = epol_solver->build_lists(l_seg.lo, l_seg.hi);
-              partial[0] = epol_solver->energy_from_lists(lists);
-            } else {
-              partial[0] = epol_solver->energy_for_leaf_range(l_seg.lo, l_seg.hi);
-            }
-          });
-        } else if (params.traversal == TraversalMode::kList) {
-          sched->reset_stats();
-          const InteractionLists lists =
-              epol_solver->build_lists_parallel(*sched, l_seg.lo, l_seg.hi);
-          const double far = ws::parallel_reduce<double>(
-              *sched, 0, lists.far.size(), list_grain(lists.far.size(), p),
-              [&](std::size_t lo, std::size_t hi) {
-                return epol_solver->energy_far_range(lists, lo, hi);
-              },
-              [](double l, double rgt) { return l + rgt; });
-          const double near = ws::parallel_reduce<double>(
-              *sched, 0, lists.near.size(), list_grain(lists.near.size(), p),
-              [&](std::size_t lo, std::size_t hi) {
-                return epol_solver->energy_near_range(lists, lo, hi);
-              },
-              [](double l, double rgt) { return l + rgt; });
-          partial[0] = far + near;
-          comm.add_compute_seconds(sched->stats().max_busy());
-        } else {
-          sched->reset_stats();
-          partial[0] = ws::parallel_reduce<double>(
-              *sched, l_seg.lo, l_seg.hi, 1,
-              [&](std::size_t lo, std::size_t hi) {
-                return epol_solver->energy_for_leaf_range(
-                    static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi));
-              },
-              [](double l, double rgt) { return l + rgt; });
-          comm.add_compute_seconds(sched->stats().max_busy());
-        }
-      }
-      if (!use_ft && r == 0)
-        per_rank_extra_bytes = acc.flat().size_bytes() + born.size() * sizeof(double);
-
-      // ---- Step 7: master accumulates the final energy.
-      //
-      // Fault-tolerant path: a dead rank's partial energy is recomputed by
-      // the same relay-chain pattern as step 3, but over raw (unscaled)
-      // running sums — EpolSolver::accumulate_energy_* continue the fold
-      // across ranks and finish_energy applies the -tau/2 ke scale once at
-      // the chain's end, exactly as the dead rank would have. If the root
-      // itself died, the reduction re-targets the lowest surviving rank,
-      // which then harvests the results.
-      if (use_ft) {
-        obs::phase_begin(obs::PhaseId::kEpolReduce);
-        std::map<int, double> proxy_partial;  // dead rank -> partial energy
-        int live_root = 0;
-        for (;;) {
-          std::vector<mpisim::ProxyPub> pubs;
-          pubs.reserve(proxy_partial.size());
-          for (auto& [d, val] : proxy_partial) pubs.push_back({d, &val});
-          const mpisim::CollectiveStatus st = comm.reduce_sum_ft(partial, live_root, pubs);
-          if (st.ok()) break;
-          if (comm.kill_requested()) comm.abandon();
-          const std::vector<int> live = live_ranks(P, st.dead);
-          live_root = live.front();
-          const int parts = static_cast<int>(live.size());
-          const int my = index_of(live, r);
-          for (const int d : st.missing) {
-            const Segment d_lseg = l_segment(d);
-            const Segment sub = sub_segment(d_lseg, parts, my);
-            double raws[2] = {0.0, 0.0};
-            if (my > 0)
-              chain_recv({raws, 2}, live[static_cast<std::size_t>(my - 1)], kTagEpolChain + d);
-            if (sub.count() > 0) {
-              mpisim::Comm::ComputeRegion region(comm);
-              if (params.traversal == TraversalMode::kList) {
-                const InteractionLists lists = epol_solver->build_lists(sub.lo, sub.hi);
-                epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(), raws[0]);
-                epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(), raws[1]);
-              } else {
-                epol_solver->accumulate_energy_leaf_range(sub.lo, sub.hi, raws[0]);
-              }
-            }
-            comm.add_redistributed_work(sub.count());
-            if (my + 1 < parts) {
-              comm.send<double>({raws, 2}, live[static_cast<std::size_t>(my + 1)], kTagEpolChain + d);
-            } else {
-              proxy_partial[d] =
-                  params.traversal == TraversalMode::kList
-                      ? epol_solver->finish_energy_pair(raws[0], raws[1])
-                      : epol_solver->finish_energy(raws[0]);
-            }
-          }
-        }
-        if (r == live_root) {
-          energy_shared = partial[0];
-          std::copy(born.begin(), born.end(), born_shared.begin());
-          per_rank_extra_bytes = acc.flat().size_bytes() + born.size() * sizeof(double);
-        }
-        obs::phase_end();
-        return;
-      }
+      mpisim::Comm::ComputeRegion region(comm);
+      epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
     }
+    const bool atom_based = options.division == WorkDivision::kAtomBased;
+    const Segment seg = atom_based ? a_seg : l_segment(r);
+    traced_chunk(seg.lo, seg.hi, obs::PhaseId::kEpol, [&] {
+      mpisim::Comm::ComputeRegion region(comm);
+      partial[0] = atom_based ? epol_solver->energy_for_atom_range(seg.lo, seg.hi)
+                              : epol_energy(*epol_solver, params.traversal, seg);
+    });
 
     // ---- Step 7: master accumulates the final energy.
+    //
+    // Fault-tolerant path: a dead rank's partial energy is recomputed by the
+    // same relay-chain pattern as step 3, but over raw (unscaled) running
+    // sums — EpolSolver::accumulate_energy_* continue the fold across ranks
+    // and finish_energy applies the -tau/2 ke scale once at the chain's end,
+    // exactly as the dead rank would have. If the root itself died, the
+    // reduction re-targets the lowest surviving rank, which then harvests
+    // the results.
     obs::phase_begin(obs::PhaseId::kEpolReduce);
-    comm.reduce_sum(partial, 0);
-    if (r == 0) {
+    int live_root = 0;
+    if (use_ft) {
+      std::map<int, double> proxy_partial;  // dead rank -> partial energy
+      for (;;) {
+        std::vector<mpisim::ProxyPub> pubs;
+        pubs.reserve(proxy_partial.size());
+        for (auto& [d, val] : proxy_partial) pubs.push_back({d, &val});
+        const mpisim::CollectiveStatus st = comm.reduce_sum_ft(partial, live_root, pubs);
+        if (st.ok()) break;
+        if (comm.kill_requested()) comm.abandon();
+        const std::vector<int> live = live_ranks(P, st.dead);
+        live_root = live.front();
+        const int parts = static_cast<int>(live.size());
+        const int my = index_of(live, r);
+        for (const int d : st.missing) {
+          const Segment sub = sub_segment(l_segment(d), parts, my);
+          double raws[2] = {0.0, 0.0};
+          if (my > 0)
+            chain_recv({raws, 2}, live[static_cast<std::size_t>(my - 1)], kTagEpolChain + d);
+          if (sub.count() > 0) {
+            mpisim::Comm::ComputeRegion region(comm);
+            accumulate_epol(*epol_solver, params.traversal, sub, raws);
+          }
+          comm.add_redistributed_work(sub.count());
+          if (my + 1 < parts) {
+            comm.send<double>({raws, 2}, live[static_cast<std::size_t>(my + 1)], kTagEpolChain + d);
+          } else {
+            proxy_partial[d] = finish_epol(*epol_solver, params.traversal, raws);
+          }
+        }
+      }
+    } else {
+      comm.reduce_sum(partial, 0);
+    }
+    if (r == live_root) {
       energy_shared = partial[0];
       std::copy(born.begin(), born.end(), born_shared.begin());
     }
@@ -714,7 +628,9 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
   // Replicated-data accounting: every rank holds a full copy of the trees,
   // payloads, accumulator and Born array (paper §V-B memory comparison).
   result.replicated_bytes = static_cast<std::size_t>(P) *
-                            (prep.replicated_footprint().bytes + per_rank_extra_bytes);
+                            (prep.replicated_footprint().bytes +
+                             born_solver.make_accumulator().flat().size_bytes() +
+                             static_cast<std::size_t>(n_atoms) * sizeof(double));
   return result;
 }
 
@@ -725,11 +641,13 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
 //
 // Work is cut into fixed, policy-independent chunks; each chunk's partial is
 // computed fresh-from-zero by whichever rank the plan (or death recovery, or
-// a checkpoint restore) hands it to, and every rank folds the partials in
-// ascending chunk order. The fold's result depends only on the chunk
-// boundaries — never on the assignment or the data distribution — so
+// a checkpoint restore) hands it to — on the rank thread, or on a pool
+// worker of a hybrid rank — and every rank folds the partials in ascending
+// chunk order. The fold's result depends only on the chunk boundaries —
+// never on the assignment, the thread or the data distribution — so
 // kStatic, kCostModel and kSteal agree to the last bit, replicated and
-// owned runs agree to the last bit, and so do recovered and resumed runs.
+// owned runs agree to the last bit, P x p agrees with (P*p) x 1, and so do
+// recovered and resumed runs.
 //
 // Each phase synchronizes on a 1-double token allreduce whose abort is the
 // death-recovery point — deaths fire only at collective entries, so a rank
@@ -762,8 +680,9 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   WallTimer wall;
   RunResult result;
   result.ranks = std::max(1, options.ranks);
-  result.threads_per_rank = 1;
+  result.threads_per_rank = std::max(1, options.threads_per_rank);
   const int P = result.ranks;
+  const int p = result.threads_per_rank;
   const bool owned = options.distribution == DataDistribution::kOwned;
 
   const BornSolver born_solver(prep, params);
@@ -773,7 +692,9 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   const std::size_t acc_len = born_solver.make_accumulator().flat().size();
 
   // Chunk geometry + per-chunk cost estimates: identical on every rank, and
-  // independent of the policy (the fold's determinism rests on that).
+  // independent of the policy (the fold's determinism rests on that). The
+  // auto geometry counts every worker thread, so P x p and (P*p) x 1 cut the
+  // same chunks and agree to the bit.
   //
   // Chunks are priced from the planning walks (walk_planning): a source
   // leaf costs its near-field point pairs (target points x source points
@@ -786,8 +707,8 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   // replicated kStatic run skips the walks and stays walk-free; owned runs
   // need them under every policy, because the halo plan reads their near
   // rows.
-  const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P, options.balance_chunk_leaves);
-  const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P, options.balance_chunk_leaves);
+  const ChunkPlan born_plan = make_chunk_plan(n_qleaves, P * p, options.balance_chunk_leaves);
+  const ChunkPlan epol_plan = make_chunk_plan(n_aleaves, P * p, options.balance_chunk_leaves);
   PlanningWalks walks;
   if (owned || options.balance != BalancePolicy::kStatic)
     walks = walk_planning(prep, params);
@@ -821,9 +742,9 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
 
   // Shared cross-rank state: each chunk slot is written by exactly one rank
   // (ledger discipline), then read by all after the phase sync's barrier.
-  // Each Born chunk's accumulator is allocated and filled on the thread of
-  // the rank that computes it, so that thread first-touches its pages —
-  // NUMA-local on multi-socket hosts.
+  // Each Born chunk's accumulator is allocated and filled on the thread
+  // (rank or pool worker) that computes it, so that thread first-touches its
+  // pages — NUMA-local on multi-socket hosts.
   std::vector<BornAccumulator> born_partials(born_plan.n_chunks);
   std::vector<std::array<double, 2>> epol_raws(epol_plan.n_chunks,
                                                std::array<double, 2>{0.0, 0.0});
@@ -901,8 +822,8 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
           if (!led.ok || s.cursor != led.ids.size()) return false;
           for (const std::uint32_t id : led.ids)
             if (id >= n_chunks) return false;
-          for (const std::vector<double>& p : led.partials)
-            if (p.size() != partial_len) return false;
+          for (const std::vector<double>& partial : led.partials)
+            if (partial.size() != partial_len) return false;
           return true;
         };
         switch (s.phase) {
@@ -968,7 +889,7 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
 
   mpisim::Runtime::Config rt;
   rt.ranks = P;
-  rt.threads_per_rank = 1;
+  rt.threads_per_rank = p;
   rt.cluster = options.cluster;
   rt.faults = options.faults;
   rt.kill = options.kill;
@@ -978,6 +899,10 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
 
   const auto report = mpisim::run_on(options.pool, rt, [&](mpisim::Comm& comm) {
     const int r = comm.rank();
+    // Hybrid ranks run their chunks on a rank-local work-stealing pool, whose
+    // workers inherit this rank's trace identity.
+    std::unique_ptr<ws::Scheduler> sched;
+    if (p > 1) sched = std::make_unique<ws::Scheduler>(p);
     const bool skip_to_push = resume && resume_phase >= ckpt::Phase::kPush;
     const bool skip_to_epol = resume && resume_phase == ckpt::Phase::kEpol;
     int writer = 0;  // lowest surviving rank; publishes the shared answer
@@ -1000,31 +925,36 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     const mpisim::CorruptionSchedule& corr = comm.corruption_schedule();
     std::vector<char> born_fired(corr.empty() ? 0 : born_plan.n_chunks, 0);
     std::vector<char> epol_fired(corr.empty() ? 0 : epol_plan.n_chunks, 0);
-    const auto seal_born = [&](std::uint32_t c) {
+    const auto seal = [&](std::span<double> data, std::uint32_t c,
+                          std::vector<std::uint32_t>& crcs, std::vector<char>& fired,
+                          std::uint32_t array) {
       if (corr.empty()) return;
-      const std::span<double> flat = born_partials[c].flat();
-      const std::size_t bytes = flat.size_bytes();
-      born_crcs[c] = support::crc32(flat.data(), bytes);
+      const std::size_t bytes = data.size_bytes();
+      crcs[c] = support::crc32(data.data(), bytes);
       std::uint64_t bit = 0;
-      if (born_fired[c] == 0 &&
-          corr.hot_array_bit(r, mpisim::CorruptionPlan::kBornPartials, c, &bit)) {
-        born_fired[c] = 1;
-        support::flip_bit(flat.data(), bytes, bit);
+      if (fired[c] == 0 && corr.hot_array_bit(r, array, c, &bit)) {
+        fired[c] = 1;
+        support::flip_bit(data.data(), bytes, bit);
         comm.note_corruption_injected();
         obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
       }
     };
-    const auto seal_epol = [&](std::uint32_t c) {
-      if (corr.empty()) return;
-      const std::size_t bytes = epol_raws[c].size() * sizeof(double);
-      epol_crcs[c] = support::crc32(epol_raws[c].data(), bytes);
-      std::uint64_t bit = 0;
-      if (epol_fired[c] == 0 &&
-          corr.hot_array_bit(r, mpisim::CorruptionPlan::kEpolPartials, c, &bit)) {
-        epol_fired[c] = 1;
-        support::flip_bit(epol_raws[c].data(), bytes, bit);
-        comm.note_corruption_injected();
-        obs::emit(obs::EventKind::kCorruptionInject, c, bytes, /*site=*/2);
+    // Re-checksums this rank's chunks against their seals; any mismatch is a
+    // detected hot-array corruption, recovered by recomputing the chunk
+    // fresh-from-zero (exact, by the canonical-fold construction).
+    const auto verify = [&](const std::vector<std::uint32_t>& ids,
+                            const std::vector<std::uint32_t>& crcs,
+                            const auto& data_of, const auto& recompute) {
+      if (corr.empty() || !comm.integrity_guards()) return;
+      for (const std::uint32_t c : ids) {
+        const std::span<double> data = data_of(c);
+        const std::size_t bytes = data.size_bytes();
+        if (support::crc32(data.data(), bytes) == crcs[c]) continue;
+        comm.note_corruption_detected();
+        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
+        recompute(c);
+        comm.note_corruption_recomputed();
+        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
       }
     };
 
@@ -1086,128 +1016,215 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       }
     };
 
+    // Walks this rank's planned chunk order slot by slot: fires the planned
+    // steals due before the slot, records its chunk unless it was restored
+    // (checkpoint cadence included) and polls for a kill. `compute` runs the
+    // not-done chunks with this walk on the rank thread.
+    const auto walk_order = [&](const std::vector<std::uint32_t>& order,
+                                const std::vector<StealEvent>& steals,
+                                const ChunkLedger& ledger, const auto& compute,
+                                std::vector<std::uint32_t>& my_ids, const auto& save) {
+      std::vector<std::uint32_t> todo;
+      for (const std::uint32_t c : order)
+        if (!ledger.done(c)) todo.push_back(c);
+      compute(todo, [&](const auto& record) {
+        std::uint32_t since_save = 0;
+        std::size_t next_steal = 0;
+        std::size_t k = 0;  // next not-done chunk
+        for (std::size_t j = 0; j < order.size(); ++j) {
+          fire_steals(steals, next_steal, j, order.size());
+          if (k < todo.size() && todo[k] == order[j]) {
+            record(k++);
+            my_ids.push_back(order[j]);
+            if (policy.enabled() && policy.every_k_chunks > 0 &&
+                ++since_save >= policy.every_k_chunks) {
+              since_save = 0;
+              save();
+            }
+          }
+          if (comm.poll_kill()) comm.abandon();
+        }
+        fire_steals(steals, next_steal, order.size(), order.size());
+      });
+    };
+    // The walk that records every chunk of an n-chunk dispatch in order.
+    const auto each = [](std::size_t n) {
+      return [n](const auto& record) {
+        for (std::size_t k = 0; k < n; ++k) record(k);
+      };
+    };
+
     // One Born chunk, fresh-from-zero.
     const auto born_chunk_partial = [&](std::uint32_t c) {
       BornAccumulator out = born_solver.make_accumulator();
-      const Segment seg = born_plan.chunk_range(c);
-      if (params.traversal == TraversalMode::kList) {
-        const InteractionLists lists = born_solver.build_lists(seg.lo, seg.hi);
-        born_solver.accumulate_lists(lists, out);
-      } else {
-        born_solver.accumulate_qleaf_range(seg.lo, seg.hi, out);
-      }
+      accumulate_born(born_solver, params.traversal, born_plan.chunk_range(c), out);
       return out;
     };
-    // One Born chunk into its shared slot. `recompute` marks an integrity
-    // recompute: no migration accounting, and the seal records the clean CRC
-    // (the fired flag stops a second injection).
-    const auto compute_born_chunk = [&](std::uint32_t c, bool recompute = false) {
-      const Segment seg = born_plan.chunk_range(c);
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kBornAccum, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        born_partials[c] = born_chunk_partial(c);
+    // Computes `chunks` fresh-from-zero while `walk(record)` runs on the rank
+    // thread; record(k) returns once chunks[k] is computed, then runs its
+    // `after`. `body` writes only its own chunk's slot; everything that
+    // touches Comm or the ledgers stays on the rank thread. One thread per
+    // rank computes chunks[k] inside record(k). A hybrid rank's pool
+    // computes them all in one dispatch while the walk records them as they
+    // complete, so its snapshots and kill polls fall between chunks as on one
+    // thread. The dispatch is charged as its chunks' CPU times greedily
+    // list-scheduled over p workers — what p dedicated cores need, however
+    // the OS interleaves the pool's threads with other ranks'. If the walk
+    // leaves early (a kill), the pool skips the chunks it has not started.
+    const auto run_chunks = [&](std::span<const std::uint32_t> chunks,
+                                const ChunkPlan& plan, obs::PhaseId phase,
+                                const auto& body, const auto& after, const auto& walk) {
+      if (!sched) {
+        walk([&](std::size_t k) {
+          const Segment seg = plan.chunk_range(chunks[k]);
+          traced_chunk(seg.lo, seg.hi, phase, [&] {
+            mpisim::Comm::ComputeRegion region(comm);
+            body(chunks[k]);
+          });
+          after(chunks[k]);
+        });
+        return;
+      }
+      std::vector<double> cpu_seconds(chunks.size(), 0.0);
+      std::vector<std::uint64_t> service_ns(chunks.size(), 0);
+      const auto done = std::make_unique<std::atomic<bool>[]>(chunks.size());
+      std::atomic<bool> stop{false};
+      sched->start([&] {
+        ws::parallel_for(*sched, 0, chunks.size(), 1, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t k = lo; k < hi; ++k) {
+            if (!stop.load(std::memory_order_relaxed)) {
+              const Segment seg = plan.chunk_range(chunks[k]);
+              const ThreadCpuTimer timer;
+              service_ns[k] = traced_chunk(seg.lo, seg.hi, phase,
+                                           [&] { body(chunks[k]); }, /*record=*/false);
+              cpu_seconds[k] = timer.seconds();
+            }
+            done[k].store(true, std::memory_order_release);
+            done[k].notify_one();
+          }
+        });
       });
-      seal_born(c);
-      if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
-      born_ledger.mark_done(c, r);
+      // The pool is joined however the walk leaves, an abandon included:
+      // its tasks reference this frame.
+      const auto join = [&] {
+        stop.store(true, std::memory_order_relaxed);
+        sched->join();
+      };
+      try {
+        walk([&](std::size_t k) {
+          done[k].wait(false, std::memory_order_acquire);
+          after(chunks[k]);
+        });
+      } catch (...) {
+        join();
+        throw;
+      }
+      join();
+      comm.add_compute_seconds(list_schedule_makespan(cpu_seconds, p));
+      if (obs::session_active())
+        for (const std::uint64_t ns : service_ns) obs::add_chunk_service(obs::current_rank(), ns);
     };
 
-    // Re-checksum this rank's chunks against their seals; any mismatch is a
-    // detected hot-array corruption, recovered by recomputing the chunk
-    // fresh-from-zero (exact, by the canonical-fold construction).
+    // Born chunks into their shared slots. `recompute` marks an integrity
+    // recompute: no migration accounting, and the seal records the clean CRC
+    // (the fired flag stops a second injection).
+    const auto compute_born_chunks = [&](std::span<const std::uint32_t> chunks,
+                                         const auto& walk, bool recompute = false) {
+      run_chunks(
+          chunks, born_plan, obs::PhaseId::kBornAccum,
+          [&](std::uint32_t c) { born_partials[c] = born_chunk_partial(c); },
+          [&](std::uint32_t c) {
+            seal(born_partials[c].flat(), c, born_crcs, born_fired,
+                 mpisim::CorruptionPlan::kBornPartials);
+            if (!recompute && plan_born.initial_rank[c] != r) comm.add_migrated_chunk();
+            born_ledger.mark_done(c, r);
+          },
+          walk);
+    };
+
     const auto verify_born = [&](const std::vector<std::uint32_t>& ids) {
-      if (corr.empty() || !comm.integrity_guards()) return;
-      for (const std::uint32_t c : ids) {
-        const std::size_t bytes = born_partials[c].flat().size_bytes();
-        if (support::crc32(born_partials[c].flat().data(), bytes) == born_crcs[c])
-          continue;
-        comm.note_corruption_detected();
-        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        compute_born_chunk(c, /*recompute=*/true);
-        comm.note_corruption_recomputed();
-        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
-      }
+      verify(
+          ids, born_crcs, [&](std::uint32_t c) { return born_partials[c].flat(); },
+          [&](std::uint32_t c) { compute_born_chunks({&c, 1}, each(1), /*recompute=*/true); });
     };
 
     // ---- Born accumulation over this rank's planned chunk order.
     obs::phase_begin(obs::PhaseId::kBornAccum);
     std::vector<std::uint32_t> my_born_ids = restored_born_ids[static_cast<std::size_t>(r)];
+    const auto save_born = [&] {
+      save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
+    };
     if (!skip_to_push) {
-      const std::vector<std::uint32_t>& order = plan_born.order[static_cast<std::size_t>(r)];
-      if (policy.enabled())
-        save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!born_ledger.done(c)) {  // restored chunks are skipped
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(born_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
+      if (policy.enabled()) save_born();
+      walk_order(plan_born.order[static_cast<std::size_t>(r)],
+                 born_steals[static_cast<std::size_t>(r)], born_ledger,
+                 compute_born_chunks, my_born_ids, save_born);
     }
 
-    // ---- Born sync: 1-double token allreduce. An abort is the recovery
-    // point: survivors stripe the dead executors' chunks and recompute the
-    // unpublished ones. A dead rank's CURRENT-phase chunks are usually all
-    // published (deaths fire at collective entry), but its next-phase order
-    // is orphaned wholesale, and a cascade can orphan recovery stripes too;
-    // recomputing fresh-from-zero is always exact.
-    obs::phase_begin(obs::PhaseId::kBornReduce);
-    if (!skip_to_push) {
-      double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;  // dead ranks this rank republishes for
+    // Drives one fault-tolerant collective to success. After an abort every
+    // survivor runs `on_abort(live, dead)`, then the lowest survivor — the
+    // writer from now on — republishes each dead rank's payload, built by
+    // `proxy_for(dead_rank)`.
+    const auto until_ok = [&](const auto& collective, const auto& on_abort,
+                              const auto& proxy_for) {
+      std::vector<int> proxied;
+      std::vector<std::vector<double>> payloads;
       for (;;) {
-        // Integrity gate: every chunk this rank published (including
-        // death-recovery recomputes from a prior iteration, which can fire
-        // fresh injections) must verify before the collective succeeds and
-        // any rank starts folding.
-        verify_born(my_born_ids);
         std::vector<mpisim::ProxyPub> pubs;
         pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
+        for (std::size_t i = 0; i < proxied.size(); ++i)
+          pubs.push_back({proxied[i], payloads[i].data()});
+        const mpisim::CollectiveStatus st = collective(std::span<const mpisim::ProxyPub>(pubs));
+        if (st.ok()) return;
         if (comm.kill_requested()) comm.abandon();
         dead_set = st.dead;
         const std::vector<int> live = live_ranks(P, st.dead);
         writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        // Stripe the dead executors' chunks (a plan-derived list, identical
-        // on every survivor); chunks the dead rank had already published
-        // before dying at the collective entry are skipped via the ledger.
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < born_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), born_executor[c]))
-            orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (born_ledger.done(c)) continue;
-          compute_born_chunk(c);
-          my_born_ids.push_back(c);
-          comm.add_redistributed_work(born_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kBornAccum, my_born_ids, {});
-        // The lowest survivor republishes a zero token for every dead rank.
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
+        on_abort(live, st.dead);
+        proxied.clear();
+        payloads.clear();
+        if (r != writer) continue;
+        proxied = st.dead;
+        for (const int d : proxied) payloads.push_back(proxy_for(d));
       }
-    }
+    };
+    const auto no_recovery = [](const std::vector<int>&, const std::vector<int>&) {};
+
+    // ---- Phase sync: 1-double token allreduce. An abort is the recovery
+    // point: survivors stripe the dead executors' chunks and recompute the
+    // unpublished ones. A dead rank's CURRENT-phase chunks are usually all
+    // published (deaths fire at collective entry), but its next-phase order
+    // is orphaned wholesale, and a cascade can orphan recovery stripes too;
+    // recomputing fresh-from-zero is always exact. Integrity gate: every
+    // chunk this rank published (including death-recovery recomputes from a
+    // prior iteration, which can fire fresh injections) must verify before
+    // the collective succeeds and any rank starts folding.
+    const auto sync_phase = [&](const auto& verify_ids, const std::vector<int>& executor,
+                                const ChunkLedger& ledger, const ChunkPlan& plan,
+                                const auto& recompute, std::vector<std::uint32_t>& my_ids,
+                                const auto& save) {
+      double token[1] = {0.0};
+      until_ok(
+          [&](std::span<const mpisim::ProxyPub> pubs) {
+            verify_ids(my_ids);
+            return comm.allreduce_sum_ft(token, pubs);
+          },
+          [&](const std::vector<int>& live, const std::vector<int>& dead) {
+            const std::vector<std::uint32_t> stripe = recovery_stripe(
+                executor, dead, index_of(live, r), static_cast<int>(live.size()), ledger);
+            recompute(stripe, each(stripe.size()));
+            for (const std::uint32_t c : stripe) {
+              my_ids.push_back(c);
+              comm.add_redistributed_work(plan.chunk_range(c).count());
+            }
+            if (policy.enabled() && !stripe.empty()) save();
+          },
+          [](int) { return std::vector<double>{0.0}; });
+    };
+    obs::phase_begin(obs::PhaseId::kBornReduce);
+    if (!skip_to_push)
+      sync_phase(verify_born, born_executor, born_ledger, born_plan, compute_born_chunks,
+                 my_born_ids, save_born);
 
     // ---- Canonical fold, its data motion (each rank reading every chunk's
     // partial) charged as one modeled allgatherv. A rank folds only the
@@ -1290,35 +1307,21 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
         counts[static_cast<std::size_t>(rk)] = static_cast<int>(s.count());
         displs[static_cast<std::size_t>(rk)] = static_cast<int>(s.lo);
       }
-      std::vector<int> proxied;
-      std::vector<std::vector<double>> proxy_slices;
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (std::size_t i = 0; i < proxied.size(); ++i)
-          pubs.push_back({proxied[i], proxy_slices[i].data()});
-        const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
-            std::span<const double>(born.data() + my_atoms.lo, my_atoms.count()),
-            born, counts, displs, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        writer = live_ranks(P, st.dead).front();
-        proxied.clear();
-        proxy_slices.clear();
-        if (r == writer) {
-          proxied = st.dead;
-          proxy_slices.resize(proxied.size());
-          for (std::size_t i = 0; i < proxied.size(); ++i) {
-            const Segment ds = ownership.ranks[static_cast<std::size_t>(proxied[i])].atoms;
-            proxy_slices[i].assign(std::max<std::size_t>(ds.count(), 1), 0.0);
-            if (ds.count() == 0) continue;
+      until_ok(
+          [&](std::span<const mpisim::ProxyPub> pubs) {
+            return comm.allgatherv_ft<double>(
+                std::span<const double>(born.data() + my_atoms.lo, my_atoms.count()), born,
+                counts, displs, pubs);
+          },
+          no_recovery,
+          [&](int d) {
+            const Segment ds = ownership.ranks[static_cast<std::size_t>(d)].atoms;
+            std::vector<double> slice(std::max<std::size_t>(ds.count(), 1), 0.0);
+            if (ds.count() == 0) return slice;
             reconstruct_born(ds.lo, ds.hi);
-            std::copy(born.begin() + ds.lo, born.begin() + ds.hi,
-                      proxy_slices[i].begin());
-          }
-        }
-      }
+            std::copy(born.begin() + ds.lo, born.begin() + ds.hi, slice.begin());
+            return slice;
+          });
     }
 
     // ---- E_pol far-field state. A replicated rank holds every radius, so
@@ -1340,51 +1343,24 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       // the agreed extrema are bit-identical to a replicated minmax scan. The
       // writer proxies dead ranks with extrema over their reconstructed
       // slices.
-      double mm[2] = {std::numeric_limits<double>::infinity(),
-                      std::numeric_limits<double>::infinity()};
-      {
-        std::vector<int> proxied;
-        std::vector<std::array<double, 2>> proxy_vals;
-        for (;;) {
-          {
-            mpisim::Comm::ComputeRegion region(comm);
-            mm[0] = std::numeric_limits<double>::infinity();
-            mm[1] = std::numeric_limits<double>::infinity();
-            for (std::uint32_t a = own.atoms.lo; a < own.atoms.hi; ++a) {
-              mm[0] = std::min(mm[0], born[a]);
-              mm[1] = std::min(mm[1], -born[a]);
-            }
-          }
-          std::vector<mpisim::ProxyPub> pubs;
-          pubs.reserve(proxied.size());
-          for (std::size_t i = 0; i < proxied.size(); ++i)
-            pubs.push_back({proxied[i], proxy_vals[i].data()});
-          const mpisim::CollectiveStatus st = comm.allreduce_min_ft(mm, pubs);
-          if (st.ok()) break;
-          if (comm.kill_requested()) comm.abandon();
-          dead_set = st.dead;
-          const std::vector<int> live = live_ranks(P, st.dead);
-          writer = live.front();
-          proxied.clear();
-          proxy_vals.clear();
-          if (r == writer) {
-            proxied = st.dead;
-            proxy_vals.resize(proxied.size());
-            for (std::size_t i = 0; i < proxied.size(); ++i) {
-              const Segment ds = ownership.ranks[static_cast<std::size_t>(proxied[i])].atoms;
-              proxy_vals[i] = {std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::infinity()};
-              if (ds.count() == 0) continue;
-              reconstruct_born(ds.lo, ds.hi);
-              mpisim::Comm::ComputeRegion region(comm);
-              for (std::uint32_t a = ds.lo; a < ds.hi; ++a) {
-                proxy_vals[i][0] = std::min(proxy_vals[i][0], born[a]);
-                proxy_vals[i][1] = std::min(proxy_vals[i][1], -born[a]);
-              }
-            }
-          }
+      const auto extrema = [&](Segment s) {
+        mpisim::Comm::ComputeRegion region(comm);
+        std::vector<double> mm(2, std::numeric_limits<double>::infinity());
+        for (std::uint32_t a = s.lo; a < s.hi; ++a) {
+          mm[0] = std::min(mm[0], born[a]);
+          mm[1] = std::min(mm[1], -born[a]);
         }
-      }
+        return mm;
+      };
+      std::vector<double> mm = extrema(own.atoms);
+      until_ok(
+          [&](std::span<const mpisim::ProxyPub> pubs) { return comm.allreduce_min_ft(mm, pubs); },
+          no_recovery,
+          [&](int d) {
+            const Segment ds = ownership.ranks[static_cast<std::size_t>(d)].atoms;
+            if (ds.count() > 0) reconstruct_born(ds.lo, ds.hi);
+            return extrema(ds);
+          });
       const double agreed_r_min = n_atoms > 0 ? mm[0] : 1.0;
       const double agreed_r_max = n_atoms > 0 ? -mm[1] : 1.0;
       field = EpolFarField::make(agreed_r_min, agreed_r_max, params.eps_epol);
@@ -1404,67 +1380,37 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
         row_displs[static_cast<std::size_t>(rk)] = row_total;
         row_total += row_counts[static_cast<std::size_t>(rk)];
       }
-      const int my_row_count = row_counts[static_cast<std::size_t>(r)];
-      std::vector<double> my_rows(
-          std::max<std::size_t>(static_cast<std::size_t>(my_row_count), 1), 0.0);
-      {
+      // The bin rows of a rank's owned leaves, as that rank publishes them.
+      const auto leaf_rows = [&](const OwnershipMap::RankSpan& span) {
         mpisim::Comm::ComputeRegion region(comm);
+        std::vector<double> rows(
+            std::max<std::size_t>(span.atom_leaves.count() * static_cast<std::size_t>(m_bins), 1),
+            0.0);
         const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-        for (std::uint32_t l = own.atom_leaves.lo; l < own.atom_leaves.hi; ++l) {
+        for (std::uint32_t l = span.atom_leaves.lo; l < span.atom_leaves.hi; ++l) {
           const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
           EpolSolver::leaf_bins(prep, born, field, leaf.begin, leaf.end,
-                                my_rows.data() +
-                                    static_cast<std::size_t>(l - own.atom_leaves.lo) *
-                                        static_cast<std::size_t>(m_bins));
+                                rows.data() + static_cast<std::size_t>(l - span.atom_leaves.lo) *
+                                                  static_cast<std::size_t>(m_bins));
         }
-      }
+        return rows;
+      };
+      const std::vector<double> my_rows = leaf_rows(own);
       std::vector<double> gathered(
           std::max<std::size_t>(static_cast<std::size_t>(row_total), 1), 0.0);
-      {
-        std::vector<int> proxied;
-        std::vector<std::vector<double>> proxy_rows;
-        for (;;) {
-          std::vector<mpisim::ProxyPub> pubs;
-          pubs.reserve(proxied.size());
-          for (std::size_t i = 0; i < proxied.size(); ++i)
-            pubs.push_back({proxied[i], proxy_rows[i].data()});
-          const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
-              std::span<const double>(my_rows.data(),
-                                      static_cast<std::size_t>(my_row_count)),
-              gathered, row_counts, row_displs, pubs);
-          if (st.ok()) break;
-          if (comm.kill_requested()) comm.abandon();
-          dead_set = st.dead;
-          const std::vector<int> live = live_ranks(P, st.dead);
-          writer = live.front();
-          proxied.clear();
-          proxy_rows.clear();
-          if (r == writer) {
-            proxied = st.dead;
-            proxy_rows.resize(proxied.size());
-            for (std::size_t i = 0; i < proxied.size(); ++i) {
-              const int d = proxied[i];
-              const OwnershipMap::RankSpan& dspan =
-                  ownership.ranks[static_cast<std::size_t>(d)];
-              proxy_rows[i].assign(
-                  std::max<std::size_t>(
-                      static_cast<std::size_t>(row_counts[static_cast<std::size_t>(d)]), 1),
-                  0.0);
-              if (dspan.atoms.count() > 0) reconstruct_born(dspan.atoms.lo, dspan.atoms.hi);
-              mpisim::Comm::ComputeRegion region(comm);
-              const std::span<const std::uint32_t> aleaves = prep.atoms_tree.leaves();
-              for (std::uint32_t l = dspan.atom_leaves.lo; l < dspan.atom_leaves.hi; ++l) {
-                const OctreeNode& leaf = prep.atoms_tree.node(aleaves[l]);
-                EpolSolver::leaf_bins(
-                    prep, born, field, leaf.begin, leaf.end,
-                    proxy_rows[i].data() +
-                        static_cast<std::size_t>(l - dspan.atom_leaves.lo) *
-                            static_cast<std::size_t>(m_bins));
-              }
-            }
-          }
-        }
-      }
+      until_ok(
+          [&](std::span<const mpisim::ProxyPub> pubs) {
+            return comm.allgatherv_ft<double>(
+                std::span<const double>(
+                    my_rows.data(), static_cast<std::size_t>(row_counts[static_cast<std::size_t>(r)])),
+                gathered, row_counts, row_displs, pubs);
+          },
+          no_recovery,
+          [&](int d) {
+            const OwnershipMap::RankSpan& dspan = ownership.ranks[static_cast<std::size_t>(d)];
+            if (dspan.atoms.count() > 0) reconstruct_born(dspan.atoms.lo, dspan.atoms.hi);
+            return leaf_rows(dspan);
+          });
       const std::size_t n_anodes = prep.atoms_tree.nodes().size();
       node_bins.assign(n_anodes * static_cast<std::size_t>(m_bins), 0.0);
       {
@@ -1498,129 +1444,73 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
                                                          field, node_bins)
                           : std::make_unique<EpolSolver>(prep, born, params, constants);
     }
-    // Owned recovery chunks may reach outside the halo, so their inputs are
-    // reconstructed BEFORE the traced region (double list build, degraded
-    // paths only).
-    const auto ensure_chunk_inputs = [&](const InteractionLists& lists) {
-      for (const InteractionLists::Near& nr : lists.near) {
-        for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
-          const OctreeNode& leaf = prep.atoms_tree.node(node_id);
-          if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
-            reconstruct_born(leaf.begin, leaf.end);
-        }
-      }
-    };
-    const auto compute_epol_chunk = [&](std::uint32_t c, bool recovery,
-                                        bool recompute = false) {
-      const Segment seg = epol_plan.chunk_range(c);
+    // Owned recovery chunks may read radii outside the halo: the rank thread
+    // reconstructs their near-field inputs before any chunk runs (a double
+    // list build, degraded paths only).
+    const auto compute_epol_chunks = [&](std::span<const std::uint32_t> chunks,
+                                         const auto& walk, bool recovery,
+                                         bool recompute = false) {
       if (owned && recovery) {
-        const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-        ensure_chunk_inputs(lists);
-      }
-      traced_chunk(seg.lo, seg.hi, obs::PhaseId::kEpol, [&] {
-        mpisim::Comm::ComputeRegion region(comm);
-        double raws[2] = {0.0, 0.0};
-        if (params.traversal == TraversalMode::kList) {
+        for (const std::uint32_t c : chunks) {
+          const Segment seg = epol_plan.chunk_range(c);
           const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-          epol_solver->accumulate_energy_far_range(lists, 0, lists.far.size(),
-                                                   raws[0]);
-          epol_solver->accumulate_energy_near_range(lists, 0, lists.near.size(),
-                                                    raws[1]);
-        } else {
-          epol_solver->accumulate_energy_leaf_range(seg.lo, seg.hi, raws[0]);
+          for (const InteractionLists::Near& nr : lists.near) {
+            for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
+              const OctreeNode& leaf = prep.atoms_tree.node(node_id);
+              if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
+                reconstruct_born(leaf.begin, leaf.end);
+            }
+          }
         }
-        epol_raws[c] = {raws[0], raws[1]};
-      });
-      seal_epol(c);
-      if (!recompute && plan_epol.initial_rank[c] != r) comm.add_migrated_chunk();
-      epol_ledger.mark_done(c, r);
+      }
+      run_chunks(
+          chunks, epol_plan, obs::PhaseId::kEpol,
+          [&](std::uint32_t c) {
+            epol_raws[c] = {0.0, 0.0};
+            accumulate_epol(*epol_solver, params.traversal, epol_plan.chunk_range(c),
+                            epol_raws[c].data());
+          },
+          [&](std::uint32_t c) {
+            seal(epol_raws[c], c, epol_crcs, epol_fired,
+                 mpisim::CorruptionPlan::kEpolPartials);
+            if (!recompute && plan_epol.initial_rank[c] != r) comm.add_migrated_chunk();
+            epol_ledger.mark_done(c, r);
+          },
+          walk);
     };
 
+    // recovery=true is a no-op when a chunk's near inputs are still resident
+    // (they are: this rank computed it earlier); it only reconstructs after a
+    // degraded path dropped them.
     const auto verify_epol = [&](const std::vector<std::uint32_t>& ids) {
-      if (corr.empty() || !comm.integrity_guards()) return;
-      for (const std::uint32_t c : ids) {
-        const std::size_t bytes = epol_raws[c].size() * sizeof(double);
-        if (support::crc32(epol_raws[c].data(), bytes) == epol_crcs[c])
-          continue;
-        comm.note_corruption_detected();
-        obs::emit(obs::EventKind::kCorruptionDetect, c, bytes, /*site=*/2);
-        // recovery=true is a no-op when the chunk's near inputs are still
-        // resident (they are: this rank computed it earlier); it only
-        // reconstructs after a degraded path dropped them.
-        compute_epol_chunk(c, /*recovery=*/true, /*recompute=*/true);
-        comm.note_corruption_recomputed();
-        obs::emit(obs::EventKind::kCorruptionRecompute, c, bytes, /*site=*/2);
-      }
+      verify(
+          ids, epol_crcs, [&](std::uint32_t c) { return std::span<double>(epol_raws[c]); },
+          [&](std::uint32_t c) {
+            compute_epol_chunks({&c, 1}, each(1), /*recovery=*/true, /*recompute=*/true);
+          });
     };
 
     std::vector<std::uint32_t> my_epol_ids = restored_epol_ids[static_cast<std::size_t>(r)];
-    {
-      const std::vector<std::uint32_t>& order = plan_epol.order[static_cast<std::size_t>(r)];
-      if (policy.enabled() && boundary_due())
-        save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
-      std::uint32_t since_save = 0;
-      std::size_t next_steal = 0;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal, i,
-                    order.size());
-        const std::uint32_t c = order[i];
-        if (!epol_ledger.done(c)) {
-          compute_epol_chunk(c, /*recovery=*/false);
-          my_epol_ids.push_back(c);
-          if (policy.enabled() && policy.every_k_chunks > 0 &&
-              ++since_save >= policy.every_k_chunks) {
-            since_save = 0;
-            save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
-          }
-        }
-        if (comm.poll_kill()) comm.abandon();
-      }
-      fire_steals(epol_steals[static_cast<std::size_t>(r)], next_steal,
-                  order.size(), order.size());
-    }
+    const auto save_epol = [&] {
+      save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
+    };
+    if (policy.enabled() && boundary_due()) save_epol();
+    walk_order(
+        plan_epol.order[static_cast<std::size_t>(r)], epol_steals[static_cast<std::size_t>(r)],
+        epol_ledger,
+        [&](std::span<const std::uint32_t> todo, const auto& walk) {
+          compute_epol_chunks(todo, walk, /*recovery=*/false);
+        },
+        my_epol_ids, save_epol);
 
     // ---- E_pol sync + recovery (same token protocol as the Born sync).
     obs::phase_begin(obs::PhaseId::kEpolReduce);
-    {
-      double token[1] = {0.0};
-      const double proxy_zero = 0.0;
-      std::vector<int> proxied;
-      for (;;) {
-        // Same integrity gate as the Born sync: all published chunks must
-        // verify before the fold can begin.
-        verify_epol(my_epol_ids);
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxied.size());
-        for (const int d : proxied) pubs.push_back({d, &proxy_zero});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(token, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        dead_set = st.dead;
-        const std::vector<int> live = live_ranks(P, st.dead);
-        writer = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        // Same stable-list striping as the Born recovery: dead executors'
-        // chunks per the plan, skipping the already-published ones.
-        std::vector<std::uint32_t> orphans;
-        for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c)
-          if (std::binary_search(st.dead.begin(), st.dead.end(), epol_executor[c]))
-            orphans.push_back(c);
-        bool recomputed = false;
-        for (std::size_t i = static_cast<std::size_t>(my); i < orphans.size();
-             i += static_cast<std::size_t>(parts)) {
-          const std::uint32_t c = orphans[i];
-          if (epol_ledger.done(c)) continue;
-          compute_epol_chunk(c, /*recovery=*/true);
-          my_epol_ids.push_back(c);
-          comm.add_redistributed_work(epol_plan.chunk_range(c).count());
-          recomputed = true;
-        }
-        if (policy.enabled() && recomputed)
-          save_ledger_snapshot(ckpt::Phase::kEpol, my_epol_ids, {born});
-        proxied = r == live.front() ? st.dead : std::vector<int>{};
-      }
-    }
+    sync_phase(
+        verify_epol, epol_executor, epol_ledger, epol_plan,
+        [&](std::span<const std::uint32_t> stripe, const auto& walk) {
+          compute_epol_chunks(stripe, walk, /*recovery=*/true);
+        },
+        my_epol_ids, save_epol);
 
     // Fold the raw sums in ascending chunk order (identical on every rank)
     // and finish once.
@@ -1630,14 +1520,12 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     double energy = 0.0;
     {
       mpisim::Comm::ComputeRegion region(comm);
-      double far_total = 0.0, near_total = 0.0;
+      double totals[2] = {0.0, 0.0};
       for (std::uint32_t c = 0; c < epol_plan.n_chunks; ++c) {
-        far_total += epol_raws[c][0];
-        near_total += epol_raws[c][1];
+        totals[0] += epol_raws[c][0];
+        totals[1] += epol_raws[c][1];
       }
-      energy = params.traversal == TraversalMode::kList
-                   ? epol_solver->finish_energy_pair(far_total, near_total)
-                   : epol_solver->finish_energy(far_total);
+      energy = finish_epol(*epol_solver, params.traversal, totals);
     }
 
     // ---- Publish: the lowest survivor writes the shared answer. Replicated

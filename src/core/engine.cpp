@@ -78,29 +78,25 @@ Driver route(const RunOptions& options) {
     return mode == EngineMode::kSerial ? Driver::kSerial : Driver::kCilk;
   }
 
-  // The paper's OCT_MPI shape — one thread per rank over whole-leaf node
-  // chunks — runs the canonical chunk fold; owned halos are planned from
-  // interaction lists.
-  if (options.threads_per_rank <= 1 && options.division == WorkDivision::kNodeNode) {
+  // Every kNodeNode shape — OCT_MPI and OCT_MPI+CILK alike — runs the
+  // canonical chunk fold (hybrid ranks run their chunks on a rank-local
+  // pool); owned halos are planned from interaction lists.
+  if (options.division == WorkDivision::kNodeNode) {
     if (owned && options.traversal != TraversalMode::kList)
       reject("traversal", "kOwned plans its halos from kList interaction lists");
     return Driver::kCanonical;
   }
 
-  // Hybrid ranks and the kAtomBased / kNodeBalanced ablations run the
-  // paper's static reduction, which has no chunks to balance, own, kill at
-  // or checkpoint.
-  if (owned || balanced) {
-    if (options.threads_per_rank > 1)
-      reject("threads_per_rank",
-             "the canonical chunk fold (balance, kOwned) runs one thread per rank");
+  // The kAtomBased / kNodeBalanced ablations run the paper's one-thread
+  // static reduction, which has no chunks to balance, own, kill at or
+  // checkpoint.
+  if (options.threads_per_rank > 1)
+    reject("threads_per_rank", "kAtomBased and kNodeBalanced run one thread per rank");
+  if (owned || balanced)
     reject("division", "the canonical chunk fold (balance, kOwned) needs kNodeNode");
-  }
-  if (options.kill.armed)
-    reject("kill", "hybrid ranks, kAtomBased and kNodeBalanced have no kill points");
+  if (options.kill.armed) reject("kill", "kAtomBased and kNodeBalanced have no kill points");
   if (options.checkpoint.enabled())
-    reject("checkpoint.dir",
-           "hybrid ranks, kAtomBased and kNodeBalanced cannot checkpoint");
+    reject("checkpoint.dir", "kAtomBased and kNodeBalanced cannot checkpoint");
   return Driver::kDistributed;
 }
 
@@ -123,17 +119,7 @@ RunResult Engine::run(const RunOptions& options) const {
     case Driver::kDistributed:
       break;
   }
-  RunConfig config;
-  config.ranks = options.ranks;
-  config.threads_per_rank = options.threads_per_rank;
-  config.cluster = options.cluster;
-  config.division = options.division;
-  config.faults = options.faults;
-  config.stall_timeout_seconds = options.stall_timeout_seconds;
-  config.corruption = options.corruption;
-  config.integrity_guards = options.integrity_guards;
-  config.pool = options.pool;
-  return detail::oct_distributed(*prep_, params, constants_, config);
+  return detail::oct_distributed(*prep_, params, constants_, options);
 }
 
 // --- RunResult JSON ------------------------------------------------------

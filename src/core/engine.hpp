@@ -80,25 +80,27 @@ struct RunOptions {
   // on the params the Engine was constructed with).
   TraversalMode traversal = TraversalMode::kList;
 
-  // Cross-rank balancing (core/balance.hpp). Every distributed run with one
-  // thread per rank and division == kNodeNode (the paper's OCT_MPI) runs
-  // the canonical chunk-fold driver under every policy, kStatic included, so
-  // all policies agree to the bit. Policies other than kStatic need that
-  // shape; route() throws for any other configuration. The chunk geometry
-  // (balance_chunk_leaves) is also the checkpoint and kill granularity.
+  // Cross-rank balancing (core/balance.hpp). Every distributed kNodeNode
+  // run (the paper's OCT_MPI, and OCT_MPI+CILK with threads_per_rank > 1)
+  // runs the canonical chunk-fold driver under every policy, kStatic
+  // included, so all policies agree to the bit. Policies other than kStatic
+  // need that shape; route() throws for kAtomBased / kNodeBalanced. The
+  // chunk geometry (balance_chunk_leaves; auto = 8 chunks per worker thread,
+  // ranks x threads_per_rank workers) is also the checkpoint and kill
+  // granularity, so P x p and (P*p) x 1 runs agree to the bit.
   BalancePolicy balance = BalancePolicy::kStatic;
   std::uint32_t balance_chunk_leaves = 0;  // leaves per chunk; 0 = auto
 
   // Data residency (core/workdiv.hpp). kOwned runs the canonical chunk-fold
   // driver with owned data: ranks own Morton-contiguous leaf ranges and
   // exchange halos instead of holding the full molecule. Requires a
-  // distributed run in the canonical-fold configuration (threads_per_rank ==
-  // 1, kNodeNode, TraversalMode::kList); route() throws for any other shape.
+  // distributed run in the canonical-fold configuration (kNodeNode,
+  // TraversalMode::kList); route() throws for any other shape.
   DataDistribution distribution = DataDistribution::kReplicated;
 
   // Fault injection, process kill, stall supervision (mpisim). An armed kill
   // needs the canonical chunk fold's kill points: route() throws for
-  // serial/cilk, hybrid ranks, kAtomBased and kNodeBalanced.
+  // serial/cilk, kAtomBased and kNodeBalanced.
   mpisim::FaultPlan faults;
   mpisim::KillPlan kill;
   double stall_timeout_seconds = 0.0;
@@ -256,11 +258,11 @@ struct RunResult {
 enum class Driver {
   kSerial,       // detail::oct_serial (OCT_SERIAL)
   kCilk,         // detail::oct_cilk (OCT_CILK)
-  kDistributed,  // detail::oct_distributed (OCT_MPI+CILK hybrid ranks and
-                 // the kAtomBased / kNodeBalanced ablations: the paper's
-                 // static split and reduction)
-  kCanonical,    // detail::oct_canonical (OCT_MPI: the chunk fold, every
-                 // balance policy, replicated or owned data)
+  kDistributed,  // detail::oct_distributed (the one-thread kAtomBased /
+                 // kNodeBalanced ablations: the paper's static split and
+                 // reduction)
+  kCanonical,    // detail::oct_canonical (OCT_MPI and OCT_MPI+CILK: the
+                 // chunk fold, every balance policy, replicated or owned)
 };
 
 // Engine::run's routing decision, made from the options alone. Resolves
@@ -373,14 +375,18 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
                      const GBConstants& constants);
 RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
                    const GBConstants& constants, int threads);
+// The paper's static split and reduction, one thread per rank, for the
+// kAtomBased / kNodeBalanced ablations (kNodeBalanced keeps the relay-chain
+// death recovery).
 RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
-                          const GBConstants& constants, const RunConfig& config);
+                          const GBConstants& constants, const RunOptions& options);
 // The canonical chunk-fold driver with cross-rank balancing (DESIGN.md "Load
 // balancing") for both data distributions: replicated, or owned ranges plus
 // halos (DESIGN.md "Domain decomposition & halo exchange"). One chunk,
 // checkpoint, integrity and recovery protocol, so every policy and both
-// distributions give bit-identical energies and Born radii. Requires
-// threads_per_rank == 1 and WorkDivision::kNodeNode, plus
+// distributions give bit-identical energies and Born radii. Hybrid ranks
+// (threads_per_rank > 1) compute their chunks on a rank-local pool, which
+// changes no bit. Requires WorkDivision::kNodeNode, plus
 // TraversalMode::kList when owned (route() enforces it).
 RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
                         const GBConstants& constants, const RunOptions& options);

@@ -251,19 +251,6 @@ InteractionLists EpolSolver::build_lists(std::uint32_t leaf_lo,
   return lists;
 }
 
-InteractionLists EpolSolver::build_lists_parallel(ws::Scheduler& sched,
-                                                  std::uint32_t leaf_lo,
-                                                  std::uint32_t leaf_hi) const {
-  InteractionLists lists = build_interaction_lists_parallel(
-      sched, prep_->atoms_tree, prep_->atoms_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = true,
-       .source_leaf_lo = leaf_lo,
-       .source_leaf_hi = leaf_hi});
-  lists.build_tiles(prep_->atoms_tree, prep_->atoms_tree, tile_cost());
-  return lists;
-}
-
 template <bool kApproxMath>
 void EpolSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
                                 std::size_t hi, double& sum) const {

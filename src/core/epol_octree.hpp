@@ -101,8 +101,6 @@ class EpolSolver {
   // flat near/far lists; energy_*_range evaluate chunkable list segments
   // (already scaled by -tau/2 ke, so partial sums add up to E_pol).
   InteractionLists build_lists(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
-  InteractionLists build_lists_parallel(ws::Scheduler& sched, std::uint32_t leaf_lo,
-                                        std::uint32_t leaf_hi) const;
   double energy_far_range(const InteractionLists& lists, std::size_t lo,
                           std::size_t hi) const;
   double energy_near_range(const InteractionLists& lists, std::size_t lo,

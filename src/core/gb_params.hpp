@@ -24,9 +24,7 @@ enum class RadiusKernel { kR6, kR4 };
 // How the solvers traverse the octrees:
 //  * kList      — one pass over (target tree x source leaves) emits flat
 //                 near/far interaction lists (core/interaction_lists.hpp),
-//                 consumed by batched SoA kernels; far entries evaluate as a
-//                 flat parallel_for, so task granularity is list-chunk sized
-//                 instead of quadrature-leaf sized.
+//                 consumed by batched SoA kernels.
 //  * kRecursive — the per-source-leaf recursive walk with scalar Vec3
 //                 kernels, kept for A/B benchmarking (bench/micro_kernels,
 //                 bench/fig5_speedup).

@@ -4,8 +4,6 @@
 
 #include <unistd.h>
 
-#include "ws/parallel_for.hpp"
-
 namespace gbpol {
 namespace {
 
@@ -79,12 +77,6 @@ void build_range(const Octree& target, const Octree& source,
 }
 
 }  // namespace
-
-void InteractionLists::append(InteractionLists&& other) {
-  far.insert(far.end(), other.far.begin(), other.far.end());
-  near.insert(near.end(), other.near.begin(), other.near.end());
-  near_point_pairs += other.near_point_pairs;
-}
 
 MemoryFootprint InteractionLists::footprint() const {
   MemoryFootprint fp;
@@ -175,44 +167,6 @@ LeafWalk walk_source_leaves(const Octree& target, const Octree& source,
     walk.near_start[i - lo + 1] = static_cast<std::uint32_t>(walk.near_targets.size());
   }
   return walk;
-}
-
-InteractionLists build_interaction_lists_parallel(ws::Scheduler& sched,
-                                                  const Octree& target,
-                                                  const Octree& source,
-                                                  const ListBuildParams& params) {
-  InteractionLists lists;
-  if (target.empty() || source.empty() ||
-      params.source_leaf_lo >= params.source_leaf_hi)
-    return lists;
-
-  const std::uint32_t n_leaves = params.source_leaf_hi - params.source_leaf_lo;
-  // Fixed chunking (independent of worker count) keeps the concatenation
-  // order — and therefore the evaluated FP sum order — deterministic.
-  const std::uint32_t chunk = std::max<std::uint32_t>(
-      1, n_leaves / static_cast<std::uint32_t>(8 * sched.num_workers()));
-  const std::uint32_t n_chunks = (n_leaves + chunk - 1) / chunk;
-
-  std::vector<InteractionLists> parts(n_chunks);
-  ws::parallel_for(sched, 0, n_chunks, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t leaf_lo =
-          params.source_leaf_lo + static_cast<std::uint32_t>(i) * chunk;
-      const std::uint32_t leaf_hi =
-          std::min(leaf_lo + chunk, params.source_leaf_hi);
-      build_range(target, source, params, leaf_lo, leaf_hi, parts[i]);
-    }
-  });
-
-  std::size_t far_total = 0, near_total = 0;
-  for (const InteractionLists& part : parts) {
-    far_total += part.far.size();
-    near_total += part.near.size();
-  }
-  lists.far.reserve(far_total);
-  lists.near.reserve(near_total);
-  for (InteractionLists& part : parts) lists.append(std::move(part));
-  return lists;
 }
 
 }  // namespace gbpol

@@ -11,9 +11,8 @@
 //   * a flat NEAR list of (target_leaf, source_leaf) pairs — the leaf pairs
 //     that need exact point-by-point kernels.
 //
-// The lists are then consumed by cache-blocked batched kernels (approx_math)
-// and chunked parallel_for loops, so intra-node task granularity is bounded by
-// list length instead of source-leaf count. Entries are emitted in exactly the
+// The lists are then consumed by cache-blocked batched kernels (approx_math).
+// Entries are emitted in exactly the
 // order the recursive engines visit them, so list evaluation reproduces the
 // recursive result up to FP reassociation (tests pin <= 1e-12 relative).
 #pragma once
@@ -28,10 +27,6 @@
 #include "support/memtrack.hpp"
 
 namespace gbpol {
-
-namespace ws {
-class Scheduler;
-}
 
 struct InteractionLists {
   // A far pair: the whole target subtree is far from the source leaf.
@@ -76,7 +71,6 @@ struct InteractionLists {
   void build_tiles(const Octree& target, const Octree& source, const TileCost& cost,
                    std::size_t budget_bytes = 0);
 
-  void append(InteractionLists&& other);
   MemoryFootprint footprint() const;
 };
 
@@ -153,14 +147,5 @@ struct LeafWalk {
 // no tiles.
 LeafWalk walk_source_leaves(const Octree& target, const Octree& source,
                             const ListBuildParams& params);
-
-// Parallel build over the pool: source-leaf chunks are traversed concurrently
-// into per-chunk lists (disjoint slots of a pre-sized array — lock-free) and
-// concatenated in chunk order, so the result is IDENTICAL to the serial build
-// regardless of worker count.
-InteractionLists build_interaction_lists_parallel(ws::Scheduler& sched,
-                                                  const Octree& target,
-                                                  const Octree& source,
-                                                  const ListBuildParams& params);
 
 }  // namespace gbpol

@@ -52,7 +52,12 @@ Scheduler::~Scheduler() {
 int Scheduler::worker_id() { return tls_worker_id; }
 
 void Scheduler::run(std::function<void()> root) {
-  assert(!in_pool() && "Scheduler::run must not be called from inside the pool");
+  start(std::move(root));
+  join();
+}
+
+void Scheduler::start(std::function<void()> root) {
+  assert(!in_pool() && "Scheduler::start must not be called from inside the pool");
   root_done_.store(false, std::memory_order_relaxed);
   std::function<void()> fn = std::move(root);
   auto* task = new detail::Task{
@@ -70,6 +75,9 @@ void Scheduler::run(std::function<void()> root) {
     injected_.push_back(task);
   }
   work_cv_.notify_one();
+}
+
+void Scheduler::join() {
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [this] { return root_done_.load(std::memory_order_acquire); });
 }

@@ -72,6 +72,11 @@ class Scheduler {
   // Runs `root` on the pool and blocks until it (and all tasks it spawned
   // and waited for) completes. Must be called from OUTSIDE the pool.
   void run(std::function<void()> root);
+  // run() in two halves: start() submits `root` and returns at once, so the
+  // caller can work alongside the pool; join() blocks until it completes.
+  // Every start() must be joined before the next.
+  void start(std::function<void()> root);
+  void join();
 
   // Id of the current pool thread in [0, num_workers), or -1 outside.
   static int worker_id();

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -117,9 +118,6 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   RunOptions o;
 
   // kOwned outside the canonical-fold configuration.
-  o = distributed_options(3, 2);
-  o.distribution = DataDistribution::kOwned;
-  add("owned hybrid", "threads_per_rank", o);
   o = distributed_options(3);
   o.distribution = DataDistribution::kOwned;
   o.division = WorkDivision::kNodeBalanced;
@@ -130,21 +128,20 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   add("owned kRecursive", "traversal", o);
 
   // Balancing outside it.
-  o = distributed_options(3, 2);
-  o.balance = BalancePolicy::kSteal;
-  add("kSteal hybrid", "threads_per_rank", o);
   o = distributed_options(3);
   o.balance = BalancePolicy::kCostModel;
   o.division = WorkDivision::kAtomBased;
   add("kCostModel kAtomBased", "division", o);
 
+  // Threads inside ranks on the one-thread static-reduction ablations.
+  o = distributed_options(2, 2);
+  o.division = WorkDivision::kAtomBased;
+  add("kAtomBased hybrid", "threads_per_rank", o);
+  o = distributed_options(2, 2);
+  o.division = WorkDivision::kNodeBalanced;
+  add("kNodeBalanced hybrid", "threads_per_rank", o);
+
   // Kill or checkpoint on a legacy shape without kill points.
-  o = distributed_options(2, 2);
-  o.kill.armed = true;
-  add("kill hybrid", "kill", o);
-  o = distributed_options(2, 2);
-  o.checkpoint.dir = dir;
-  add("checkpoint hybrid", "checkpoint.dir", o);
   o = distributed_options(3);
   o.division = WorkDivision::kAtomBased;
   o.kill.armed = true;
@@ -193,10 +190,14 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
 }
 
 // Every supported shape routes to its driver and runs. The canonical-fold
-// shapes (plain OCT_MPI, every policy, owned data) agree to the bit; the
-// other list-traversal drivers agree with them to reassociation distance,
-// and cilk's dual-tree recursion to its approximation error.
+// shapes (plain OCT_MPI, hybrid ranks, every policy, owned data, armed kill,
+// checkpointing) agree to the bit with the one-thread run on as many ranks
+// as they have worker threads; the other list-traversal drivers agree with
+// them to reassociation distance, and cilk's dual-tree recursion to its
+// approximation error.
 TEST_F(EngineTest, RouteRunsEverySupportedShape) {
+  const std::string dir = ::testing::TempDir() + "/gbpol_route_hybrid_ckpt";
+  std::filesystem::remove_all(dir);
   struct Supported {
     const char* label;
     Driver driver;
@@ -209,12 +210,24 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
   RunOptions o;
   add("serial", Driver::kSerial, serial_options());
   add("cilk", Driver::kCilk, cilk_options(2));
-  add("2x2 hybrid", Driver::kDistributed, distributed_options(2, 2));
+  add("2x2 hybrid", Driver::kCanonical, distributed_options(2, 2));
+  o = distributed_options(3, 2);
+  o.distribution = DataDistribution::kOwned;
+  add("owned hybrid", Driver::kCanonical, o);
+  o = distributed_options(3, 2);
+  o.balance = BalancePolicy::kSteal;
+  add("kSteal hybrid", Driver::kCanonical, o);
+  o = distributed_options(2, 2);
+  o.kill.armed = true;  // beyond the last kill poll: the run finishes
+  o.kill.tick = std::numeric_limits<std::uint64_t>::max();
+  add("kill hybrid", Driver::kCanonical, o);
+  o = distributed_options(2, 2);
+  o.checkpoint.dir = dir;
+  add("checkpoint hybrid", Driver::kCanonical, o);
   o = distributed_options(3);
   o.division = WorkDivision::kNodeBalanced;
   add("kNodeBalanced", Driver::kDistributed, o);
-  const RunOptions canonical_options = distributed_options(3);
-  add("1-thread kStatic replicated", Driver::kCanonical, canonical_options);
+  add("1-thread kStatic replicated", Driver::kCanonical, distributed_options(3));
   o = distributed_options(3);
   o.balance = BalancePolicy::kCostModel;
   add("kCostModel replicated", Driver::kCanonical, o);
@@ -230,7 +243,6 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
 
   const Engine engine(*prep_);
   const RunResult serial = engine.run(serial_options());
-  const RunResult canonical = engine.run(canonical_options);
   for (const Supported& row : table) {
     SCOPED_TRACE(std::string(row.label) + " balance=" +
                  std::to_string(static_cast<int>(row.options.balance)));
@@ -241,10 +253,15 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
     const bool owned = row.options.distribution == DataDistribution::kOwned;
     EXPECT_EQ(r.owned_bytes_per_rank > 0, owned);
     if (row.driver == Driver::kCanonical) {
-      EXPECT_EQ(r.energy, canonical.energy);
-      EXPECT_EQ(r.born_sorted, canonical.born_sorted);
+      const RunResult twin =
+          engine.run(distributed_options(row.options.ranks * row.options.threads_per_rank));
+      EXPECT_FALSE(r.killed);
+      EXPECT_EQ(r.energy, twin.energy);
+      EXPECT_EQ(r.born_sorted, twin.born_sorted);
     }
   }
+  EXPECT_TRUE(std::filesystem::exists(dir));
+  std::filesystem::remove_all(dir);
 
   // Plain OCT_MPI is the canonical fold at every rank count: bit-identical
   // to both balance policies and to owned data at the same P.

@@ -3,7 +3,11 @@
 // bit-identical canonicalized streams (wall time masked). A planned fault
 // schedule must also show up in the trace as exactly the planned events —
 // no more, no fewer.
+#include <algorithm>
+#include <array>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +45,36 @@ TEST_F(GoldenTraceTest, FaultFreeReplayIsBitIdentical) {
   EXPECT_EQ(a.trace.total_dropped(), 0u);
   EXPECT_EQ(obs::canonical_dump(a.trace), obs::canonical_dump(b.trace));
   EXPECT_EQ(a.result.energy, b.result.energy);
+}
+
+// Hybrid ranks: which pool worker runs a chunk, and the workers' steal
+// traffic, follow the scheduler. The rest is logical: the rank-thread
+// streams replay byte for byte, and the worker chunk spans (rank, range,
+// phase) form the same multiset.
+std::pair<std::string, std::vector<std::array<std::uint64_t, 4>>> hybrid_replay(
+    const obs::Trace& trace) {
+  obs::Trace rank_threads;
+  std::vector<std::array<std::uint64_t, 4>> spans;
+  for (const obs::EventStream& s : trace.streams)
+    if (s.worker < 0) rank_threads.streams.push_back(s);
+  for (const obs::Event& e : events_of(trace, obs::EventKind::kChunkDone))
+    if (e.worker >= 0) spans.push_back({static_cast<std::uint64_t>(e.rank), e.a, e.b, e.arg});
+  std::sort(spans.begin(), spans.end());
+  return {obs::canonical_dump(rank_threads), spans};
+}
+
+TEST_F(GoldenTraceTest, HybridReplayIsBitIdentical) {
+  const RunOptions config = distributed_options(2, 2);
+  const TracedRun a = run_traced(fix().prep, ApproxParams{}, GBConstants{}, config);
+  const TracedRun b = run_traced(fix().prep, ApproxParams{}, GBConstants{}, config);
+  ASSERT_GT(a.trace.total_events(), 0u);
+  EXPECT_EQ(a.trace.total_dropped(), 0u);
+  const auto replay_a = hybrid_replay(a.trace), replay_b = hybrid_replay(b.trace);
+  EXPECT_FALSE(replay_a.second.empty());
+  EXPECT_EQ(replay_a.first, replay_b.first);
+  EXPECT_EQ(replay_a.second, replay_b.second);
+  EXPECT_EQ(a.result.energy, b.result.energy);
+  EXPECT_EQ(a.result.born_sorted, b.result.born_sorted);
 }
 
 TEST_F(GoldenTraceTest, FaultedReplayIsBitIdentical) {
@@ -144,29 +178,32 @@ TEST_F(GoldenTraceTest, PlannedDeathsAppearExactlyInTraceOnTheChunkFold) {
 // replicated runs the two token allreduces around the radii allgatherv;
 // owned mode replaces the allgatherv with the exact Born-extrema
 // min-allreduce and the leaf-row allgatherv. Every rank's main
-// stream must show exactly the expected kinds, in order, fault-free.
+// stream must show exactly the expected kinds, in order, fault-free, with
+// or without pool threads inside the ranks.
 TEST_F(GoldenTraceTest, CollectiveKindSequenceMatchesDistributionMode) {
-  for (const DataDistribution dist :
-       {DataDistribution::kReplicated, DataDistribution::kOwned}) {
-    ApproxParams params;
-    RunOptions config;
-    config.ranks = 4;
-    config.distribution = dist;
-    const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
-    SCOPED_TRACE(dist == DataDistribution::kOwned ? "owned" : "replicated");
-    const std::vector<obs::CollKind> expected =
-        testing::expected_collective_kinds(dist);
-    int rank_streams = 0;
-    for (const obs::EventStream& s : run.trace.streams) {
-      const std::vector<obs::CollKind> kinds = testing::collective_kinds_of(s);
-      if (kinds.empty()) continue;  // worker streams never enter collectives
-      ++rank_streams;
-      ASSERT_EQ(kinds.size(), expected.size()) << "rank " << s.rank;
-      for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(static_cast<int>(kinds[i]), static_cast<int>(expected[i]))
-            << "rank " << s.rank << " collective " << i;
+  for (const int threads : {1, 2}) {
+    for (const DataDistribution dist :
+         {DataDistribution::kReplicated, DataDistribution::kOwned}) {
+      ApproxParams params;
+      RunOptions config = distributed_options(4, threads);
+      config.distribution = dist;
+      const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
+      SCOPED_TRACE(std::string(dist == DataDistribution::kOwned ? "owned" : "replicated") +
+                   " threads=" + std::to_string(threads));
+      const std::vector<obs::CollKind> expected =
+          testing::expected_collective_kinds(dist);
+      int rank_streams = 0;
+      for (const obs::EventStream& s : run.trace.streams) {
+        const std::vector<obs::CollKind> kinds = testing::collective_kinds_of(s);
+        if (kinds.empty()) continue;  // worker streams never enter collectives
+        ++rank_streams;
+        ASSERT_EQ(kinds.size(), expected.size()) << "rank " << s.rank;
+        for (std::size_t i = 0; i < expected.size(); ++i)
+          EXPECT_EQ(static_cast<int>(kinds[i]), static_cast<int>(expected[i]))
+              << "rank " << s.rank << " collective " << i;
+      }
+      EXPECT_EQ(rank_streams, 4);
     }
-    EXPECT_EQ(rank_streams, 4);
   }
 }
 

@@ -16,7 +16,6 @@
 #include "core/engine.hpp"
 #include "core/epol_octree.hpp"
 #include "test_helpers.hpp"
-#include "ws/scheduler.hpp"
 
 namespace gbpol {
 namespace {
@@ -110,48 +109,9 @@ TEST_F(InteractionListsTest, EpolMatchesRecursiveAcrossVariants) {
   }
 }
 
-// The lock-free parallel build must produce the IDENTICAL list (same entries,
-// same order) as the serial build — chunks are concatenated deterministically.
-TEST_F(InteractionListsTest, ParallelBuildEqualsSerialBuild) {
-  const Fixture& f = fixtures()[1];
-  ApproxParams params;
-  const BornSolver born_solver(f.prep, params);
-  const std::vector<double> born = naive_born_sorted(f);
-  const EpolSolver epol_solver(f.prep, born, params, GBConstants{});
-  const auto n_qleaves = static_cast<std::uint32_t>(f.prep.q_tree.leaves().size());
-  const auto n_aleaves = static_cast<std::uint32_t>(f.prep.atoms_tree.leaves().size());
-
-  for (const int workers : {2, 4}) {
-    ws::Scheduler sched(workers);
-
-    const InteractionLists serial_b = born_solver.build_lists(0, n_qleaves);
-    const InteractionLists par_b = born_solver.build_lists_parallel(sched, 0, n_qleaves);
-    ASSERT_EQ(serial_b.far.size(), par_b.far.size());
-    ASSERT_EQ(serial_b.near.size(), par_b.near.size());
-    EXPECT_EQ(serial_b.near_point_pairs, par_b.near_point_pairs);
-    for (std::size_t i = 0; i < serial_b.far.size(); ++i) {
-      ASSERT_EQ(serial_b.far[i].target_node, par_b.far[i].target_node) << i;
-      ASSERT_EQ(serial_b.far[i].source_leaf, par_b.far[i].source_leaf) << i;
-    }
-    for (std::size_t i = 0; i < serial_b.near.size(); ++i) {
-      ASSERT_EQ(serial_b.near[i].target_leaf, par_b.near[i].target_leaf) << i;
-      ASSERT_EQ(serial_b.near[i].source_leaf, par_b.near[i].source_leaf) << i;
-    }
-
-    const InteractionLists serial_e = epol_solver.build_lists(0, n_aleaves);
-    const InteractionLists par_e = epol_solver.build_lists_parallel(sched, 0, n_aleaves);
-    ASSERT_EQ(serial_e.far.size(), par_e.far.size());
-    ASSERT_EQ(serial_e.near.size(), par_e.near.size());
-    for (std::size_t i = 0; i < serial_e.far.size(); ++i) {
-      ASSERT_EQ(serial_e.far[i].target_node, par_e.far[i].target_node) << i;
-      ASSERT_EQ(serial_e.far[i].source_leaf, par_e.far[i].source_leaf) << i;
-    }
-  }
-}
-
 // Splitting either list at arbitrary points and evaluating the segments on
 // separate accumulators must merge to the whole-list result — the property
-// the chunked parallel_for in the drivers relies on.
+// chunked list evaluation relies on.
 TEST_F(InteractionListsTest, ListSegmentsComposeExactly) {
   const Fixture& f = fixtures()[0];
   ApproxParams params;
@@ -202,14 +162,16 @@ TEST_F(InteractionListsTest, LeafRangePartitionCoversFullList) {
   const auto n = static_cast<std::uint32_t>(f.prep.q_tree.leaves().size());
   const std::uint32_t cut = n / 2;
   const InteractionLists full = solver.build_lists(0, n);
-  InteractionLists joined = solver.build_lists(0, cut);
-  joined.append(solver.build_lists(cut, n));
-  ASSERT_EQ(full.far.size(), joined.far.size());
-  ASSERT_EQ(full.near.size(), joined.near.size());
-  EXPECT_EQ(full.near_point_pairs, joined.near_point_pairs);
+  const InteractionLists lo = solver.build_lists(0, cut);
+  const InteractionLists hi = solver.build_lists(cut, n);
+  ASSERT_EQ(full.far.size(), lo.far.size() + hi.far.size());
+  ASSERT_EQ(full.near.size(), lo.near.size() + hi.near.size());
+  EXPECT_EQ(full.near_point_pairs, lo.near_point_pairs + hi.near_point_pairs);
   for (std::size_t i = 0; i < full.far.size(); ++i) {
-    ASSERT_EQ(full.far[i].target_node, joined.far[i].target_node) << i;
-    ASSERT_EQ(full.far[i].source_leaf, joined.far[i].source_leaf) << i;
+    const InteractionLists::Far& part =
+        i < lo.far.size() ? lo.far[i] : hi.far[i - lo.far.size()];
+    ASSERT_EQ(full.far[i].target_node, part.target_node) << i;
+    ASSERT_EQ(full.far[i].source_leaf, part.source_leaf) << i;
   }
 }
 
@@ -293,7 +255,7 @@ TEST_F(InteractionListsTest, DriversAgreeAcrossTraversalModes) {
   config.threads_per_rank = 2;
   config.traversal = TraversalMode::kList;
   const RunResult dist_list = engine.run(config);
-  // Parallel evaluation reassociates worker-partial sums, so compare against
+  // The chunk fold reassociates per-chunk partial sums, so compare against
   // the serial result at the drivers' established cross-mode tolerance.
   EXPECT_LE(rel_diff(dist_list.energy, serial_list.energy), 1e-9);
   for (std::size_t i = 0; i < dist_list.born_sorted.size(); ++i)

@@ -29,8 +29,11 @@ class MetricsSchemaTest : public ::testing::Test {
     config.ranks = 4;
     run_ = new TracedRun(
         run_traced(fixture_->prep, params, GBConstants{}, config));
+    hybrid_run_ = new TracedRun(
+        run_traced(fixture_->prep, params, GBConstants{}, distributed_options(2, 2)));
   }
   static void TearDownTestSuite() {
+    delete hybrid_run_;
     delete run_;
     delete fixture_;
   }
@@ -38,9 +41,11 @@ class MetricsSchemaTest : public ::testing::Test {
   static const TracedRun& run() { return *run_; }
   static Fixture* fixture_;
   static TracedRun* run_;
+  static TracedRun* hybrid_run_;  // 2 ranks x 2 pool threads
 };
 Fixture* MetricsSchemaTest::fixture_ = nullptr;
 TracedRun* MetricsSchemaTest::run_ = nullptr;
+TracedRun* MetricsSchemaTest::hybrid_run_ = nullptr;
 
 obs::MetricsDoc make_doc(const TracedRun& run) {
   obs::MetricsDoc doc;
@@ -132,24 +137,28 @@ TEST_F(MetricsSchemaTest, PhaseBusyReconcilesWithRuntimeAccounting) {
   // runtime reports and the phase-busy matrix (attributed to the phase open
   // on the thread), so the per-rank row sums must agree to accumulation
   // noise. This is the cross-check that makes the phase breakdown a
-  // decomposition of real numbers rather than a separate estimate.
-  const obs::MetricsSnapshot& m = run().trace.metrics;
-  ASSERT_EQ(m.ranks, 4);
-  double summed = 0.0;
-  for (int r = 0; r < m.ranks; ++r) {
-    EXPECT_NEAR(m.total_phase_busy(r), m.rank_compute_seconds[r], 1e-9)
-        << "rank " << r;
-    summed += m.total_phase_busy(r);
+  // decomposition of real numbers rather than a separate estimate. Hybrid
+  // ranks charge each pool dispatch (its chunks' CPU times list-scheduled
+  // over the workers) from the rank thread, so the same holds for them.
+  for (const TracedRun* traced : {run_, hybrid_run_}) {
+    const obs::MetricsSnapshot& m = traced->trace.metrics;
+    ASSERT_EQ(m.ranks, traced->result.ranks);
+    double summed = 0.0;
+    for (int r = 0; r < m.ranks; ++r) {
+      EXPECT_NEAR(m.total_phase_busy(r), m.rank_compute_seconds[r], 1e-9)
+          << "rank " << r;
+      summed += m.total_phase_busy(r);
+    }
+    EXPECT_NEAR(summed, m.total_phase_busy_all(), 1e-12);
+    // The runtime's modeled makespan input (max compute over ranks) is
+    // reproducible from the snapshot alone.
+    double max_compute = 0.0;
+    for (int r = 0; r < m.ranks; ++r)
+      max_compute = std::max(
+          max_compute, m.rank_compute_seconds[r] + m.rank_straggler_seconds[r]);
+    EXPECT_NEAR(max_compute, traced->result.compute_seconds,
+                1e-9 * (1.0 + max_compute));
   }
-  EXPECT_NEAR(summed, m.total_phase_busy_all(), 1e-12);
-  // The runtime's modeled makespan input (max compute over ranks) is
-  // reproducible from the snapshot alone.
-  double max_compute = 0.0;
-  for (int r = 0; r < m.ranks; ++r)
-    max_compute = std::max(
-        max_compute, m.rank_compute_seconds[r] + m.rank_straggler_seconds[r]);
-  EXPECT_NEAR(max_compute, run().result.compute_seconds,
-              1e-9 * (1.0 + max_compute));
 }
 
 }  // namespace

@@ -508,13 +508,14 @@ TEST(ServeTest, UnroutableRunShapeThrowsAtConstruction) {
   // and then quarantining every request the service accepts.
   ServiceOptions options;
   options.campaign_dir = "-";
-  options.run = distributed_options(2, /*threads_per_rank=*/2);
+  options.run = distributed_options(2);
   options.run.distribution = DataDistribution::kOwned;
+  options.run.division = WorkDivision::kNodeBalanced;
   try {
     Service service(options);
-    ADD_FAILURE() << "Service accepted kOwned with threads_per_rank = 2";
+    ADD_FAILURE() << "Service accepted kOwned with kNodeBalanced";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("threads_per_rank"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("division"), std::string::npos)
         << e.what();
   }
 }

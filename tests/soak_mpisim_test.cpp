@@ -187,6 +187,55 @@ TEST_F(SoakMpisimTest, KillAndRestartSchedulesResumeBitExactly) {
   }
 }
 
+// Hybrid soak: 30 seeded 2-thread-per-rank schedules over 3, 4 and 5 ranks.
+// Even seeds draw random fault schedules (deaths included); odd seeds arm a
+// kill at a seeded logical clock and restart from the snapshots. Either way
+// the answer must equal the one-thread run on as many ranks as the job has
+// workers, to the last bit.
+TEST_F(SoakMpisimTest, HybridDeathAndKillSchedulesMatchOneThreadRanks) {
+  FaultPlan::RandomProfile profile;
+  profile.max_deaths = 2;
+  profile.collective_horizon = 5;
+  const std::string base =
+      ::testing::TempDir() + "/gbpol_soak_hybrid_" + std::to_string(::getpid());
+  const Engine engine(*prep_);
+  const std::map<int, RunResult> twins = {{3, run(6, {})}, {4, run(8, {})}, {5, run(10, {})}};
+  int killed = 0, degraded = 0;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    const int ranks = 3 + static_cast<int>(seed % 3);
+    const RunResult& twin = twins.at(ranks);  // (2 * ranks) x 1
+    RunOptions config = distributed_options(ranks, 2);
+    const std::string dir = base + "_" + std::to_string(seed);
+    std::filesystem::remove_all(dir);
+    if (seed % 2 == 0) {
+      config.faults = FaultPlan::random(7000 + seed, ranks, profile);
+    } else {
+      config.checkpoint.dir = dir;
+      config.checkpoint.every_k_chunks = 1 + static_cast<std::uint32_t>((seed / 2) % 2);
+      config.checkpoint.every_n_collectives = 1;
+      config.kill = {.armed = true,
+                     .rank = static_cast<int>(seed % static_cast<std::uint64_t>(ranks)),
+                     .collective_seq = (seed / 2) % 2 == 0 ? 0u : 2u,
+                     .tick = 1 + (seed / 3) % 4};
+    }
+    SCOPED_TRACE("ranks=" + std::to_string(ranks) + " seed=" + std::to_string(seed));
+    RunResult r = engine.run(config);
+    degraded += seed % 2 == 0 && r.degraded ? 1 : 0;
+    if (r.killed) {
+      ++killed;
+      config.kill = {};
+      config.checkpoint.resume = true;
+      r = engine.run(config);
+      EXPECT_TRUE(r.resumed);
+    }
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(r.energy, twin.energy);
+    ASSERT_EQ(r.born_sorted, twin.born_sorted);
+  }
+  EXPECT_GT(killed, 5);
+  EXPECT_GT(degraded, 5);
+}
+
 // Cascading death: the recovery of the first death is itself interrupted by
 // the death of another survivor at the immediately following logical clock
 // (the retried collective), so the relay chain has to re-form around the

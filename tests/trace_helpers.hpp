@@ -154,6 +154,24 @@ inline std::string check_phase_invariants(const obs::EventStream& s) {
   return {};
 }
 
+// Per stream: chunk spans never nest — every kChunkDispatch is closed by
+// its kChunkDone (same range and phase) before the next chunk event, on rank
+// threads and pool workers alike.
+inline std::string check_chunk_invariants(const obs::EventStream& s) {
+  const obs::Event* open = nullptr;
+  for (const obs::Event& e : s.events) {
+    if (e.kind != obs::EventKind::kChunkDispatch && e.kind != obs::EventKind::kChunkDone)
+      continue;
+    const bool opens = e.kind == obs::EventKind::kChunkDispatch;
+    if (opens == (open != nullptr) ||
+        (!opens && (open->a != e.a || open->b != e.b || open->arg != e.arg)))
+      return "stream rank " + std::to_string(s.rank) + " worker " +
+             std::to_string(s.worker) + ": unmatched chunk span";
+    open = opens ? &e : nullptr;
+  }
+  return open == nullptr ? std::string() : "chunk span never done";
+}
+
 // Per worker stream: every kStealSuccess is the tail of a contiguous
 // (kPopMiss, kStealAttempt victim, kStealSuccess victim) triplet — the
 // thief-side pairing the scheduler emits.

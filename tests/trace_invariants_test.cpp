@@ -7,6 +7,7 @@
 //   * per-thread phase intervals never overlap (begin/end alternate);
 //   * every kill poll is covered by a checkpoint commit since the previous
 //     poll (progress is durable at every possible kill point).
+#include <array>
 #include <filesystem>
 #include <string>
 
@@ -43,6 +44,7 @@ void expect_stream_invariants(const obs::Trace& trace) {
       EXPECT_EQ(testing::check_collective_invariants(s), "");
     }
     EXPECT_EQ(testing::check_phase_invariants(s), "");
+    EXPECT_EQ(testing::check_chunk_invariants(s), "");
     EXPECT_EQ(testing::check_steal_invariants(s), "");
   }
 }
@@ -97,6 +99,62 @@ TEST_F(TraceInvariantsTest, HoldUnderRandomFaultSchedules) {
   }
 }
 
+// Hybrid ranks run their Born and E_pol chunks on pool workers: each chunk
+// span appears exactly once, on a worker stream that carries its rank, and
+// every stream keeps the invariants.
+TEST_F(TraceInvariantsTest, HybridChunkSpansLiveOnWorkerStreams) {
+  const TracedRun run =
+      run_traced(fix().prep, ApproxParams{}, GBConstants{}, distributed_options(2, 2));
+  EXPECT_EQ(run.trace.total_dropped(), 0u);
+  expect_stream_invariants(run.trace);
+  std::uint64_t spans = 0;
+  for (const obs::Event& e : events_of(run.trace, obs::EventKind::kChunkDone)) {
+    if (e.arg == static_cast<std::uint8_t>(obs::PhaseId::kPush)) continue;
+    EXPECT_GE(e.worker, 0);
+    EXPECT_GE(e.rank, 0);
+    ++spans;
+  }
+  const auto n_chunks = [](std::size_t leaves) {
+    return make_chunk_plan(static_cast<std::uint32_t>(leaves), 4, 0).n_chunks;
+  };
+  EXPECT_EQ(spans, n_chunks(fix().prep.q_tree.leaves().size()) +
+                       n_chunks(fix().prep.atoms_tree.leaves().size()));
+}
+
+// Under kSteal a hybrid rank fires each planned steal at its slot of the
+// order, between the same kill polls as a one-thread rank walking the same
+// plan (fixed chunk geometry, so 4 x 2 and 4 x 1 plan identically).
+TEST_F(TraceInvariantsTest, HybridStealsFallAtThePlannedSlots) {
+  const auto rank_walk = [](const obs::Trace& trace, int rank) {
+    std::vector<std::array<std::uint64_t, 3>> out;
+    for (const obs::EventStream& s : trace.streams) {
+      if (s.rank != rank || s.worker >= 0) continue;
+      for (const obs::Event& e : s.events)
+        if (e.kind == obs::EventKind::kStealRequest || e.kind == obs::EventKind::kStealGrant ||
+            e.kind == obs::EventKind::kKillPoll || e.kind == obs::EventKind::kCollectiveEnter)
+          out.push_back({static_cast<std::uint64_t>(e.kind), e.a, e.b});
+    }
+    return out;
+  };
+  RunOptions one = distributed_options(4);
+  one.balance = BalancePolicy::kSteal;
+  one.balance_chunk_leaves = 1;
+  RunOptions hybrid = one;
+  hybrid.threads_per_rank = 2;
+  const TracedRun a = run_traced(fix().prep, ApproxParams{}, GBConstants{}, one);
+  const TracedRun b = run_traced(fix().prep, ApproxParams{}, GBConstants{}, hybrid);
+  EXPECT_GT(a.result.steal_grants, 0u);
+  EXPECT_EQ(b.result.steal_grants, a.result.steal_grants);
+  EXPECT_EQ(b.result.energy, a.result.energy);
+  EXPECT_EQ(events_of(b.trace, obs::EventKind::kStealRequest).size(),
+            events_of(a.trace, obs::EventKind::kStealRequest).size());
+  for (int r = 0; r < 4; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_FALSE(rank_walk(a.trace, r).empty());
+    EXPECT_EQ(rank_walk(b.trace, r), rank_walk(a.trace, r));
+  }
+}
+
 TEST_F(TraceInvariantsTest, StealTripletsInSharedMemoryRun) {
   ApproxParams params;
   obs::start_session();
@@ -138,26 +196,31 @@ TEST_F(TraceInvariantsTest, PhaseBracketsCoverTheSchedule) {
 TEST_F(TraceInvariantsTest, CheckpointCommitPrecedesEveryKillPoll) {
   // every_k_chunks = 1 makes each chunk commit its snapshot before the kill
   // poll that follows it, so a kill can never observe un-snapshotted
-  // progress. The trace must show that ordering on every rank.
-  const fs::path dir = fs::path(::testing::TempDir()) / "gbpol_trace_ckpt";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  ApproxParams params;
-  RunOptions config;
-  config.ranks = 3;
-  config.checkpoint.dir = dir.string();
-  config.checkpoint.every_k_chunks = 1;
-  config.checkpoint.every_n_collectives = 1;
-  const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
-  ASSERT_FALSE(run.result.killed);
-  const auto polls = events_of(run.trace, obs::EventKind::kKillPoll);
-  const auto commits =
-      events_of(run.trace, obs::EventKind::kCheckpointCommit);
-  ASSERT_GT(polls.size(), 0u);
-  ASSERT_GT(commits.size(), 0u);
-  for (const obs::EventStream& s : run.trace.streams)
-    EXPECT_EQ(testing::check_commit_before_poll(s), "");
-  fs::remove_all(dir);
+  // progress. The trace must show that ordering on every rank, hybrid ranks
+  // (whose rank thread records chunks as the pool completes them) included.
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads_per_rank " + std::to_string(threads));
+    const fs::path dir = fs::path(::testing::TempDir()) / "gbpol_trace_ckpt";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ApproxParams params;
+    RunOptions config;
+    config.ranks = 3;
+    config.threads_per_rank = threads;
+    config.checkpoint.dir = dir.string();
+    config.checkpoint.every_k_chunks = 1;
+    config.checkpoint.every_n_collectives = 1;
+    const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
+    ASSERT_FALSE(run.result.killed);
+    const auto polls = events_of(run.trace, obs::EventKind::kKillPoll);
+    const auto commits =
+        events_of(run.trace, obs::EventKind::kCheckpointCommit);
+    ASSERT_GT(polls.size(), 0u);
+    ASSERT_GT(commits.size(), 0u);
+    for (const obs::EventStream& s : run.trace.streams)
+      EXPECT_EQ(testing::check_commit_before_poll(s), "");
+    fs::remove_all(dir);
+  }
 }
 
 }  // namespace
