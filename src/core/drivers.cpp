@@ -232,12 +232,15 @@ std::uint64_t integrity_job_word(bool guards_on) {
 }
 
 // The words every checkpoint job key folds in besides its chunk geometry:
-// the integrity posture and the resolved near-kernel tier. Tiers agree only
-// to ~1e-10, so a store written under one tier is never resumed under
-// another — a mixed resume would match neither uninterrupted run.
+// the integrity posture, the resolved near-kernel tier and the E_pol
+// near-list format. Tiers agree only to ~1e-10, and near-list formats
+// reassociate every mirrored pair, so a store written under another tier or
+// format is never resumed — a mixed resume would match neither
+// uninterrupted run.
 std::uint64_t kernel_job_word(bool guards_on) {
+  constexpr std::uint64_t kMirroredNearPairs = 0x4A1Full;  // near-list format
   return ckpt::fnv1a64({integrity_job_word(guards_on),
-                        static_cast<std::uint64_t>(simd_dispatch())});
+                        static_cast<std::uint64_t>(simd_dispatch()), kMirroredNearPairs});
 }
 
 // The per-rank runtime accounting every distributed driver reports as-is.
@@ -1455,7 +1458,7 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
           const Segment seg = epol_plan.chunk_range(c);
           const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
           for (const InteractionLists::Near& nr : lists.near) {
-            for (const std::uint32_t node_id : {nr.target_leaf, nr.source_leaf}) {
+            for (const std::uint32_t node_id : {nr.target_leaf, std::uint32_t{nr.source_leaf}}) {
               const OctreeNode& leaf = prep.atoms_tree.node(node_id);
               if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
                 reconstruct_born(leaf.begin, leaf.end);

@@ -284,14 +284,15 @@ void EpolSolver::near_range_impl(const InteractionLists& lists, std::size_t lo,
       const InteractionLists::Near& e = lists.near[i];
       const OctreeNode& u = nodes[e.target_leaf];
       const OctreeNode& v = nodes[e.source_leaf];
-      if (fn != nullptr) {
-        sum += fn(a.x.data(), a.y.data(), a.z.data(), prep_->charge.data(),
-                  born_.data(), u.begin, u.end, v.begin, v.end);
-      } else {
-        sum += epol_near_soa<kApproxMath>(a.x.data(), a.y.data(), a.z.data(),
-                                          prep_->charge.data(), born_.data(), u.begin,
-                                          u.end, v.begin, v.end);
-      }
+      const double s =
+          fn != nullptr
+              ? fn(a.x.data(), a.y.data(), a.z.data(), prep_->charge.data(),
+                   born_.data(), u.begin, u.end, v.begin, v.end)
+              : epol_near_soa<kApproxMath>(a.x.data(), a.y.data(), a.z.data(),
+                                           prep_->charge.data(), born_.data(), u.begin,
+                                           u.end, v.begin, v.end);
+      // A mirrored entry also stands for its twin; doubling is exact.
+      sum += e.mirrored ? 2.0 * s : s;
     }
   });
 }

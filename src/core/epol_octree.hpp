@@ -99,7 +99,8 @@ class EpolSolver {
   // --- Interaction-list engine (TraversalMode::kList, the default) ---------
   // Same (u_node x v_leaf) decomposition as energy_for_leaf_range, emitted as
   // flat near/far lists; energy_*_range evaluate chunkable list segments
-  // (already scaled by -tau/2 ke, so partial sums add up to E_pol).
+  // (already scaled by -tau/2 ke, so partial sums add up to E_pol). The
+  // near list evaluates each mirrored leaf pair once at weight 2.
   InteractionLists build_lists(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
   double energy_far_range(const InteractionLists& lists, std::size_t lo,
                           std::size_t hi) const;

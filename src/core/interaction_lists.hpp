@@ -12,9 +12,10 @@
 //     that need exact point-by-point kernels.
 //
 // The lists are then consumed by cache-blocked batched kernels (approx_math).
-// Entries are emitted in exactly the
-// order the recursive engines visit them, so list evaluation reproduces the
-// recursive result up to FP reassociation (tests pin <= 1e-12 relative).
+// Entries are emitted in exactly the order the recursive engines visit them,
+// except that the E_pol self-walk keeps one entry of each mirrored leaf pair
+// at weight 2 (see ListBuildParams), so list evaluation reproduces
+// the recursive result up to FP reassociation (tests pin <= 1e-12 relative).
 #pragma once
 
 #include <algorithm>
@@ -35,10 +36,17 @@ struct InteractionLists {
     std::uint32_t source_leaf = 0;  // node id of a source-tree leaf
   };
   // A near pair: exact kernels over (target leaf points) x (source leaf points).
+  // A mirrored entry stands for itself and its twin (target and source
+  // swapped), whose row does not carry it: the pair term is symmetric, so
+  // the entry is evaluated once at weight 2 (see ListBuildParams). The flag
+  // shares the source id's word, so every list (Born's too) keeps 8-byte
+  // entries; node ids fit in 31 bits (OctreeNode::first_child is an int32).
   struct Near {
     std::uint32_t target_leaf = 0;
-    std::uint32_t source_leaf = 0;
+    std::uint32_t source_leaf : 31 = 0;
+    std::uint32_t mirrored : 1 = 0;
   };
+  static_assert(sizeof(Near) == 8);
 
   // Arena-backed (support/arena.hpp): the lists are the largest transient hot
   // array — built once, streamed every evaluation — so they live in mmap'd
@@ -47,7 +55,8 @@ struct InteractionLists {
   ArenaVector<Far> far;
   ArenaVector<Near> near;
 
-  // Exact point pairs the near list will evaluate (for stats / grain tuning).
+  // Exact point pairs the near list will evaluate (for stats / grain
+  // tuning); a mirrored entry's pairs count once.
   std::uint64_t near_point_pairs = 0;
 
   // L2 tile index: ascending entry boundaries partitioning `near` (resp.
@@ -117,6 +126,15 @@ struct ListBuildParams {
   // the same segmentation the distributed work divisions use.
   std::uint32_t source_leaf_lo = 0;
   std::uint32_t source_leaf_hi = 0;
+  // A walk of one tree against itself with exact_at_target_leaf (the E_pol
+  // lists) evaluates each mirrored near pair once: when leaf pair (U, V) is
+  // near in both rows, one pure function of the unordered pair keeps one of
+  // the two entries, flagged Near::mirrored, and drops the other. Every
+  // source-leaf range gets the same per-row entries, so any chunk cut sums
+  // each pair exactly once. true keeps every ordered pair instead (the
+  // plain walk the mirrored one is tested against); other walk shapes
+  // always do.
+  bool ordered_pairs = false;
 };
 
 // Serial build: walks the target tree once per source leaf in index order.
@@ -128,7 +146,8 @@ InteractionLists build_interaction_lists(const Octree& target, const Octree& sou
 // Entry i describes source leaf params.source_leaf_lo + i.
 struct LeafWalk {
   // Work the leaf's list entries evaluate: target points x source points per
-  // near entry plus source points per far entry.
+  // near entry (a mirrored entry counts once) plus source points per far
+  // entry.
   std::vector<std::uint64_t> interactions;
   // CSR of near partners: near_targets[near_start[i], near_start[i+1]) are
   // the target-leaf ordinals (indices into target.leaves()) of leaf i's near

@@ -1,7 +1,9 @@
 #include "ws/scheduler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "support/timer.hpp"
@@ -14,6 +16,11 @@ thread_local Scheduler* tls_scheduler = nullptr;
 // already inside the outer task's CPU-time window, so only depth-0
 // executions accumulate busy time (no double counting).
 thread_local int tls_task_depth = 0;
+// CPU seconds this thread spent inside the current outermost task's window
+// finding no work in TaskGroup::wait (failed sweeps and yields while
+// thieves finish its stolen children). Idle, not busy: execute() subtracts
+// it from the window it charges.
+thread_local double tls_idle_seconds = 0.0;
 }  // namespace
 
 TaskGroup::~TaskGroup() {
@@ -24,13 +31,19 @@ TaskGroup::~TaskGroup() {
 void TaskGroup::wait() {
   assert(Scheduler::in_pool() && "TaskGroup::wait must run on a pool thread");
   auto& self = *sched_.workers_[static_cast<std::size_t>(Scheduler::worker_id())];
+  // Open while this wait finds no work; its CPU time is idle time.
+  std::optional<ThreadCpuTimer> idle;
   while (pending_.load(std::memory_order_acquire) > 0) {
     if (detail::Task* task = sched_.find_task(self)) {
+      if (idle) tls_idle_seconds += idle->seconds();
+      idle.reset();
       sched_.execute(task, self);
     } else {
+      if (!idle) idle.emplace();
       std::this_thread::yield();
     }
   }
+  if (idle) tls_idle_seconds += idle->seconds();
 }
 
 Scheduler::Scheduler(int num_workers) {
@@ -130,10 +143,11 @@ detail::Task* Scheduler::find_task(Worker& self) {
 void Scheduler::execute(detail::Task* task, Worker& self) {
   const bool outermost = tls_task_depth == 0;
   ++tls_task_depth;
+  if (outermost) tls_idle_seconds = 0.0;
   ThreadCpuTimer timer;
   task->fn();
   if (outermost) {
-    const double secs = timer.seconds();
+    const double secs = std::max(0.0, timer.seconds() - tls_idle_seconds);
     self.busy_ns.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
                            std::memory_order_relaxed);
   }

@@ -11,7 +11,8 @@
 //    victim's deque), the cilk++ discipline §IV-A describes.
 //
 // Instrumentation: per-worker busy seconds (thread CPU time spent executing
-// tasks), task and steal counts. Busy time feeds the cluster makespan model:
+// tasks, less the time a task's TaskGroup::wait spends finding no work),
+// task and steal counts. Busy time feeds the cluster makespan model:
 // max-over-workers busy time is what a p-core node would have needed for the
 // phase (see DESIGN.md).
 #pragma once

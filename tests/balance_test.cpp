@@ -16,6 +16,7 @@
 #include "molecule/generate.hpp"
 #include "mpisim/faults.hpp"
 #include "surface/quadrature.hpp"
+#include "test_helpers.hpp"
 
 namespace gbpol {
 namespace {
@@ -329,8 +330,7 @@ TEST_F(BalancePolicyTest, StealStaysBitIdenticalUnderFaultSchedules) {
 }
 
 TEST_F(BalancePolicyTest, StealResumesBitExactlyAfterKillRestart) {
-  const std::string dir = ::testing::TempDir() + "/gbpol_balance_ckpt_" +
-                          std::to_string(::getpid());
+  const std::string dir = testing::temp_path("gbpol_balance_ckpt");
   const RunResult clean = run(balanced_options(5, BalancePolicy::kSteal));
   for (const std::uint64_t seed : {0u, 1u, 2u, 3u}) {
     const std::string seed_dir = dir + "_" + std::to_string(seed);

@@ -17,6 +17,7 @@
 #include "core/kernels_simd.hpp"
 #include "molecule/generate.hpp"
 #include "surface/quadrature.hpp"
+#include "test_helpers.hpp"
 
 namespace gbpol {
 namespace {
@@ -28,13 +29,6 @@ using ckpt::JobState;
 using ckpt::Phase;
 using ckpt::Snapshot;
 using ckpt::SnapshotStore;
-
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 Snapshot make_snapshot(std::uint32_t rank, Phase phase, std::uint64_t cursor,
                        std::uint64_t job_key = 42) {
@@ -52,7 +46,7 @@ Snapshot make_snapshot(std::uint32_t rank, Phase phase, std::uint64_t cursor,
 // Snapshot file format
 
 TEST(SnapshotTest, RoundTripPreservesEverything) {
-  const std::string dir = fresh_dir("ckpt_roundtrip");
+  const std::string dir = testing::fresh_temp_dir("ckpt_roundtrip");
   const std::string path = dir + "/snap.ck";
   const Snapshot snap = make_snapshot(1, Phase::kEpol, 77);
   ASSERT_TRUE(ckpt::write_snapshot(path, snap));
@@ -71,7 +65,7 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
 }
 
 TEST(SnapshotTest, TruncatedFileIsRejectedAtEveryLength) {
-  const std::string dir = fresh_dir("ckpt_torn");
+  const std::string dir = testing::fresh_temp_dir("ckpt_torn");
   const std::string path = dir + "/snap.ck";
   ASSERT_TRUE(ckpt::write_snapshot(path, make_snapshot(0, Phase::kBornAccum, 3)));
   std::vector<char> image;
@@ -90,7 +84,7 @@ TEST(SnapshotTest, TruncatedFileIsRejectedAtEveryLength) {
 }
 
 TEST(SnapshotTest, BitFlipAnywhereIsRejected) {
-  const std::string dir = fresh_dir("ckpt_flip");
+  const std::string dir = testing::fresh_temp_dir("ckpt_flip");
   const std::string path = dir + "/snap.ck";
   ASSERT_TRUE(ckpt::write_snapshot(path, make_snapshot(0, Phase::kPush, 0)));
   std::vector<char> image;
@@ -109,7 +103,7 @@ TEST(SnapshotTest, BitFlipAnywhereIsRejected) {
 }
 
 TEST(SnapshotTest, FutureVersionIsRejected) {
-  const std::string dir = fresh_dir("ckpt_version");
+  const std::string dir = testing::fresh_temp_dir("ckpt_version");
   const std::string path = dir + "/snap.ck";
   Snapshot snap = make_snapshot(0, Phase::kPush, 0);
   snap.version = ckpt::kSnapshotVersion + 1;  // CRC is valid, version isn't
@@ -121,7 +115,7 @@ TEST(SnapshotTest, FutureVersionIsRejected) {
 // SnapshotStore consistency rules
 
 TEST(SnapshotStoreTest, LoadsHighestCompletePhase) {
-  const std::string dir = fresh_dir("store_phase");
+  const std::string dir = testing::fresh_temp_dir("store_phase");
   const SnapshotStore store(dir, 2, 42);
   store.save(make_snapshot(0, Phase::kBornAccum, 8));
   store.save(make_snapshot(1, Phase::kBornAccum, 4));
@@ -136,7 +130,7 @@ TEST(SnapshotStoreTest, LoadsHighestCompletePhase) {
 }
 
 TEST(SnapshotStoreTest, CorruptNewestCursorFallsBackToOlder) {
-  const std::string dir = fresh_dir("store_cursor");
+  const std::string dir = testing::fresh_temp_dir("store_cursor");
   const SnapshotStore store(dir, 2, 42);
   store.save(make_snapshot(0, Phase::kBornAccum, 4));
   store.save(make_snapshot(1, Phase::kBornAccum, 4));
@@ -155,7 +149,7 @@ TEST(SnapshotStoreTest, CorruptNewestCursorFallsBackToOlder) {
 }
 
 TEST(SnapshotStoreTest, ForeignJobKeyOrRankCountNeverLoads) {
-  const std::string dir = fresh_dir("store_foreign");
+  const std::string dir = testing::fresh_temp_dir("store_foreign");
   const SnapshotStore writer(dir, 2, 42);
   writer.save(make_snapshot(0, Phase::kPush, 0));
   writer.save(make_snapshot(1, Phase::kPush, 0));
@@ -168,7 +162,7 @@ TEST(SnapshotStoreTest, ForeignJobKeyOrRankCountNeverLoads) {
 }
 
 TEST(SnapshotStoreTest, EmptyOrMissingDirectoryIsColdStart) {
-  const SnapshotStore store(fresh_dir("store_empty"), 2, 42);
+  const SnapshotStore store(testing::fresh_temp_dir("store_empty"), 2, 42);
   EXPECT_FALSE(store.load_latest().has_value());
   const SnapshotStore missing("/nonexistent/gbpol_ckpt_dir", 2, 42);
   EXPECT_FALSE(missing.load_latest().has_value());
@@ -210,7 +204,7 @@ TEST(JournalTest, CorruptedLineIsRejected) {
 }
 
 TEST(JournalTest, ReplayToleratesTornTailAndIsIdempotent) {
-  const std::string dir = fresh_dir("journal_torn");
+  const std::string dir = testing::fresh_temp_dir("journal_torn");
   const std::string path = dir + "/campaign.journal";
   {
     Journal j(path);
@@ -298,7 +292,7 @@ TEST_F(CheckpointDriverTest, CheckpointingRunMatchesCleanRunExactly) {
   const RunResult clean = run(base_config(3, 4));
   ASSERT_NE(clean.energy, 0.0);
   RunOptions config = base_config(3, 4);
-  config.checkpoint.dir = fresh_dir("drv_plain");
+  config.checkpoint.dir = testing::fresh_temp_dir("drv_plain");
   config.checkpoint.every_k_chunks = 2;
   const RunResult ckpt = run(config);
   expect_bit_identical(ckpt, clean);
@@ -310,7 +304,7 @@ TEST_F(CheckpointDriverTest, CheckpointingRunMatchesCleanRunExactly) {
 TEST_F(CheckpointDriverTest, KillDuringBornPhaseResumesBitExactly) {
   const RunResult clean = run(base_config(3, 2));
   RunOptions config = base_config(3, 2);
-  config.checkpoint.dir = fresh_dir("drv_kill_born");
+  config.checkpoint.dir = testing::fresh_temp_dir("drv_kill_born");
   config.checkpoint.every_k_chunks = 1;
   config.kill = {.armed = true, .rank = 1, .collective_seq = 0, .tick = 3};
   const RunResult killed = run(config);
@@ -331,7 +325,7 @@ TEST_F(CheckpointDriverTest, KillDuringEnergyPhaseResumesBitExactly) {
     SCOPED_TRACE(traversal == TraversalMode::kList ? "list" : "recursive");
     const RunResult clean = run(base_config(3, 2), traversal);
     RunOptions config = base_config(3, 2);
-    config.checkpoint.dir = fresh_dir("drv_kill_epol");
+    config.checkpoint.dir = testing::fresh_temp_dir("drv_kill_epol");
     config.checkpoint.every_k_chunks = 1;
     // Collective 2 = after the Born token + radii allgatherv: the E_pol loop.
     config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
@@ -349,7 +343,7 @@ TEST_F(CheckpointDriverTest, KillDuringEnergyPhaseResumesBitExactly) {
 TEST_F(CheckpointDriverTest, CorruptSnapshotsFallBackNeverWrongAnswer) {
   const RunResult clean = run(base_config(3, 2));
   RunOptions config = base_config(3, 2);
-  config.checkpoint.dir = fresh_dir("drv_corrupt");
+  config.checkpoint.dir = testing::fresh_temp_dir("drv_corrupt");
   config.checkpoint.every_k_chunks = 1;
   config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
   const RunResult killed = run(config);
@@ -378,7 +372,7 @@ TEST_F(CheckpointDriverTest, SnapshotFromAnotherKernelTierIsNeverResumed) {
   if (tier == SimdDispatch::kSoA) GTEST_SKIP() << "no SIMD tier on this host";
 
   // Killed mid-E_pol under forced SoA: the store holds SoA chunk partials.
-  config.checkpoint.dir = fresh_dir("drv_tier_mix");
+  config.checkpoint.dir = testing::fresh_temp_dir("drv_tier_mix");
   config.checkpoint.every_k_chunks = 1;
   config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
   config.simd = "off";
@@ -399,7 +393,7 @@ TEST_F(CheckpointDriverTest, SnapshotFromAnotherKernelTierIsNeverResumed) {
 
 TEST_F(CheckpointDriverTest, ResumeAfterCompletionStillExact) {
   RunOptions config = base_config(2, 4);
-  config.checkpoint.dir = fresh_dir("drv_recomplete");
+  config.checkpoint.dir = testing::fresh_temp_dir("drv_recomplete");
   config.checkpoint.every_k_chunks = 1;
   const RunResult first = run(config);
   config.checkpoint.resume = true;

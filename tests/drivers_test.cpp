@@ -104,7 +104,7 @@ TEST(DriversEdgeTest, MoreRanksThanLeavesWithCheckpointing) {
   ApproxParams params;
   const Engine engine(tiny.prep, params, GBConstants{});
   const RunResult serial = run_serial(tiny, params);
-  const std::string dir = ::testing::TempDir() + "/gbpol_edge_ckpt";
+  const std::string dir = testing::fresh_temp_dir("gbpol_edge_ckpt");
   RunOptions options = distributed_options(16);
   options.checkpoint.dir = dir;
   options.checkpoint.every_k_chunks = 1;

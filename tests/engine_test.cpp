@@ -21,6 +21,7 @@
 #include "core/kernels_simd.hpp"
 #include "molecule/generate.hpp"
 #include "surface/quadrature.hpp"
+#include "test_helpers.hpp"
 
 namespace gbpol {
 namespace {
@@ -105,7 +106,7 @@ TEST_F(EngineTest, RunOptionsTraversalOverridesConstructionParams) {
 // offending field, both from route() and from Engine::run: a run never
 // falls back to a driver other than the one its options name.
 TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
-  const std::string dir = ::testing::TempDir() + "/gbpol_route_unused";
+  const std::string dir = testing::temp_path("gbpol_route_unused");
   struct Rejected {
     const char* label;
     const char* field;
@@ -196,7 +197,7 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
 // them to reassociation distance, and cilk's dual-tree recursion to its
 // approximation error.
 TEST_F(EngineTest, RouteRunsEverySupportedShape) {
-  const std::string dir = ::testing::TempDir() + "/gbpol_route_hybrid_ckpt";
+  const std::string dir = testing::temp_path("gbpol_route_hybrid_ckpt");
   std::filesystem::remove_all(dir);
   struct Supported {
     const char* label;

@@ -179,7 +179,7 @@ void expect_no_under_import(const Prepared& prep, const Plans& p, int ranks) {
            .source_leaf_lo = seg.lo,
            .source_leaf_hi = seg.hi});
       for (const InteractionLists::Near& nr : lists.near) {
-        for (const std::uint32_t node : {nr.target_leaf, nr.source_leaf}) {
+        for (const std::uint32_t node : {nr.target_leaf, std::uint32_t{nr.source_leaf}}) {
           const std::uint32_t ord = aord[node];
           EXPECT_TRUE(owned_aleaf(ord) || in_sorted(h.born_halo_leaves, ord))
               << "rank " << r << " near leaf " << ord << " lacks Born halo";
@@ -384,7 +384,7 @@ HaloPlan replay_halo_plan(const Prepared& prep, const ApproxParams& params,
            .source_leaf_lo = seg.lo,
            .source_leaf_hi = seg.hi});
       for (const InteractionLists::Near& nr : lists.near) {
-        for (const std::uint32_t node : {nr.target_leaf, nr.source_leaf}) {
+        for (const std::uint32_t node : {nr.target_leaf, std::uint32_t{nr.source_leaf}}) {
           born_mark[aleaf_of[node]] = 1;
           apoint_mark[aleaf_of[node]] = 1;
         }

@@ -110,9 +110,7 @@ class CampaignTest : public ::testing::Test {
   std::string fresh_journal() {
     static int counter = 0;
     const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) /
-        ("campaign_" + std::to_string(::getpid()) + "_" + std::to_string(counter++));
-    std::filesystem::create_directories(dir);
+        testing::fresh_temp_dir("campaign_" + std::to_string(counter++));
     return (dir / "sweep.journal").string();
   }
 

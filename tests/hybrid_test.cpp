@@ -110,7 +110,7 @@ TEST_F(HybridTest, DeathsAndCorruptionRecoverExactly) {
 // (collective 2), each after the last rank's second chunk; the restart
 // resumes from the snapshots its pool-computed chunks were recorded in.
 TEST_F(HybridTest, KillAndRestartResumesExactly) {
-  const std::string base = ::testing::TempDir() + "/gbpol_hybrid_kill";
+  const std::string base = testing::fresh_temp_dir("gbpol_hybrid_kill") + "/";
   for (const auto [P, p] : kShapes) {
     for (const std::uint64_t seq : {0u, 2u}) {
       const std::string dir = base + std::to_string(P) + std::to_string(p) + std::to_string(seq);

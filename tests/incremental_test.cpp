@@ -15,6 +15,7 @@
 //  * 50-schedule seeded perturbation soak with a kill/restart in the middle
 //    of each campaign: the journal replays completed steps and the remaining
 //    live steps are bit-identical to an uninterrupted run.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -25,6 +26,7 @@
 
 #include "core/engine.hpp"
 #include "core/incremental.hpp"
+#include "core/interaction_lists.hpp"
 #include "molecule/generate.hpp"
 
 namespace gbpol {
@@ -223,6 +225,68 @@ TEST(IncrementalProperty, LeafReanchorsIffMarginCrossed) {
       EXPECT_GT(r.reused_fraction, 0.0);
     }
   }
+}
+
+// The E_pol near list keeps one entry per mirrored leaf pair, at weight 2.
+// A sub-margin move of one buried atom touches exactly one leaf; whenever
+// that leaf is one side of a kept mirrored entry — its target in one step,
+// its source in another — the entry is refreshed from that side alone, and
+// the incremental step matches a kCold twin at 0 ulp.
+TEST(IncrementalProperty, OneSidedTouchOfMirroredEntryMatchesCold) {
+  const Molecule mol = molgen::synthetic_protein(900, 7);
+  TrajectoryOptions topt;
+  topt.surface.grid_spacing = 2.0;
+  TrajectoryDriver inc(mol, topt);
+  TrajectoryDriver cold(mol, topt);
+  std::vector<Vec3> pos = initial_positions(mol);
+  int step = 0;
+  expect_bit_identical(inc.step(pos, incremental_options(serial_options())),
+                       cold.step(pos, cold_options(serial_options())), step++);
+
+  const Octree& tree = inc.prepared().atoms_tree;
+  const InteractionLists lists = build_interaction_lists(
+      tree, tree,
+      {.far_multiplier = ApproxParams{}.epol_far_multiplier(),
+       .exact_at_target_leaf = true,
+       .source_leaf_lo = 0,
+       .source_leaf_hi = static_cast<std::uint32_t>(tree.leaves().size())});
+  std::vector<char> mirrored_target(tree.nodes().size(), 0);
+  std::vector<char> mirrored_source(tree.nodes().size(), 0);
+  for (const InteractionLists::Near& e : lists.near) {
+    if (!e.mirrored) continue;
+    mirrored_target[e.target_leaf] = 1;
+    mirrored_source[e.source_leaf] = 1;
+  }
+
+  // Most buried atoms first: they carry no surface points, so moving one
+  // changes only its own leaf's positions and Born radii.
+  Vec3 center;
+  for (const Vec3& p : pos) center += p;
+  center = center / static_cast<double>(pos.size());
+  std::vector<std::uint32_t> order(pos.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return distance2(pos[a], center) < distance2(pos[b], center);
+  });
+
+  bool as_target = false, as_source = false;
+  for (std::size_t k = 0; k < 40 && !(as_target && as_source); ++k) {
+    const std::uint32_t orig = order[k];
+    const std::uint32_t leaf =
+        leaf_of_slot(inc.prepared(), slot_of_atom(inc.prepared(), orig));
+    if (!(mirrored_target[leaf] && !as_target) && !(mirrored_source[leaf] && !as_source))
+      continue;
+    pos[orig].x += 0.25 * inc.atom_leaf_margin(leaf);
+    const RunResult ri = inc.step(pos, incremental_options(serial_options()));
+    const RunResult rc = cold.step(pos, cold_options(serial_options()));
+    expect_bit_identical(ri, rc, step++);
+    ASSERT_FALSE(inc.last_stats().re_anchored);
+    if (inc.last_stats().epol_touched_leaves != 1) continue;
+    as_target = as_target || mirrored_target[leaf];
+    as_source = as_source || mirrored_source[leaf];
+  }
+  EXPECT_TRUE(as_target) << "no one-leaf step touched a mirrored entry's target";
+  EXPECT_TRUE(as_source) << "no one-leaf step touched a mirrored entry's source";
 }
 
 TEST(IncrementalProperty, NoDirtyLeavesImpliesBitIdenticalEnergy) {

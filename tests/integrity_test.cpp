@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,21 +21,14 @@
 #include "mpisim/faults.hpp"
 #include "molecule/generate.hpp"
 #include "surface/quadrature.hpp"
+#include "test_helpers.hpp"
 #include "trace_helpers.hpp"
 
 namespace gbpol {
 namespace {
 
-namespace fs = std::filesystem;
 using mpisim::CorruptionPlan;
 using mpisim::CorruptionSchedule;
-
-std::string fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 // ---------------------------------------------------------------------------
 // Checksum utility
@@ -379,7 +371,7 @@ TEST_F(IntegrityDriverTest, CorruptSnapshotsNeverPoisonAResume) {
   // Checkpointed run, killed mid-Born, with every snapshot rank 0 and rank
   // 1 write flipped as it lands on disk.
   RunOptions config = balanced_config(3);
-  config.checkpoint.dir = fresh_dir("integrity_snap");
+  config.checkpoint.dir = testing::fresh_temp_dir("integrity_snap");
   config.checkpoint.every_k_chunks = 1;
   config.kill = {.armed = true, .rank = 1, .collective_seq = 0, .tick = 3};
   for (const int r : {0, 1})

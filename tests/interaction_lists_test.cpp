@@ -1,13 +1,14 @@
 // The list engine's contract (core/interaction_lists.hpp): the flat near/far
 // lists reproduce the recursive engines' decomposition exactly, so Born radii
-// and E_pol match TraversalMode::kRecursive to <= 1e-12 relative error, the
-// parallel build equals the serial build entry-for-entry, and arbitrary list
-// segmentations sum to the whole.
+// and E_pol match TraversalMode::kRecursive to <= 1e-12 relative error,
+// arbitrary list segmentations sum to the whole, and the E_pol self-walk
+// evaluates every mirrored near pair exactly once under any chunk cut.
 #include "core/interaction_lists.hpp"
 
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@ namespace {
 using testing::Fixture;
 using testing::make_fixture;
 using testing::naive_born_sorted;
+using testing::workload_molecules;
 
 double rel_diff(double a, double b) {
   const double denom = std::max(std::abs(a), std::abs(b));
@@ -90,22 +92,42 @@ TEST_F(InteractionListsTest, BornRadiiMatchRecursiveAcrossVariants) {
 }
 
 // E_pol: list engine == recursive engine, with exact and approximate math.
+// E_pol: list engine == recursive engine, with exact and approximate math,
+// on the fixtures and on workload-shaped molecules, where most near entries
+// have a mirror (the list engine evaluates each mirrored leaf pair once at
+// weight 2, the recursive engine both orderings). The workload molecules'
+// Born radii are synthetic, a spread around each atom's intrinsic radius:
+// the property is about the pair decomposition, not the radii.
 TEST_F(InteractionListsTest, EpolMatchesRecursiveAcrossVariants) {
-  for (const Fixture& f : fixtures()) {
-    const std::vector<double> born = naive_born_sorted(f);
+  const auto check = [](const Prepared& prep, const std::vector<double>& born) {
     for (const bool approx_math : {false, true}) {
       for (const double eps : {0.3, 0.9}) {
         ApproxParams params;
         params.approx_math = approx_math;
         params.eps_epol = eps;
-        const EpolSolver solver(f.prep, born, params, GBConstants{});
-        const auto n = static_cast<std::uint32_t>(f.prep.atoms_tree.leaves().size());
+        const EpolSolver solver(prep, born, params, GBConstants{});
+        const auto n = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
         const double rec = solver.energy_for_leaf_range(0, n);
         const double lst = solver.energy_from_lists(solver.build_lists(0, n));
         EXPECT_LE(rel_diff(rec, lst), 1e-12)
             << "approx_math=" << approx_math << " eps=" << eps;
       }
     }
+  };
+  for (const Fixture& f : fixtures()) {
+    SCOPED_TRACE("fixture " + std::to_string(f.mol.size()) + " atoms");
+    check(f.prep, naive_born_sorted(f));
+  }
+  for (const Molecule& mol : workload_molecules()) {
+    SCOPED_TRACE("workload " + std::to_string(mol.size()) + " atoms");
+    const surface::QuadratureParams coarse{.grid_spacing = 2.0, .dunavant_degree = 1};
+    const Prepared prep = Prepared::build(mol, surface::molecular_surface_quadrature(mol, coarse),
+                                          ApproxParams{}.leaf_capacity);
+    std::vector<double> born(prep.num_atoms());
+    for (std::size_t i = 0; i < born.size(); ++i)
+      born[i] = prep.intrinsic_radius[i] *
+                (1.2 + 0.8 * std::fmod(0.618 * static_cast<double>(i), 1.0));
+    check(prep, born);
   }
 }
 
@@ -231,6 +253,148 @@ TEST_F(InteractionListsTest, LeafWalkMatchesListBuildPerSourceLeaf) {
       }
       EXPECT_EQ(walk.near_targets.size(), near_entries);
       EXPECT_GT(near_entries, 0u);
+    }
+  }
+}
+
+// Atom octrees at the default leaf capacity: the fixtures' and the
+// workload-shaped molecules' (where most near entries have a mirror).
+struct AtomTree {
+  std::string name;
+  Octree tree;
+  bool workload = false;
+};
+
+std::vector<AtomTree> atom_trees(const std::vector<Fixture>& fixtures) {
+  std::vector<AtomTree> out;
+  for (std::size_t i = 0; i < fixtures.size(); ++i)
+    out.push_back({"fixture " + std::to_string(i), fixtures[i].prep.atoms_tree});
+  Octree::BuildParams bp;
+  bp.leaf_capacity = ApproxParams{}.leaf_capacity;
+  for (const Molecule& mol : workload_molecules()) {
+    std::vector<Vec3> pos(mol.size());
+    for (std::size_t a = 0; a < mol.size(); ++a) pos[a] = mol.atom(a).pos;
+    out.push_back({"workload " + std::to_string(mol.size()) + " atoms",
+                   Octree::build(pos, bp), true});
+  }
+  return out;
+}
+
+ListBuildParams epol_walk(std::uint32_t lo, std::uint32_t hi, bool ordered_pairs) {
+  return {.far_multiplier = ApproxParams{}.epol_far_multiplier(),
+          .exact_at_target_leaf = true,
+          .source_leaf_lo = lo,
+          .source_leaf_hi = hi,
+          .ordered_pairs = ordered_pairs};
+}
+
+std::uint64_t unordered_key(const InteractionLists::Near& e) {
+  const std::uint64_t a = std::min(e.target_leaf, e.source_leaf);
+  const std::uint64_t b = std::max(e.target_leaf, e.source_leaf);
+  return a << 32 | b;
+}
+
+// Against the walk that keeps every ordered pair, the E_pol self-walk keeps
+// each unordered off-diagonal leaf pair in exactly one entry, flagged
+// mirrored iff both orderings are near, and diagonal entries at weight 1;
+// far entries are untouched. Lists built over any cut of the source leaves
+// concatenate to the full list entry for entry, so every chunking evaluates
+// each pair exactly once. On the workload molecules the halving removes
+// over a third of the exact point pairs, and the kept entries sit in the
+// lower and the higher id's row about equally often.
+TEST_F(InteractionListsTest, MirroredNearPairsAreEvaluatedExactlyOnce) {
+  for (const AtomTree& at : atom_trees(fixtures())) {
+    SCOPED_TRACE(at.name);
+    const Octree& tree = at.tree;
+    const auto n = static_cast<std::uint32_t>(tree.leaves().size());
+    const InteractionLists full = build_interaction_lists(tree, tree, epol_walk(0, n, true));
+    const InteractionLists half = build_interaction_lists(tree, tree, epol_walk(0, n, false));
+
+    std::unordered_map<std::uint64_t, int> ordered_entries, kept_entries, kept_weight;
+    for (const InteractionLists::Near& e : full.near) {
+      ASSERT_FALSE(e.mirrored);
+      ++ordered_entries[unordered_key(e)];
+    }
+    std::uint64_t kept_pairs = 0, mirrored = 0, mirrored_in_lower_row = 0;
+    for (const InteractionLists::Near& e : half.near) {
+      if (e.mirrored) {
+        EXPECT_NE(e.target_leaf, e.source_leaf);
+        ++mirrored;
+        mirrored_in_lower_row += e.source_leaf < e.target_leaf;
+      }
+      ++kept_entries[unordered_key(e)];
+      kept_weight[unordered_key(e)] += e.mirrored ? 2 : 1;
+      kept_pairs += static_cast<std::uint64_t>(tree.node(e.target_leaf).count()) *
+                    tree.node(e.source_leaf).count();
+    }
+    EXPECT_EQ(kept_weight, ordered_entries);
+    for (const auto& [key, entries] : kept_entries) ASSERT_EQ(entries, 1) << key;
+    EXPECT_EQ(half.near_point_pairs, kept_pairs);
+    ASSERT_EQ(half.far.size(), full.far.size());
+    for (std::size_t i = 0; i < full.far.size(); ++i) {
+      ASSERT_EQ(half.far[i].target_node, full.far[i].target_node) << i;
+      ASSERT_EQ(half.far[i].source_leaf, full.far[i].source_leaf) << i;
+    }
+    if (at.workload) {
+      EXPECT_LT(static_cast<double>(half.near_point_pairs),
+                0.66 * static_cast<double>(full.near_point_pairs));
+      // The kept row splits mirrored work evenly: no bias to either id.
+      const double lower_share =
+          static_cast<double>(mirrored_in_lower_row) / static_cast<double>(mirrored);
+      EXPECT_GT(lower_share, 0.4);
+      EXPECT_LT(lower_share, 0.6);
+    }
+
+    for (const std::uint32_t chunks : {2u, 3u, 7u}) {
+      std::vector<InteractionLists::Near> joined;
+      for (std::uint32_t c = 0; c < chunks; ++c) {
+        const InteractionLists part = build_interaction_lists(
+            tree, tree, epol_walk(n * c / chunks, n * (c + 1) / chunks, false));
+        joined.insert(joined.end(), part.near.begin(), part.near.end());
+      }
+      ASSERT_EQ(joined.size(), half.near.size()) << chunks << " chunks";
+      for (std::size_t i = 0; i < joined.size(); ++i) {
+        ASSERT_EQ(joined[i].target_leaf, half.near[i].target_leaf) << i;
+        ASSERT_EQ(joined[i].source_leaf, half.near[i].source_leaf) << i;
+        ASSERT_EQ(joined[i].mirrored, half.near[i].mirrored) << i;
+      }
+    }
+  }
+}
+
+// Planning prices what the lists evaluate: on the workload-shaped
+// molecules, every source leaf's LeafWalk row (near targets and interaction
+// count) equals the built E_pol list's row, mirrored pairs counted once.
+TEST_F(InteractionListsTest, LeafWalkRowsMatchMirroredListRows) {
+  for (const AtomTree& at : atom_trees(fixtures())) {
+    if (!at.workload) continue;
+    SCOPED_TRACE(at.name);
+    const Octree& tree = at.tree;
+    const auto leaves = tree.leaves();
+    const auto n = static_cast<std::uint32_t>(leaves.size());
+    std::vector<std::uint32_t> leaf_ordinal(tree.nodes().size(), 0);
+    for (std::uint32_t i = 0; i < n; ++i) leaf_ordinal[leaves[i]] = i;
+
+    const LeafWalk walk = walk_source_leaves(tree, tree, epol_walk(0, n, false));
+    const InteractionLists lists = build_interaction_lists(tree, tree, epol_walk(0, n, false));
+    std::vector<std::vector<std::uint32_t>> rows(n);
+    std::vector<std::uint64_t> interactions(n, 0);
+    std::vector<std::uint32_t> row_of_node(tree.nodes().size(), 0);
+    for (std::uint32_t i = 0; i < n; ++i) row_of_node[leaves[i]] = i;
+    for (const InteractionLists::Near& e : lists.near) {
+      const std::uint32_t r = row_of_node[e.source_leaf];
+      rows[r].push_back(leaf_ordinal[e.target_leaf]);
+      interactions[r] += static_cast<std::uint64_t>(tree.node(e.target_leaf).count()) *
+                         tree.node(e.source_leaf).count();
+    }
+    for (const InteractionLists::Far& e : lists.far)
+      interactions[row_of_node[e.source_leaf]] += tree.node(e.source_leaf).count();
+
+    ASSERT_EQ(walk.interactions.size(), n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto row = walk.near_row(i);
+      ASSERT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), rows[i]) << "leaf " << i;
+      ASSERT_EQ(walk.interactions[i], interactions[i]) << "leaf " << i;
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "molecule/generate.hpp"
 #include "mpisim/faults.hpp"
 #include "surface/quadrature.hpp"
+#include "test_helpers.hpp"
 
 namespace gbpol {
 namespace {
@@ -179,8 +180,7 @@ TEST(OwnedModeTest, StealPolicyUnderDeathStaysBitExact) {
 
 TEST(OwnedModeTest, ResumesBitExactlyAfterKillRestart) {
   const Prepared prep = build_prep(kGolden[0]);
-  const std::string base = ::testing::TempDir() + "/gbpol_owned_ckpt_" +
-                           std::to_string(::getpid());
+  const std::string base = testing::temp_path("gbpol_owned_ckpt");
   const int ranks = 5;
   const RunResult clean = run(prep, replicated_options(ranks));
   bool any_killed = false;
@@ -219,8 +219,7 @@ TEST(OwnedModeTest, ResumeWithDeathAfterRestartStaysBitExact) {
   // redistribution (pinned by the ownership/halo hashes in the job key)
   // plus degraded recovery must still land on the clean bits.
   const Prepared prep = build_prep(kGolden[0]);
-  const std::string dir = ::testing::TempDir() + "/gbpol_owned_ckpt_dd_" +
-                          std::to_string(::getpid());
+  const std::string dir = testing::temp_path("gbpol_owned_ckpt_dd");
   std::filesystem::remove_all(dir);
   const int ranks = 4;
   const RunResult clean = run(prep, replicated_options(ranks));

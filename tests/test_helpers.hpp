@@ -2,11 +2,19 @@
 // surface quadratures and Prepared octrees.
 #pragma once
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include "core/balance.hpp"
 #include "core/halo_exchange.hpp"
 #include "core/naive.hpp"
 #include "core/prepared.hpp"
 #include "molecule/generate.hpp"
+#include "molecule/suite.hpp"
 #include "surface/quadrature.hpp"
 #include "surface/sphere_quad.hpp"
 
@@ -62,6 +70,44 @@ inline std::uint64_t canonical_death_redistribution(const Prepared& prep,
                                               make_chunk_plan(n_aleaves, ranks, 0));
   const OwnershipMap::RankSpan& span = own.ranks[static_cast<std::size_t>(dead)];
   return span.atoms.count() + span.atom_leaves.count();
+}
+
+// A path under the test temp dir named `name` plus this process id, so the
+// suites of two build presets running at once never share (or delete) each
+// other's files. Every path handed out is removed when the process exits.
+inline std::string temp_path(const std::string& name) {
+  struct Paths {
+    std::vector<std::string> handed_out;
+    ~Paths() {
+      for (const std::string& p : handed_out) {
+        std::error_code ec;
+        std::filesystem::remove_all(p, ec);
+      }
+    }
+  };
+  static Paths paths;
+  paths.handed_out.push_back((std::filesystem::path(::testing::TempDir()) /
+                              (name + "_" + std::to_string(::getpid())))
+                                 .string());
+  return paths.handed_out.back();
+}
+
+// temp_path(name) as a fresh, empty directory.
+inline std::string fresh_temp_dir(const std::string& name) {
+  const std::string dir = temp_path(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// Molecules shaped like the benchmark workloads, for properties that depend
+// on real neighbourhood structure: sampled zdock-like complexes and a
+// CMV-like capsid shell (~6k atoms).
+inline std::vector<Molecule> workload_molecules() {
+  std::vector<Molecule> mols =
+      molgen::zdock_like_suite({.count = 3, .min_atoms = 1500, .max_atoms = 8000});
+  mols.push_back(molgen::cmv_like(0.05));
+  return mols;
 }
 
 }  // namespace gbpol::testing

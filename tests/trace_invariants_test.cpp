@@ -200,9 +200,7 @@ TEST_F(TraceInvariantsTest, CheckpointCommitPrecedesEveryKillPoll) {
   // (whose rank thread records chunks as the pool completes them) included.
   for (const int threads : {1, 2}) {
     SCOPED_TRACE("threads_per_rank " + std::to_string(threads));
-    const fs::path dir = fs::path(::testing::TempDir()) / "gbpol_trace_ckpt";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    const fs::path dir = testing::fresh_temp_dir("gbpol_trace_ckpt");
     ApproxParams params;
     RunOptions config;
     config.ranks = 3;

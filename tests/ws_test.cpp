@@ -3,6 +3,7 @@
 #include "ws/scheduler.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <thread>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/timer.hpp"
 #include "ws/deque.hpp"
 #include "ws/parallel_for.hpp"
 
@@ -156,6 +158,37 @@ TEST(SchedulerTest, StatsCountTasks) {
   EXPECT_EQ(stats.busy_seconds.size(), 4u);
   EXPECT_GE(stats.max_busy(), 0.0);
   EXPECT_GE(stats.total_busy(), stats.max_busy());
+}
+
+// Busy time is CPU spent running tasks, not waiting for them: a root task
+// whose only child was stolen yields in TaskGroup::wait until the thief
+// finishes, and that idle spin is not charged to the root's worker.
+TEST(SchedulerTest, WaitingOnAStolenChildIsNotBusyTime) {
+  Scheduler sched(2);
+  sched.reset_stats();
+  constexpr double kChildCpu = 0.05;
+  int root_worker = -1, child_worker = -1;
+  sched.run([&] {
+    root_worker = Scheduler::worker_id();
+    std::atomic<bool> started{false};
+    TaskGroup g(sched);
+    g.run([&] {
+      child_worker = Scheduler::worker_id();
+      started.store(true, std::memory_order_release);
+      const ThreadCpuTimer cpu;
+      while (cpu.seconds() < kChildCpu) {
+      }
+    });
+    // The root never pops its child: it sleeps (burning no CPU) until the
+    // other worker has stolen and started it, then syncs.
+    while (!started.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    g.wait();
+  });
+  ASSERT_NE(root_worker, child_worker);
+  const auto busy = sched.stats().busy_seconds;
+  EXPECT_GE(busy[static_cast<std::size_t>(child_worker)], 0.9 * kChildCpu);
+  EXPECT_LT(busy[static_cast<std::size_t>(root_worker)], 0.25 * kChildCpu);
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
