@@ -6,7 +6,10 @@
 # the distributed_data ghost-exchange prototype, WorkDivision::kDynamic,
 # Comm::charge_rpc, the canonical_reduction opt-in and the legacy
 # checkpoint chunking) must not reappear anywhere (the Engine/Service API
-# surface is final; one canonical chunk-fold driver), the balance_stress
+# surface is final; one canonical chunk-fold driver), the Engine drivers
+# (src/core/drivers.cpp) must evaluate the interaction walk as it runs and
+# never materialize a list (no build_lists / build_interaction_lists call),
+# the balance_stress
 # bench must
 # hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
@@ -82,6 +85,19 @@ if grep -nE 'Prepared::build' \
     examples/minimize.cpp examples/docking_scan.cpp bench/fig_trajectory.cpp 2>/dev/null \
     | grep -v 'trajectory-cold-baseline'; then
   echo "check.sh: unmarked Prepared::build in a trajectory workload (use TrajectoryDriver, or mark an intentional cold baseline with trajectory-cold-baseline)" >&2
+  exit 1
+fi
+
+echo "=== grep gate: Engine drivers evaluate during the walk ==="
+# Every Engine pass (serial, canonical chunks, hybrid chunks, relay chains,
+# owned recovery pre-passes) evaluates each list entry the moment the
+# opening-criterion walk reaches it (BornSolver::accumulate_walk,
+# EpolSolver::accumulate_energy_walk, or a walk_interactions visitor).
+# Materialized lists are for consumers that reuse them (TrajectoryDriver,
+# micro benches, tests), so the drivers may not build one.
+if grep -nE 'build_lists\(|build_interaction_lists\(' src/core/drivers.cpp; then
+  echo "check.sh: list build in src/core/drivers.cpp (evaluate during the walk:" \
+    "accumulate_walk / accumulate_energy_walk / walk_interactions)" >&2
   exit 1
 fi
 

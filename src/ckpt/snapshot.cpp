@@ -235,20 +235,21 @@ std::optional<std::vector<Snapshot>> SnapshotStore::load_latest() const {
 }
 
 void append_chunk_ledger(Snapshot& snap, const std::vector<std::uint32_t>& ids,
-                         const std::vector<std::vector<double>>& partials) {
+                         std::vector<double> packed_partials) {
   std::vector<double> index;
   index.reserve(ids.size());
   for (const std::uint32_t id : ids) index.push_back(static_cast<double>(id));
   snap.sections.push_back(std::move(index));
-  for (const std::vector<double>& p : partials) snap.sections.push_back(p);
+  snap.sections.push_back(std::move(packed_partials));
 }
 
-ChunkLedgerSections read_chunk_ledger(const Snapshot& snap,
-                                      std::size_t first_section) {
+ChunkLedgerSections read_chunk_ledger(const Snapshot& snap, std::size_t first_section,
+                                      std::size_t partial_len) {
   ChunkLedgerSections out;
-  if (first_section >= snap.sections.size()) return out;
+  if (snap.sections.size() != first_section + 2) return out;
   const std::vector<double>& index = snap.sections[first_section];
-  if (snap.sections.size() - first_section - 1 != index.size()) return out;
+  const std::vector<double>& packed = snap.sections[first_section + 1];
+  if (packed.size() != index.size() * partial_len) return out;
   out.ids.reserve(index.size());
   for (const double d : index) {
     // Chunk ids round-trip exactly through doubles (< 2^53); anything
@@ -257,9 +258,8 @@ ChunkLedgerSections read_chunk_ledger(const Snapshot& snap,
       return out;
     out.ids.push_back(static_cast<std::uint32_t>(d));
   }
-  out.partials.assign(snap.sections.begin() +
-                          static_cast<std::ptrdiff_t>(first_section + 1),
-                      snap.sections.end());
+  out.packed = packed;
+  out.partial_len = partial_len;
   out.ok = true;
   return out;
 }

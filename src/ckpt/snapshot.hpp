@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,9 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 // DIFFERENT job can never be resumed from.
 std::uint64_t fnv1a64(std::initializer_list<std::uint64_t> words);
 
-constexpr std::uint32_t kSnapshotVersion = 1;
+// 2: the chunk ledger packs every partial into one section (a rank's ledger
+// no longer grows the section count with its chunks).
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 // The canonical driver's resumable phases, in schedule order. A snapshot
 // at phase P contains everything needed to skip phases < P (including the
@@ -79,23 +82,32 @@ std::optional<Snapshot> read_snapshot(const std::string& path);
 // completed chunks plus each chunk's partial buffer, so resume-after-steal
 // is exact: a chunk is restored wherever it was computed (possibly on a
 // thief) or recomputed from scratch — either way the partial is identical.
-// Layout appended to Snapshot::sections: one index section holding the done
-// chunk ids as doubles, then each done chunk's partial in the same order.
+// Layout appended to Snapshot::sections: two sections, whatever the chunk
+// count (read_snapshot bounds the section count) — the done chunk ids as
+// doubles, then every done chunk's partial packed back to back in the same
+// order.
 void append_chunk_ledger(Snapshot& snap, const std::vector<std::uint32_t>& ids,
-                         const std::vector<std::vector<double>>& partials);
+                         std::vector<double> packed_partials);
 
 struct ChunkLedgerSections {
   bool ok = false;
   std::vector<std::uint32_t> ids;
-  std::vector<std::vector<double>> partials;  // parallel to ids
+  std::vector<double> packed;  // ids.size() partials of partial_len doubles
+  std::size_t partial_len = 0;
+
+  std::span<const double> partial(std::size_t i) const {
+    return std::span<const double>(packed).subspan(i * partial_len, partial_len);
+  }
 };
 
-// Reads a ledger back starting at `first_section` (sections before it belong
-// to the caller, e.g. the Born radii in a kEpol snapshot). Returns ok=false
-// on any structural inconsistency — the caller treats that like a corrupt
-// snapshot and cold-starts the chunk.
-ChunkLedgerSections read_chunk_ledger(const Snapshot& snap,
-                                      std::size_t first_section);
+// Reads a ledger of `partial_len`-double partials back starting at
+// `first_section` (sections before it belong to the caller, e.g. the Born
+// radii in a kEpol snapshot). Returns ok=false on any structural
+// inconsistency — a section count other than first_section + 2, an id that
+// is not a chunk id, or a packed length other than ids x partial_len — and
+// the caller treats that like a corrupt snapshot.
+ChunkLedgerSections read_chunk_ledger(const Snapshot& snap, std::size_t first_section,
+                                      std::size_t partial_len);
 
 // When to checkpoint. Attached to RunOptions; an empty dir disables the
 // whole subsystem (zero overhead on the default path). The chunks counted

@@ -31,6 +31,55 @@ double dipole_term(const Mat3& moment, const Vec3& diff, double d2) {
   return born_dipole_term<Power>(moment, diff, d2);
 }
 
+// Evaluates one far or near entry into an accumulator: the per-entry code
+// of every kList path — list segments, entry subsets and the walk, whose
+// evaluating visitor it is — so they cannot drift apart. Far entries write
+// node_s, near entries atom_s. The near kernel is the runtime-dispatched
+// SIMD tier (looked up once per evaluator, one indirect call per leaf pair),
+// else the always-available SoA template.
+template <int Power, bool Dipole>
+class BornEntry {
+ public:
+  BornEntry(const Prepared& prep, BornAccumulator& acc) : prep_(prep), acc_(acc) {
+    if (const SimdKernelTable* simd = simd_kernel_table())
+      fn_ = Power == 6 ? simd->born_near_r6 : simd->born_near_r4;
+  }
+
+  void far(std::uint32_t target_node, std::uint32_t source_leaf) {
+    const OctreeNode& a = prep_.atoms_tree.node(target_node);
+    const OctreeNode& q = prep_.q_tree.node(source_leaf);
+    const Vec3 diff = q.centroid - a.centroid;
+    const double d2 = norm2(diff);
+    double term = kernel_term<Power>(prep_.node_weighted_normal[source_leaf], diff, d2);
+    if constexpr (Dipole) {
+      term += dipole_term<Power>(prep_.node_moment[source_leaf], diff, d2);
+    }
+    acc_.node_s(target_node) += term;
+  }
+
+  void near(std::uint32_t target_leaf, std::uint32_t source_leaf, bool = false) {
+    const PointsSoA& q = prep_.q_soa;
+    const PointsSoA& wn = prep_.q_wn_soa;
+    const PointsSoA& a = prep_.atoms_soa;
+    const OctreeNode& an = prep_.atoms_tree.node(target_leaf);
+    const OctreeNode& qn = prep_.q_tree.node(source_leaf);
+    if (fn_ != nullptr) {
+      fn_(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(), wn.z.data(),
+          qn.begin, qn.end, a.x.data(), a.y.data(), a.z.data(), an.begin, an.end,
+          acc_.atom_s_data());
+    } else {
+      born_near_soa<Power>(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(),
+                           wn.z.data(), qn.begin, qn.end, a.x.data(), a.y.data(),
+                           a.z.data(), an.begin, an.end, acc_.atom_s_data());
+    }
+  }
+
+ private:
+  const Prepared& prep_;
+  BornAccumulator& acc_;
+  SimdKernelTable::BornNearFn fn_ = nullptr;
+};
+
 }  // namespace
 
 void BornAccumulator::add(const BornAccumulator& other) {
@@ -150,14 +199,18 @@ void BornSolver::accumulate_dual_tree(BornAccumulator& acc) const {
   accumulate_dual_subtree(0, 0, acc);
 }
 
+ListBuildParams BornSolver::list_params(std::uint32_t q_leaf_lo,
+                                        std::uint32_t q_leaf_hi) const {
+  return {.far_multiplier = far_multiplier_,
+          .exact_at_target_leaf = false,  // Fig. 2 tests far before the leaf case
+          .source_leaf_lo = q_leaf_lo,
+          .source_leaf_hi = q_leaf_hi};
+}
+
 InteractionLists BornSolver::build_lists(std::uint32_t q_leaf_lo,
                                          std::uint32_t q_leaf_hi) const {
-  InteractionLists lists = build_interaction_lists(
-      prep_->atoms_tree, prep_->q_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = false,  // Fig. 2 tests far before the leaf case
-       .source_leaf_lo = q_leaf_lo,
-       .source_leaf_hi = q_leaf_hi});
+  InteractionLists lists = build_interaction_lists(prep_->atoms_tree, prep_->q_tree,
+                                                   list_params(q_leaf_lo, q_leaf_hi));
   lists.build_tiles(prep_->atoms_tree, prep_->q_tree, kBornTileCost);
   return lists;
 }
@@ -165,56 +218,48 @@ InteractionLists BornSolver::build_lists(std::uint32_t q_leaf_lo,
 template <int Power, bool Dipole>
 void BornSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
                                 std::size_t hi, BornAccumulator& acc) const {
+  BornEntry<Power, Dipole> eval(*prep_, acc);
   // Tile boundaries only group the loop; entry order (and thus every += into
   // the accumulator) is unchanged, so results are identical per tile size.
   for_each_tile_range(lists.far_tile_start, lo, hi, [&](std::size_t tlo,
                                                         std::size_t thi) {
-    for (std::size_t i = tlo; i < thi; ++i) {
-      const InteractionLists::Far& e = lists.far[i];
-      const OctreeNode& a = prep_->atoms_tree.node(e.target_node);
-      const OctreeNode& q = prep_->q_tree.node(e.source_leaf);
-      const Vec3 diff = q.centroid - a.centroid;
-      const double d2 = norm2(diff);
-      double term = born_kernel_term<Power>(prep_->node_weighted_normal[e.source_leaf],
-                                            diff, d2);
-      if constexpr (Dipole) {
-        term += born_dipole_term<Power>(prep_->node_moment[e.source_leaf], diff, d2);
-      }
-      acc.node_s(e.target_node) += term;
-    }
+    for (std::size_t i = tlo; i < thi; ++i)
+      eval.far(lists.far[i].target_node, lists.far[i].source_leaf);
   });
 }
 
 template <int Power>
 void BornSolver::near_range_impl(const InteractionLists& lists, std::size_t lo,
                                  std::size_t hi, BornAccumulator& acc) const {
-  const PointsSoA& q = prep_->q_soa;
-  const PointsSoA& wn = prep_->q_wn_soa;
-  const PointsSoA& a = prep_->atoms_soa;
-  double* atom_s = acc.atom_s_data();
-  // Runtime dispatch: one table lookup per range, one indirect call per leaf
-  // pair; the SoA template stays the always-available fallback.
-  const SimdKernelTable* simd = simd_kernel_table();
-  const SimdKernelTable::BornNearFn fn =
-      simd != nullptr ? (Power == 6 ? simd->born_near_r6 : simd->born_near_r4)
-                      : nullptr;
+  BornEntry<Power, false> eval(*prep_, acc);
   for_each_tile_range(lists.near_tile_start, lo, hi, [&](std::size_t tlo,
                                                          std::size_t thi) {
-    for (std::size_t i = tlo; i < thi; ++i) {
-      const InteractionLists::Near& e = lists.near[i];
-      const OctreeNode& an = prep_->atoms_tree.node(e.target_leaf);
-      const OctreeNode& qn = prep_->q_tree.node(e.source_leaf);
-      if (fn != nullptr) {
-        fn(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(), wn.z.data(),
-           qn.begin, qn.end, a.x.data(), a.y.data(), a.z.data(), an.begin, an.end,
-           atom_s);
-      } else {
-        born_near_soa<Power>(q.x.data(), q.y.data(), q.z.data(), wn.x.data(),
-                             wn.y.data(), wn.z.data(), qn.begin, qn.end, a.x.data(),
-                             a.y.data(), a.z.data(), an.begin, an.end, atom_s);
-      }
-    }
+    for (std::size_t i = tlo; i < thi; ++i)
+      eval.near(lists.near[i].target_leaf, lists.near[i].source_leaf);
   });
+}
+
+template <int Power, bool Dipole>
+void BornSolver::walk_impl(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                           BornAccumulator& acc) const {
+  BornEntry<Power, Dipole> eval(*prep_, acc);
+  walk_interactions(prep_->atoms_tree, prep_->q_tree, list_params(q_leaf_lo, q_leaf_hi),
+                    eval);
+}
+
+void BornSolver::accumulate_walk(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                                 BornAccumulator& acc) const {
+  if (kernel_ == RadiusKernel::kR6) {
+    if (dipole_)
+      walk_impl<6, true>(q_leaf_lo, q_leaf_hi, acc);
+    else
+      walk_impl<6, false>(q_leaf_lo, q_leaf_hi, acc);
+  } else {
+    if (dipole_)
+      walk_impl<4, true>(q_leaf_lo, q_leaf_hi, acc);
+    else
+      walk_impl<4, false>(q_leaf_lo, q_leaf_hi, acc);
+  }
 }
 
 void BornSolver::accumulate_far_range(const InteractionLists& lists, std::size_t lo,
@@ -244,28 +289,9 @@ template <int Power>
 void BornSolver::near_entries_impl(const InteractionLists& lists,
                                    std::span<const std::uint32_t> entry_ids,
                                    BornAccumulator& acc) const {
-  const PointsSoA& q = prep_->q_soa;
-  const PointsSoA& wn = prep_->q_wn_soa;
-  const PointsSoA& a = prep_->atoms_soa;
-  double* atom_s = acc.atom_s_data();
-  const SimdKernelTable* simd = simd_kernel_table();
-  const SimdKernelTable::BornNearFn fn =
-      simd != nullptr ? (Power == 6 ? simd->born_near_r6 : simd->born_near_r4)
-                      : nullptr;
-  for (std::uint32_t idx : entry_ids) {
-    const InteractionLists::Near& e = lists.near[idx];
-    const OctreeNode& an = prep_->atoms_tree.node(e.target_leaf);
-    const OctreeNode& qn = prep_->q_tree.node(e.source_leaf);
-    if (fn != nullptr) {
-      fn(q.x.data(), q.y.data(), q.z.data(), wn.x.data(), wn.y.data(), wn.z.data(),
-         qn.begin, qn.end, a.x.data(), a.y.data(), a.z.data(), an.begin, an.end,
-         atom_s);
-    } else {
-      born_near_soa<Power>(q.x.data(), q.y.data(), q.z.data(), wn.x.data(),
-                           wn.y.data(), wn.z.data(), qn.begin, qn.end, a.x.data(),
-                           a.y.data(), a.z.data(), an.begin, an.end, atom_s);
-    }
-  }
+  BornEntry<Power, false> eval(*prep_, acc);
+  for (std::uint32_t idx : entry_ids)
+    eval.near(lists.near[idx].target_leaf, lists.near[idx].source_leaf);
 }
 
 void BornSolver::accumulate_near_entries(const InteractionLists& lists,

@@ -77,9 +77,18 @@ class BornSolver {
                               BornAccumulator& acc) const;
 
   // --- Interaction-list engine (TraversalMode::kList, the default) ---------
-  // One traversal emits the same (atom_node x q_leaf) decomposition as
-  // accumulate_qleaf_range into flat near/far lists; evaluation then runs as
-  // chunked loops over the lists with batched SoA near kernels.
+  // One opening-criterion walk yields the same (atom_node x q_leaf)
+  // decomposition as accumulate_qleaf_range. The walk over q-tree leaves
+  // [q_leaf_lo, q_leaf_hi):
+  ListBuildParams list_params(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi) const;
+  // Evaluates every entry the moment the walk reaches it (batched SoA/SIMD
+  // near kernels), storing no list: what every Engine pass runs. The result
+  // is bit-identical to build_lists + accumulate_lists over the same range.
+  void accumulate_walk(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                       BornAccumulator& acc) const;
+  // Materializes the walk as flat near/far lists for consumers that stream
+  // them more than once (TrajectoryDriver) or time the layers apart; they
+  // evaluate as chunked loops over list segments.
   InteractionLists build_lists(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi) const;
   // Far / near list segments [lo, hi). Far entries write node_s, near
   // entries write atom_s, so segments of the SAME list on distinct
@@ -132,6 +141,9 @@ class BornSolver {
   template <int Power>
   void near_range_impl(const InteractionLists& lists, std::size_t lo, std::size_t hi,
                        BornAccumulator& acc) const;
+  template <int Power, bool Dipole>
+  void walk_impl(std::uint32_t q_leaf_lo, std::uint32_t q_leaf_hi,
+                 BornAccumulator& acc) const;
   template <int Power>
   void near_entries_impl(const InteractionLists& lists,
                          std::span<const std::uint32_t> entry_ids,

@@ -101,26 +101,23 @@ int index_of(const std::vector<int>& live, int rank) {
 }
 
 // One leaf range of each phase under either traversal engine: the list
-// engine's build + far + near, or the recursive walk. E_pol leaves raw
-// (unscaled) sums — {far, near} under kList, {total, 0} under kRecursive —
-// that finish_epol scales once.
+// engine's walk, evaluating each entry as it is reached (no list is stored),
+// or the recursive engine. E_pol leaves raw (unscaled) sums — {far, near}
+// under kList, {total, 0} under kRecursive — that finish_epol scales once.
 void accumulate_born(const BornSolver& solver, TraversalMode traversal, Segment leaves,
                      BornAccumulator& acc) {
   if (traversal == TraversalMode::kList)
-    solver.accumulate_lists(solver.build_lists(leaves.lo, leaves.hi), acc);
+    solver.accumulate_walk(leaves.lo, leaves.hi, acc);
   else
     solver.accumulate_qleaf_range(leaves.lo, leaves.hi, acc);
 }
 
 void accumulate_epol(const EpolSolver& solver, TraversalMode traversal, Segment leaves,
                      double* raws) {
-  if (traversal != TraversalMode::kList) {
+  if (traversal == TraversalMode::kList)
+    solver.accumulate_energy_walk(leaves.lo, leaves.hi, raws[0], raws[1]);
+  else
     solver.accumulate_energy_leaf_range(leaves.lo, leaves.hi, raws[0]);
-    return;
-  }
-  const InteractionLists lists = solver.build_lists(leaves.lo, leaves.hi);
-  solver.accumulate_energy_far_range(lists, 0, lists.far.size(), raws[0]);
-  solver.accumulate_energy_near_range(lists, 0, lists.near.size(), raws[1]);
 }
 
 double finish_epol(const EpolSolver& solver, TraversalMode traversal, const double* raws) {
@@ -821,31 +818,28 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       for (int rr = 0; rr < P && valid; ++rr) {
         const ckpt::Snapshot& s = (*set)[static_cast<std::size_t>(rr)];
         const auto ledger_ok = [&](const ckpt::ChunkLedgerSections& led,
-                                   std::uint32_t n_chunks, std::size_t partial_len) {
+                                   std::uint32_t n_chunks) {
           if (!led.ok || s.cursor != led.ids.size()) return false;
           for (const std::uint32_t id : led.ids)
             if (id >= n_chunks) return false;
-          for (const std::vector<double>& partial : led.partials)
-            if (partial.size() != partial_len) return false;
           return true;
         };
         switch (s.phase) {
           case ckpt::Phase::kBornAccum:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 1);
+            ledgers[static_cast<std::size_t>(rr)] =
+                ckpt::read_chunk_ledger(s, 1, acc_len);
             valid = hashes_ok(s, 0) &&
-                    ledger_ok(ledgers[static_cast<std::size_t>(rr)],
-                              born_plan.n_chunks, acc_len);
+                    ledger_ok(ledgers[static_cast<std::size_t>(rr)], born_plan.n_chunks);
             break;
           case ckpt::Phase::kPush:
             valid = s.sections.size() == 2 && s.sections[0].size() == acc_len &&
                     hashes_ok(s, 1) && s.cursor == 0;
             break;
           case ckpt::Phase::kEpol:
-            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 2);
+            ledgers[static_cast<std::size_t>(rr)] = ckpt::read_chunk_ledger(s, 2, 2);
             valid = s.sections.size() >= 2 && s.sections[0].size() == n_atoms &&
                     hashes_ok(s, 1) &&
-                    ledger_ok(ledgers[static_cast<std::size_t>(rr)],
-                              epol_plan.n_chunks, 2);
+                    ledger_ok(ledgers[static_cast<std::size_t>(rr)], epol_plan.n_chunks);
             break;
         }
       }
@@ -859,14 +853,14 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
             for (std::size_t i = 0; i < led.ids.size(); ++i) {
               BornAccumulator& partial = born_partials[led.ids[i]];
               partial = born_solver.make_accumulator();
-              std::copy(led.partials[i].begin(), led.partials[i].end(),
-                        partial.flat().begin());
+              const std::span<const double> saved = led.partial(i);
+              std::copy(saved.begin(), saved.end(), partial.flat().begin());
               born_ledger.mark_done(led.ids[i], rr);
             }
             restored_born_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
           } else if (s.phase == ckpt::Phase::kEpol) {
             for (std::size_t i = 0; i < led.ids.size(); ++i) {
-              epol_raws[led.ids[i]] = {led.partials[i][0], led.partials[i][1]};
+              epol_raws[led.ids[i]] = {led.partial(i)[0], led.partial(i)[1]};
               epol_ledger.mark_done(led.ids[i], rr);
             }
             restored_epol_ids[static_cast<std::size_t>(rr)] = std::move(led.ids);
@@ -981,16 +975,16 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
           snap.sections = std::move(head);
           snap.sections.push_back(hash_section());
           if (phase != ckpt::Phase::kPush) {  // kPush carries only the accumulator
-            std::vector<std::vector<double>> partials;
-            partials.reserve(ids.size());
+            const bool born_phase = phase == ckpt::Phase::kBornAccum;
+            std::vector<double> packed;
+            packed.reserve(ids.size() * (born_phase ? acc_len : 2));
             for (const std::uint32_t id : ids) {
-              if (phase == ckpt::Phase::kBornAccum)
-                partials.emplace_back(born_partials[id].flat().begin(),
-                                      born_partials[id].flat().end());
-              else
-                partials.push_back({epol_raws[id][0], epol_raws[id][1]});
+              const std::span<const double> partial =
+                  born_phase ? std::span<const double>(born_partials[id].flat())
+                             : std::span<const double>(epol_raws[id]);
+              packed.insert(packed.end(), partial.begin(), partial.end());
             }
-            ckpt::append_chunk_ledger(snap, ids, partials);
+            ckpt::append_chunk_ledger(snap, ids, std::move(packed));
           }
           const std::string path = store.save(snap);
           std::uint64_t snap_bit = 0;
@@ -1448,22 +1442,30 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
                           : std::make_unique<EpolSolver>(prep, born, params, constants);
     }
     // Owned recovery chunks may read radii outside the halo: the rank thread
-    // reconstructs their near-field inputs before any chunk runs (a double
-    // list build, degraded paths only).
+    // reconstructs their near-field inputs before any chunk runs (a second
+    // walk of each chunk, degraded paths only).
+    struct MissingRadii {
+      const Octree& tree;
+      std::span<const double> born;
+      const decltype(reconstruct_born)& reconstruct;
+      void far(std::uint32_t, std::uint32_t) {}
+      void near(std::uint32_t target_leaf, std::uint32_t source_leaf, bool) {
+        for (const std::uint32_t node_id : {target_leaf, source_leaf}) {
+          const OctreeNode& leaf = tree.node(node_id);
+          if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
+            reconstruct(leaf.begin, leaf.end);
+        }
+      }
+    };
     const auto compute_epol_chunks = [&](std::span<const std::uint32_t> chunks,
                                          const auto& walk, bool recovery,
                                          bool recompute = false) {
       if (owned && recovery) {
+        MissingRadii missing{prep.atoms_tree, born, reconstruct_born};
         for (const std::uint32_t c : chunks) {
           const Segment seg = epol_plan.chunk_range(c);
-          const InteractionLists lists = epol_solver->build_lists(seg.lo, seg.hi);
-          for (const InteractionLists::Near& nr : lists.near) {
-            for (const std::uint32_t node_id : {nr.target_leaf, std::uint32_t{nr.source_leaf}}) {
-              const OctreeNode& leaf = prep.atoms_tree.node(node_id);
-              if (leaf.count() > 0 && std::isnan(born[leaf.begin]))
-                reconstruct_born(leaf.begin, leaf.end);
-            }
-          }
+          walk_interactions(prep.atoms_tree, prep.atoms_tree,
+                            epol_solver->list_params(seg.lo, seg.hi), missing);
         }
       }
       run_chunks(

@@ -239,62 +239,107 @@ InteractionLists::TileCost EpolSolver::tile_cost() const {
               2 * sizeof(OctreeNode)};
 }
 
+ListBuildParams EpolSolver::list_params(std::uint32_t leaf_lo,
+                                        std::uint32_t leaf_hi) const {
+  return {.far_multiplier = far_multiplier_,
+          .exact_at_target_leaf = true,  // Fig. 3 line 1: leaves are exact even if far
+          .source_leaf_lo = leaf_lo,
+          .source_leaf_hi = leaf_hi};
+}
+
 InteractionLists EpolSolver::build_lists(std::uint32_t leaf_lo,
                                          std::uint32_t leaf_hi) const {
-  InteractionLists lists = build_interaction_lists(
-      prep_->atoms_tree, prep_->atoms_tree,
-      {.far_multiplier = far_multiplier_,
-       .exact_at_target_leaf = true,  // Fig. 3 line 1: leaves are exact even if far
-       .source_leaf_lo = leaf_lo,
-       .source_leaf_hi = leaf_hi});
+  InteractionLists lists = build_interaction_lists(prep_->atoms_tree, prep_->atoms_tree,
+                                                   list_params(leaf_lo, leaf_hi));
   lists.build_tiles(prep_->atoms_tree, prep_->atoms_tree, tile_cost());
   return lists;
 }
 
+// The near kernel is the runtime-dispatched SIMD tier (looked up once per
+// evaluator), else the always-available SoA template. A mirrored entry also
+// stands for its twin; doubling is exact.
+template <bool kApproxMath>
+class EpolSolver::EntryEval {
+ public:
+  explicit EntryEval(const EpolSolver& solver) : s_(solver) {
+    if (const SimdKernelTable* simd = simd_kernel_table())
+      fn_ = kApproxMath ? simd->epol_near_approx : simd->epol_near_exact;
+  }
+
+  double far(std::uint32_t target_node, std::uint32_t source_leaf) const {
+    const Octree& tree = s_.prep_->atoms_tree;
+    const double d2 =
+        distance2(tree.node(target_node).centroid, tree.node(source_leaf).centroid);
+    return s_.binned_far_term<kApproxMath>(s_.node_bins(target_node),
+                                           s_.node_bins(source_leaf), d2);
+  }
+
+  double near(std::uint32_t target_leaf, std::uint32_t source_leaf, bool mirrored) const {
+    const PointsSoA& a = s_.prep_->atoms_soa;
+    const OctreeNode& u = s_.prep_->atoms_tree.node(target_leaf);
+    const OctreeNode& v = s_.prep_->atoms_tree.node(source_leaf);
+    const double* charge = s_.prep_->charge.data();
+    const double* born = s_.born_.data();
+    const double sum =
+        fn_ != nullptr
+            ? fn_(a.x.data(), a.y.data(), a.z.data(), charge, born, u.begin, u.end,
+                  v.begin, v.end)
+            : epol_near_soa<kApproxMath>(a.x.data(), a.y.data(), a.z.data(), charge, born,
+                                         u.begin, u.end, v.begin, v.end);
+    return mirrored ? 2.0 * sum : sum;
+  }
+
+ private:
+  const EpolSolver& s_;
+  SimdKernelTable::EpolNearFn fn_ = nullptr;
+};
+
 template <bool kApproxMath>
 void EpolSolver::far_range_impl(const InteractionLists& lists, std::size_t lo,
                                 std::size_t hi, double& sum) const {
-  const auto nodes = prep_->atoms_tree.nodes();
+  const EntryEval<kApproxMath> eval(*this);
   // Far bin tiles: boundaries only, entry order unchanged — bit-identical.
   for_each_tile_range(lists.far_tile_start, lo, hi, [&](std::size_t tlo,
                                                         std::size_t thi) {
-    for (std::size_t i = tlo; i < thi; ++i) {
-      const InteractionLists::Far& e = lists.far[i];
-      const double d2 =
-          distance2(nodes[e.target_node].centroid, nodes[e.source_leaf].centroid);
-      sum += binned_far_term<kApproxMath>(node_bins(e.target_node),
-                                          node_bins(e.source_leaf), d2);
-    }
+    for (std::size_t i = tlo; i < thi; ++i)
+      sum += eval.far(lists.far[i].target_node, lists.far[i].source_leaf);
   });
 }
 
 template <bool kApproxMath>
 void EpolSolver::near_range_impl(const InteractionLists& lists, std::size_t lo,
                                  std::size_t hi, double& sum) const {
-  const PointsSoA& a = prep_->atoms_soa;
-  const auto nodes = prep_->atoms_tree.nodes();
-  const SimdKernelTable* simd = simd_kernel_table();
-  const SimdKernelTable::EpolNearFn fn =
-      simd != nullptr
-          ? (kApproxMath ? simd->epol_near_approx : simd->epol_near_exact)
-          : nullptr;
+  const EntryEval<kApproxMath> eval(*this);
   for_each_tile_range(lists.near_tile_start, lo, hi, [&](std::size_t tlo,
                                                          std::size_t thi) {
     for (std::size_t i = tlo; i < thi; ++i) {
       const InteractionLists::Near& e = lists.near[i];
-      const OctreeNode& u = nodes[e.target_leaf];
-      const OctreeNode& v = nodes[e.source_leaf];
-      const double s =
-          fn != nullptr
-              ? fn(a.x.data(), a.y.data(), a.z.data(), prep_->charge.data(),
-                   born_.data(), u.begin, u.end, v.begin, v.end)
-              : epol_near_soa<kApproxMath>(a.x.data(), a.y.data(), a.z.data(),
-                                           prep_->charge.data(), born_.data(), u.begin,
-                                           u.end, v.begin, v.end);
-      // A mirrored entry also stands for its twin; doubling is exact.
-      sum += e.mirrored ? 2.0 * s : s;
+      sum += eval.near(e.target_leaf, e.source_leaf, e.mirrored);
     }
   });
+}
+
+template <bool kApproxMath>
+void EpolSolver::walk_impl(std::uint32_t leaf_lo, std::uint32_t leaf_hi, double& raw_far,
+                           double& raw_near) const {
+  // Far and near terms fold into their own running sums, each in list order.
+  struct Visit {
+    const EntryEval<kApproxMath> eval;
+    double& far_sum;
+    double& near_sum;
+    void far(std::uint32_t t, std::uint32_t s) { far_sum += eval.far(t, s); }
+    void near(std::uint32_t t, std::uint32_t s, bool m) {
+      near_sum += eval.near(t, s, m);
+    }
+  } visit{EntryEval<kApproxMath>(*this), raw_far, raw_near};
+  walk_interactions(prep_->atoms_tree, prep_->atoms_tree, list_params(leaf_lo, leaf_hi),
+                    visit);
+}
+
+void EpolSolver::accumulate_energy_walk(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
+                                        double& raw_far, double& raw_near) const {
+  approx_math_ ? walk_impl<true>(leaf_lo, leaf_hi, raw_far, raw_near)
+               : walk_impl<false>(leaf_lo, leaf_hi, raw_far, raw_near);
 }
 
 void EpolSolver::accumulate_energy_far_range(const InteractionLists& lists,

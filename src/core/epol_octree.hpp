@@ -97,10 +97,15 @@ class EpolSolver {
   double energy_for_leaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
 
   // --- Interaction-list engine (TraversalMode::kList, the default) ---------
-  // Same (u_node x v_leaf) decomposition as energy_for_leaf_range, emitted as
-  // flat near/far lists; energy_*_range evaluate chunkable list segments
-  // (already scaled by -tau/2 ke, so partial sums add up to E_pol). The
-  // near list evaluates each mirrored leaf pair once at weight 2.
+  // One opening-criterion walk yields the same (u_node x v_leaf)
+  // decomposition as energy_for_leaf_range, except that each mirrored near
+  // leaf pair is evaluated once at weight 2. The walk over atom-tree source
+  // leaves [leaf_lo, leaf_hi):
+  ListBuildParams list_params(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
+  // Materializes the walk as flat near/far lists for consumers that stream
+  // them more than once (TrajectoryDriver) or time the layers apart;
+  // energy_*_range evaluate chunkable list segments (already scaled by
+  // -tau/2 ke, so partial sums add up to E_pol).
   InteractionLists build_lists(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
   double energy_far_range(const InteractionLists& lists, std::size_t lo,
                           std::size_t hi) const;
@@ -108,7 +113,7 @@ class EpolSolver {
                            std::size_t hi) const;
   double energy_from_lists(const InteractionLists& lists) const;
 
-  // --- raw accumulation (degraded-mode recovery) ---------------------------
+  // --- raw accumulation (Engine passes, degraded-mode recovery) -------------
   // The energy_* functions above fold entries sequentially into one running
   // sum and apply the -tau/2 ke scale ONCE at the end. These entry points
   // expose that running sum, so a chain of ranks can continue each other's
@@ -122,6 +127,12 @@ class EpolSolver {
                                    std::size_t hi, double& raw) const;
   void accumulate_energy_near_range(const InteractionLists& lists, std::size_t lo,
                                     std::size_t hi, double& raw) const;
+  // Evaluates every entry the moment the walk reaches it, storing no list:
+  // what every Engine pass runs. Continues the far and near running sums
+  // exactly as accumulate_energy_far_range / _near_range over build_lists'
+  // entries would (bit-identical, so relays may mix the two).
+  void accumulate_energy_walk(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
+                              double& raw_far, double& raw_near) const;
   double finish_energy(double raw) const { return scale_ * raw; }
   // Two-term finish for every kList energy (separate far/near raw sums):
   // energy_from_lists, the drivers and the recovery relays all call it.
@@ -177,6 +188,10 @@ class EpolSolver {
                         const LeafView& v) const;
   template <bool kApproxMath>
   double binned_far_term(const double* u_bins, const double* v_bins, double d2) const;
+  // One far or near entry's raw term: the per-entry code of the list and
+  // walk paths alike (defined in epol_octree.cpp).
+  template <bool kApproxMath>
+  class EntryEval;
   // Both fold entries one at a time into `sum` (no local partial), so the
   // raw-accumulation entry points above can chain across call boundaries.
   template <bool kApproxMath>
@@ -185,6 +200,9 @@ class EpolSolver {
   template <bool kApproxMath>
   void near_range_impl(const InteractionLists& lists, std::size_t lo,
                        std::size_t hi, double& sum) const;
+  template <bool kApproxMath>
+  void walk_impl(std::uint32_t leaf_lo, std::uint32_t leaf_hi, double& raw_far,
+                 double& raw_near) const;
   template <bool kApproxMath>
   double recurse_single(std::uint32_t u_node, const LeafView& v) const;
   template <bool kApproxMath>

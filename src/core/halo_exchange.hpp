@@ -85,7 +85,7 @@ PlanningWalks walk_planning(const Prepared& prep, const ApproxParams& params);
 // EXECUTOR chunks (post-steal order, so stolen chunks count toward the
 // thief) will read. Built by OR-ing the planning walks' near rows of every
 // executor chunk's source leaves — the same near entries the runtime's
-// per-chunk list builds emit — so the sets are neither over- nor
+// per-chunk walks evaluate — so the sets are neither over- nor
 // under-approximations.
 struct HaloPlan {
   struct RankHalo {

@@ -542,9 +542,10 @@ RunResult TrajectoryDriver::evaluate_serial(
 
 RunResult TrajectoryDriver::evaluate_engine(const RunOptions& options) {
   // Non-serial shapes reuse at PREPARATION level only: the delta-maintained
-  // Prepared feeds a normal Engine run (which rebuilds its lists and
-  // partials internally), with the step index salted into the checkpoint
-  // job key so within-step snapshots never leak across frames.
+  // Prepared feeds a normal Engine run (which re-walks the trees and
+  // recomputes its partials internally), with the step index salted into
+  // the checkpoint job key so within-step snapshots never leak across
+  // frames.
   RunOptions opts = options;
   opts.traversal = TraversalMode::kList;
   opts.checkpoint.job_salt = step_index_;

@@ -2,145 +2,147 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
+#include <new>
+#include <span>
 
 #include <unistd.h>
 
 namespace gbpol {
-namespace {
+namespace walk_detail {
 
-// The far test of the opening criterion: the whole target node t is far from
-// the source leaf. The walk and the mirror test below share this one
-// expression, so they cannot disagree on a borderline pair.
-inline bool far_apart(const OctreeNode& t, const OctreeNode& src, double far_multiplier) {
-  const double d2 = distance2(t.centroid, src.centroid);
-  const double reach = (t.radius + src.radius) * far_multiplier;
-  return d2 > reach * reach;
+SourceRow::SourceRow(const Octree& tree, std::uint32_t leaf_id, bool mirror_pairs)
+    : leaf(tree.node(leaf_id)), id(leaf_id), mirrors(mirror_pairs) {
+  if (!mirrors) return;
+  // Descend from the root along the child whose point range holds the
+  // leaf's first point: children partition their parent's range, so this
+  // is the leaf's ancestor chain.
+  std::uint32_t node = 0;
+  while (node != leaf_id) {
+    ancestors[n_ancestors++] = node;
+    std::uint32_t c = static_cast<std::uint32_t>(tree.node(node).first_child);
+    while (tree.node(c).end <= leaf.begin) ++c;
+    node = c;
+  }
+  std::reverse(ancestors.begin(), ancestors.begin() + n_ancestors);
 }
 
-// The source leaf one walk serves. On a walk that evaluates mirrored pairs
-// once (mirrors_pairs), it also carries the leaf's strict ancestors, deepest
-// first, for the twin test.
-struct SourceRow {
-  const OctreeNode& leaf;
-  std::uint32_t id;
-  bool mirrors = false;
-  std::uint8_t n_ancestors = 0;
-  std::array<std::uint32_t, 32> ancestors{};
-
-  SourceRow(const Octree& tree, std::uint32_t leaf_id, bool mirror_pairs)
-      : leaf(tree.node(leaf_id)), id(leaf_id), mirrors(mirror_pairs) {
-    if (!mirrors) return;
-    // Descend from the root along the child whose point range holds the
-    // leaf's first point: children partition their parent's range, so this
-    // is the leaf's ancestor chain.
-    std::uint32_t node = 0;
-    while (node != leaf_id) {
-      ancestors[n_ancestors++] = node;
-      std::uint32_t c = static_cast<std::uint32_t>(tree.node(node).first_child);
-      while (tree.node(c).end <= leaf.begin) ++c;
-      node = c;
-    }
-    std::reverse(ancestors.begin(), ancestors.begin() + n_ancestors);
-  }
-};
-
-// Weight of the near entry (target leaf u, source leaf row.id): 1 = evaluate
-// it, 2 = evaluate it once for itself and its twin (target row.id, source
-// u), 0 = drop it because the twin's row carries the pair. The twin exists
+// The off-diagonal case of near_weight on a mirroring walk. The twin exists
 // iff the walk from source u reaches target leaf row.id, i.e. no strict
 // ancestor of row.id is far from u; ancestors are tested deepest first,
 // where a missing twin usually shows. Of a mirrored pair, the row kept is a
 // pure function of the unordered pair that splits each row's mirrored work
 // about evenly: an odd id sum keeps the lower id's row, an even one the
-// higher's. Diagonal (u, u) entries keep weight 1.
-int near_weight(const Octree& tree, const SourceRow& row, std::uint32_t u,
-                const OctreeNode& un, double far_multiplier) {
-  if (!row.mirrors || u == row.id) return 1;
+// higher's.
+int mirrored_weight(const Octree& tree, const SourceRow& row, std::uint32_t u,
+                    const OctreeNode& un, double far_multiplier) {
   for (std::uint8_t k = 0; k < row.n_ancestors; ++k)
     if (far_apart(tree.node(row.ancestors[k]), un, far_multiplier)) return 1;
   const bool keep_here = ((u + row.id) & 1u) != 0 ? row.id < u : row.id > u;
   return keep_here ? 2 : 0;
 }
 
-// Whether a walk evaluates each mirrored near pair once: only the atoms-tree
-// self-walk with target leaves exact (APPROX-EPOL), where the pair term is
-// symmetric and every leaf is both a source and a target.
-bool mirrors_pairs(const Octree& target, const Octree& source,
-                   const ListBuildParams& params) {
-  return &target == &source && params.exact_at_target_leaf && !params.ordered_pairs;
-}
+}  // namespace walk_detail
 
-// The opening-criterion recursion every list consumer shares: depth-first
-// over the target tree against one fixed source leaf, mirroring the
-// recursive engines' traversal. Each target node resolves to exactly one of
-// visit.far(node_id) — the whole subtree is approximated against the source
-// leaf — or visit.near(leaf_id, leaf, mirrored) — exact point kernels, once
-// for a mirrored pair — or nothing, when a mirrored pair's twin row carries
-// it. Child visit order matches OctreeNode's child layout, so visits come
-// out in the exact order the recursion evaluates terms.
-template <typename Visit>
-void walk_target(const Octree& target, const SourceRow& row,
-                 std::uint32_t target_node_id, const ListBuildParams& params,
-                 Visit& visit) {
-  const OctreeNode& t = target.node(target_node_id);
-  if (params.exact_at_target_leaf && t.is_leaf()) {
-    const int weight = near_weight(target, row, target_node_id, t, params.far_multiplier);
-    if (weight != 0) visit.near(target_node_id, t, weight == 2);
-    return;
-  }
-  if (far_apart(t, row.leaf, params.far_multiplier)) {
-    visit.far(target_node_id);
-    return;
-  }
-  if (t.is_leaf()) {
-    visit.near(target_node_id, t, false);
-    return;
-  }
-  for (std::uint8_t c = 0; c < t.child_count; ++c)
-    walk_target(target, row, static_cast<std::uint32_t>(t.first_child) + c, params,
-                visit);
-}
+namespace {
 
-// Materializes one source leaf's visits as Far/Near entries.
+// Collects a build's entries in whole-slab blocks of a scratch arena, so a
+// growing list never re-copies itself or leaves abandoned buffers behind:
+// each entry is written once here and once into its exact-size home, and the
+// scratch slabs are unmapped when the build returns.
+template <typename T>
+class Staging {
+ public:
+  explicit Staging(PageArena& scratch) : scratch_(scratch) {}
+
+  void push_back(const T& v) {
+    if (fill_ == kBlock) {
+      blocks_.push_back(
+          static_cast<T*>(scratch_.allocate(kBlock * sizeof(T), alignof(T))));
+      fill_ = 0;
+    }
+    new (blocks_.back() + fill_++) T(v);
+  }
+  std::size_t size() const {
+    return blocks_.empty() ? 0 : (blocks_.size() - 1) * kBlock + fill_;
+  }
+  void copy_into(ArenaVector<T>& out) const {
+    out.reserve(size());
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      const std::size_t n = b + 1 < blocks_.size() ? kBlock : fill_;
+      out.insert(out.end(), blocks_[b], blocks_[b] + n);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBlock = PageArena::kDefaultSlabBytes / sizeof(T);
+  PageArena& scratch_;
+  std::vector<T*> blocks_;
+  std::size_t fill_ = kBlock;  // the (absent) current block is full
+};
+
+// Materializes the walk's visits as Far/Near entries.
 struct ListVisit {
-  const OctreeNode& src;
-  std::uint32_t source_leaf_id;
-  InteractionLists& out;
+  const Octree& target;
+  const Octree& source;
+  PageArena scratch;
+  Staging<InteractionLists::Far> far_entries{scratch};
+  Staging<InteractionLists::Near> near_entries{scratch};
+  std::uint64_t near_point_pairs = 0;
 
-  void far(std::uint32_t target_node) { out.far.push_back({target_node, source_leaf_id}); }
-  void near(std::uint32_t target_leaf, const OctreeNode& t, bool mirrored) {
-    out.near.push_back({target_leaf, source_leaf_id, mirrored});
-    out.near_point_pairs += static_cast<std::uint64_t>(t.count()) * src.count();
+  ListVisit(const Octree& t, const Octree& s) : target(t), source(s) {}
+
+  void far(std::uint32_t target_node, std::uint32_t source_leaf) {
+    far_entries.push_back({target_node, source_leaf});
+  }
+  void near(std::uint32_t target_leaf, std::uint32_t source_leaf, bool mirrored) {
+    near_entries.push_back({target_leaf, source_leaf, mirrored});
+    near_point_pairs += static_cast<std::uint64_t>(target.node(target_leaf).count()) *
+                        source.node(source_leaf).count();
+  }
+
+  // Both lists at their exact size, in one slab of one shared arena (the
+  // second list starts at most one cache line past the first's end).
+  void store(InteractionLists& out) const {
+    using Far = InteractionLists::Far;
+    using Near = InteractionLists::Near;
+    const std::size_t far_bytes = far_entries.size() * sizeof(Far);
+    const std::size_t near_bytes = near_entries.size() * sizeof(Near);
+    if (far_bytes + near_bytes == 0) return;
+    const auto arena = std::make_shared<PageArena>(far_bytes + 64 + near_bytes);
+    out.far = ArenaVector<Far>(ArenaAllocator<Far>(arena));
+    out.near = ArenaVector<Near>(ArenaAllocator<Near>(arena));
+    far_entries.copy_into(out.far);
+    near_entries.copy_into(out.near);
+    out.near_point_pairs = near_point_pairs;
   }
 };
 
-// Counts one source leaf's visits and records its near targets as leaf
+// Counts each source leaf's visits and records its near targets as leaf
 // ordinals; no entries are materialized. A mirrored entry is one
 // evaluation, so it counts once.
 struct CountVisit {
-  const OctreeNode& src;
+  const Octree& target;
+  const Octree& source;
   std::span<const std::uint32_t> leaf_ordinal;  // target node id -> leaf ordinal
-  std::uint64_t& interactions;
-  std::vector<std::uint32_t>& near_targets;
+  LeafWalk& walk;
+  std::uint32_t lo;
+  std::uint64_t row_interactions = 0;
 
-  void far(std::uint32_t) { interactions += src.count(); }
-  void near(std::uint32_t target_leaf, const OctreeNode& t, bool) {
-    interactions += static_cast<std::uint64_t>(t.count()) * src.count();
-    near_targets.push_back(leaf_ordinal[target_leaf]);
+  void far(std::uint32_t, std::uint32_t source_leaf) {
+    row_interactions += source.node(source_leaf).count();
+  }
+  void near(std::uint32_t target_leaf, std::uint32_t source_leaf, bool) {
+    row_interactions += static_cast<std::uint64_t>(target.node(target_leaf).count()) *
+                        source.node(source_leaf).count();
+    walk.near_targets.push_back(leaf_ordinal[target_leaf]);
+  }
+  void end_source_leaf(std::uint32_t i) {
+    walk.interactions[i - lo] = row_interactions;
+    walk.near_start[i - lo + 1] = static_cast<std::uint32_t>(walk.near_targets.size());
+    row_interactions = 0;
   }
 };
-
-void build_range(const Octree& target, const Octree& source,
-                 const ListBuildParams& params, std::uint32_t leaf_lo,
-                 std::uint32_t leaf_hi, InteractionLists& out) {
-  const auto leaves = source.leaves();
-  const bool mirrors = mirrors_pairs(target, source, params);
-  for (std::uint32_t i = leaf_lo; i < leaf_hi; ++i) {
-    const SourceRow row(source, leaves[i], mirrors);
-    ListVisit visit{row.leaf, leaves[i], out};
-    walk_target(target, row, 0, params, visit);
-  }
-}
 
 }  // namespace
 
@@ -206,9 +208,9 @@ void InteractionLists::build_tiles(const Octree& target, const Octree& source,
 InteractionLists build_interaction_lists(const Octree& target, const Octree& source,
                                          const ListBuildParams& params) {
   InteractionLists lists;
-  if (target.empty() || source.empty()) return lists;
-  build_range(target, source, params, params.source_leaf_lo, params.source_leaf_hi,
-              lists);
+  ListVisit visit(target, source);
+  walk_interactions(target, source, params, visit);
+  visit.store(lists);
   return lists;
 }
 
@@ -225,15 +227,8 @@ LeafWalk walk_source_leaves(const Octree& target, const Octree& source,
   std::vector<std::uint32_t> leaf_ordinal(target.nodes().size(), 0);
   for (std::uint32_t i = 0; i < tleaves.size(); ++i) leaf_ordinal[tleaves[i]] = i;
 
-  const auto leaves = source.leaves();
-  const bool mirrors = mirrors_pairs(target, source, params);
-  for (std::uint32_t i = lo; i < hi; ++i) {
-    const SourceRow row(source, leaves[i], mirrors);
-    CountVisit visit{row.leaf, leaf_ordinal, walk.interactions[i - lo],
-                     walk.near_targets};
-    walk_target(target, row, 0, params, visit);
-    walk.near_start[i - lo + 1] = static_cast<std::uint32_t>(walk.near_targets.size());
-  }
+  CountVisit visit{target, source, leaf_ordinal, walk, lo};
+  walk_interactions(target, source, params, visit);
   return walk;
 }
 

@@ -4,21 +4,36 @@
 // (BornSolver::approx_integrals over q-tree leaves, EpolSolver::recurse_single
 // over atom-tree leaves). This module separates TRAVERSAL from EVALUATION, the
 // split production FMM-family codes use (DASHMM, Tinker-HP — see PAPERS.md):
-// one pass over (target tree x source leaves) emits
+// one opening-criterion walk over (target tree x source leaves),
+// walk_interactions, resolves every term to
 //
-//   * a flat FAR list of (target_node, source_leaf) pairs — the node pairs the
-//     opening criterion approximates with one aggregated term, and
-//   * a flat NEAR list of (target_leaf, source_leaf) pairs — the leaf pairs
-//     that need exact point-by-point kernels.
+//   * a FAR entry (target_node, source_leaf) — a node pair the opening
+//     criterion approximates with one aggregated term, or
+//   * a NEAR entry (target_leaf, source_leaf) — a leaf pair that needs exact
+//     point-by-point kernels,
 //
-// The lists are then consumed by cache-blocked batched kernels (approx_math).
-// Entries are emitted in exactly the order the recursive engines visit them,
-// except that the E_pol self-walk keeps one entry of each mirrored leaf pair
-// at weight 2 (see ListBuildParams), so list evaluation reproduces
-// the recursive result up to FP reassociation (tests pin <= 1e-12 relative).
+// in exactly the order the recursive engines visit them, except that the
+// E_pol self-walk keeps one entry of each mirrored leaf pair at weight 2 (see
+// ListBuildParams). The walk hands each entry to a visitor. Its consumers:
+//
+//   * evaluating visitors (BornSolver::accumulate_walk,
+//     EpolSolver::accumulate_energy_walk) run the kernel the moment the walk
+//     reaches the entry — every Engine pass (serial, canonical chunks, relay
+//     chains) evaluates its lists once, so it never stores them;
+//   * build_interaction_lists materializes the entries as flat FAR/NEAR
+//     lists for consumers that stream them more than once or in another
+//     order (TrajectoryDriver's cached lists, micro benches, the stage walk
+//     that times traversal and kernels apart), consumed by cache-blocked
+//     batched kernels (approx_math);
+//   * walk_source_leaves only counts, to price chunks and plan halos.
+//
+// Either way a term's evaluation is the same per-entry code, so walk and list
+// evaluation agree to the bit, and both reproduce the recursive result up to
+// FP reassociation (tests pin <= 1e-12 relative).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,7 +66,8 @@ struct InteractionLists {
   // Arena-backed (support/arena.hpp): the lists are the largest transient hot
   // array — built once, streamed every evaluation — so they live in mmap'd
   // page slabs, first-touch placed on the building worker and accounted by
-  // arena_mapped_bytes() rather than the general heap.
+  // arena_mapped_bytes() rather than the general heap. A build stores both
+  // at their exact size in one shared slab.
   ArenaVector<Far> far;
   ArenaVector<Near> near;
 
@@ -137,7 +153,109 @@ struct ListBuildParams {
   bool ordered_pairs = false;
 };
 
-// Serial build: walks the target tree once per source leaf in index order.
+namespace walk_detail {
+
+// The far test of the opening criterion: the whole target node t is far from
+// the source leaf. The walk and the mirror test below share this one
+// expression, so they cannot disagree on a borderline pair.
+inline bool far_apart(const OctreeNode& t, const OctreeNode& src, double far_multiplier) {
+  const double d2 = distance2(t.centroid, src.centroid);
+  const double reach = (t.radius + src.radius) * far_multiplier;
+  return d2 > reach * reach;
+}
+
+// The source leaf one walk serves. On a walk that evaluates mirrored pairs
+// once, it also carries the leaf's strict ancestors, deepest first, for the
+// twin test.
+struct SourceRow {
+  const OctreeNode& leaf;
+  std::uint32_t id;
+  bool mirrors = false;
+  std::uint8_t n_ancestors = 0;
+  std::array<std::uint32_t, 32> ancestors{};
+
+  SourceRow(const Octree& tree, std::uint32_t leaf_id, bool mirror_pairs);
+};
+
+// Weight of the near entry (target leaf u, source leaf row.id): 1 = evaluate
+// it, 2 = evaluate it once for itself and its twin (target row.id, source
+// u), 0 = drop it because the twin's row carries the pair (see
+// interaction_lists.cpp). Diagonal (u, u) entries keep weight 1.
+int mirrored_weight(const Octree& tree, const SourceRow& row, std::uint32_t u,
+                    const OctreeNode& un, double far_multiplier);
+inline int near_weight(const Octree& tree, const SourceRow& row, std::uint32_t u,
+                       const OctreeNode& un, double far_multiplier) {
+  if (!row.mirrors || u == row.id) return 1;
+  return mirrored_weight(tree, row, u, un, far_multiplier);
+}
+
+// Whether a walk evaluates each mirrored near pair once: only the atoms-tree
+// self-walk with target leaves exact (APPROX-EPOL), where the pair term is
+// symmetric and every leaf is both a source and a target.
+inline bool mirrors_pairs(const Octree& target, const Octree& source,
+                          const ListBuildParams& params) {
+  return &target == &source && params.exact_at_target_leaf && !params.ordered_pairs;
+}
+
+// Depth-first over the target tree against one fixed source leaf, mirroring
+// the recursive engines' traversal. Each target node resolves to exactly one
+// of visit.far — the whole subtree is approximated against the source leaf —
+// or visit.near — exact point kernels, once for a mirrored pair — or nothing,
+// when a mirrored pair's twin row carries it. Child visit order matches
+// OctreeNode's child layout, so visits come out in the exact order the
+// recursion evaluates terms.
+template <typename Visit>
+void walk_target(const Octree& target, const SourceRow& row,
+                 std::uint32_t target_node_id, const ListBuildParams& params,
+                 Visit& visit) {
+  const OctreeNode& t = target.node(target_node_id);
+  if (params.exact_at_target_leaf && t.is_leaf()) {
+    const int weight = near_weight(target, row, target_node_id, t, params.far_multiplier);
+    if (weight != 0) visit.near(target_node_id, row.id, weight == 2);
+    return;
+  }
+  if (far_apart(t, row.leaf, params.far_multiplier)) {
+    visit.far(target_node_id, row.id);
+    return;
+  }
+  if (t.is_leaf()) {
+    visit.near(target_node_id, row.id, false);
+    return;
+  }
+  for (std::uint8_t c = 0; c < t.child_count; ++c)
+    walk_target(target, row, static_cast<std::uint32_t>(t.first_child) + c, params,
+                visit);
+}
+
+}  // namespace walk_detail
+
+// THE opening-criterion walk every list consumer shares. For each source leaf
+// of [params.source_leaf_lo, params.source_leaf_hi) in index order it walks
+// the target tree and calls
+//
+//   visit.far(target_node, source_leaf)              // one aggregated term
+//   visit.near(target_leaf, source_leaf, mirrored)   // exact point kernels
+//
+// (source ids are node ids) in exactly the order build_interaction_lists
+// emits its entries, then visit.end_source_leaf(index) when the visitor has
+// one. Far terms write target-node slots and near terms target-point slots,
+// so an evaluating visitor that folds each entry as it arrives reproduces
+// list evaluation's per-slot fold order exactly.
+template <typename Visit>
+void walk_interactions(const Octree& target, const Octree& source,
+                       const ListBuildParams& params, Visit& visit) {
+  if (target.empty() || source.empty()) return;
+  const auto leaves = source.leaves();
+  const bool mirrors = walk_detail::mirrors_pairs(target, source, params);
+  for (std::uint32_t i = params.source_leaf_lo; i < params.source_leaf_hi; ++i) {
+    const walk_detail::SourceRow row(source, leaves[i], mirrors);
+    walk_detail::walk_target(target, row, 0, params, visit);
+    if constexpr (requires { visit.end_source_leaf(i); }) visit.end_source_leaf(i);
+  }
+}
+
+// The materializing visitor: stores the walk's entries at their exact size
+// (the solvers' build_lists then add the tile index).
 InteractionLists build_interaction_lists(const Octree& target, const Octree& source,
                                          const ListBuildParams& params);
 
@@ -161,9 +279,8 @@ struct LeafWalk {
   }
 };
 
-// Walks the same traversal as build_interaction_lists (one shared
-// recursion, so the two cannot drift) but only counts: no Far/Near entries,
-// no tiles.
+// A counting visitor of walk_interactions (one shared recursion, so the
+// counts and the lists cannot drift): no Far/Near entries, no tiles.
 LeafWalk walk_source_leaves(const Octree& target, const Octree& source,
                             const ListBuildParams& params);
 

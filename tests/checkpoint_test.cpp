@@ -4,6 +4,7 @@
 // E_pol and Born radii BIT-IDENTICALLY (0 ulp).
 #include "ckpt/snapshot.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "molecule/generate.hpp"
 #include "surface/quadrature.hpp"
 #include "test_helpers.hpp"
+#include "trace_helpers.hpp"
 
 namespace gbpol {
 namespace {
@@ -109,6 +111,36 @@ TEST(SnapshotTest, FutureVersionIsRejected) {
   snap.version = ckpt::kSnapshotVersion + 1;  // CRC is valid, version isn't
   ASSERT_TRUE(ckpt::write_snapshot(path, snap));
   EXPECT_FALSE(ckpt::read_snapshot(path).has_value());
+}
+
+// A ledger occupies two sections however many chunks it holds, so a rank's
+// snapshot stays readable past the section bound; a packed length other
+// than ids x partial length is not a ledger.
+TEST(SnapshotTest, ChunkLedgerOfManyChunksRoundTrips) {
+  const std::string dir = testing::fresh_temp_dir("ckpt_ledger");
+  const std::string path = dir + "/snap.ck";
+  Snapshot snap = make_snapshot(0, Phase::kBornAccum, 100);
+  snap.sections = {{0.5, 0.25}};  // the caller's head section
+  std::vector<std::uint32_t> ids;
+  std::vector<double> packed;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    ids.push_back(3 * i + 1);
+    for (int k = 0; k < 3; ++k) packed.push_back(i + 0.125 * k);
+  }
+  ckpt::append_chunk_ledger(snap, ids, packed);
+  EXPECT_EQ(snap.sections.size(), 3u);
+  ASSERT_TRUE(ckpt::write_snapshot(path, snap));
+
+  const auto back = ckpt::read_snapshot(path);
+  ASSERT_TRUE(back.has_value());
+  const ckpt::ChunkLedgerSections led = ckpt::read_chunk_ledger(*back, 1, 3);
+  ASSERT_TRUE(led.ok);
+  EXPECT_EQ(led.ids, ids);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    for (std::size_t k = 0; k < 3; ++k)
+      ASSERT_EQ(led.partial(i)[k], packed[3 * i + k]) << i;
+  EXPECT_FALSE(ckpt::read_chunk_ledger(*back, 1, 2).ok);  // wrong partial length
+  EXPECT_FALSE(ckpt::read_chunk_ledger(*back, 0, 3).ok);  // not where the ledger is
 }
 
 // ---------------------------------------------------------------------------
@@ -315,6 +347,47 @@ TEST_F(CheckpointDriverTest, KillDuringBornPhaseResumesBitExactly) {
   config.checkpoint.resume = true;
   const RunResult resumed = run(config);
   EXPECT_FALSE(resumed.killed);
+  EXPECT_TRUE(resumed.resumed);
+  expect_bit_identical(resumed, clean);
+}
+
+// A rank killed after publishing over 64 Born chunks: every snapshot the
+// run wrote reads back clean (no section bound makes a long ledger look
+// corrupt), so the resume starts from each rank's newest cursor and matches
+// the uninterrupted run at 0 ulp.
+TEST_F(CheckpointDriverTest, KillPastChunk64ResumesFromNewestSnapshot) {
+  const RunResult clean = run(base_config(3, 2));
+  RunOptions config = base_config(3, 2);
+  config.checkpoint.dir = testing::fresh_temp_dir("drv_kill_long");
+  config.checkpoint.every_k_chunks = 8;
+  config.kill = {.armed = true, .rank = 1, .collective_seq = 0, .tick = 90};
+  const RunResult killed = run(config);
+  ASSERT_TRUE(killed.killed);
+
+  std::uint64_t newest_cursor = 0;
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(config.checkpoint.dir)) {
+    const std::string path = entry.path().string();
+    if (entry.path().extension() != ".ck") continue;
+    ++files;
+    const auto snap = ckpt::read_snapshot(path);
+    ASSERT_TRUE(snap.has_value()) << path;
+    if (snap->phase == Phase::kBornAccum)
+      newest_cursor = std::max<std::uint64_t>(newest_cursor, snap->cursor);
+  }
+  EXPECT_GT(files, 0u);
+  EXPECT_GT(newest_cursor, 64u);
+
+  config.kill = {};
+  config.checkpoint.resume = true;
+#if GBPOL_TRACING_ENABLED
+  const testing::TracedRun traced =
+      testing::run_traced(*prep_, ApproxParams{}, GBConstants{}, config);
+  EXPECT_EQ(traced.trace.metrics.total_corruption_detected(), 0u);
+  const RunResult& resumed = traced.result;
+#else
+  const RunResult resumed = run(config);
+#endif
   EXPECT_TRUE(resumed.resumed);
   expect_bit_identical(resumed, clean);
 }

@@ -1,12 +1,16 @@
 // The list engine's contract (core/interaction_lists.hpp): the flat near/far
 // lists reproduce the recursive engines' decomposition exactly, so Born radii
 // and E_pol match TraversalMode::kRecursive to <= 1e-12 relative error,
-// arbitrary list segmentations sum to the whole, and the E_pol self-walk
-// evaluates every mirrored near pair exactly once under any chunk cut.
+// arbitrary list segmentations sum to the whole, the E_pol self-walk
+// evaluates every mirrored near pair exactly once under any chunk cut,
+// evaluation during the walk equals list evaluation at 0 ulp, and a build
+// stores its lists at their exact size.
 #include "core/interaction_lists.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "core/born_octree.hpp"
 #include "core/engine.hpp"
 #include "core/epol_octree.hpp"
+#include "support/memtrack.hpp"
 #include "test_helpers.hpp"
 
 namespace gbpol {
@@ -397,6 +402,153 @@ TEST_F(InteractionListsTest, LeafWalkRowsMatchMirroredListRows) {
       ASSERT_EQ(walk.interactions[i], interactions[i]) << "leaf " << i;
     }
   }
+}
+
+std::uint64_t bits_of(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// Source-leaf cuts of [0, n): the whole range, then 2, 3 and 7 chunks.
+std::vector<std::vector<std::uint32_t>> leaf_cuts(std::uint32_t n) {
+  std::vector<std::vector<std::uint32_t>> cuts;
+  for (const std::uint32_t chunks : {1u, 2u, 3u, 7u}) {
+    std::vector<std::uint32_t> bounds;
+    for (std::uint32_t c = 0; c <= chunks; ++c) bounds.push_back(n * c / chunks);
+    cuts.push_back(bounds);
+  }
+  return cuts;
+}
+
+void expect_same_bits(std::span<const double> walk, std::span<const double> list,
+                      const char* what) {
+  ASSERT_EQ(walk.size(), list.size());
+  for (std::size_t i = 0; i < walk.size(); ++i)
+    ASSERT_EQ(bits_of(walk[i]), bits_of(list[i])) << what << " slot " << i;
+}
+
+// Walk evaluation (what every Engine pass runs) equals build_lists + the
+// range evaluators at 0 ulp: Born node_s and atom_s separately, for r6/r4
+// with the dipole correction on and off, over every chunk of several
+// source-leaf cuts; and one accumulator continued across a cut's chunks —
+// the relay chain's fold — equals one pass over the whole list.
+TEST_F(InteractionListsTest, BornWalkEvaluationMatchesListsBitwise) {
+  for (const Fixture& f : fixtures()) {
+    const auto n = static_cast<std::uint32_t>(f.prep.q_tree.leaves().size());
+    const std::size_t n_nodes = f.prep.atoms_tree.nodes().size();
+    for (const RadiusKernel kernel : {RadiusKernel::kR6, RadiusKernel::kR4}) {
+      for (const bool dipole : {false, true}) {
+        SCOPED_TRACE(std::to_string(f.mol.size()) + " atoms, " +
+                     (kernel == RadiusKernel::kR6 ? "r6" : "r4") +
+                     (dipole ? " + dipole" : ""));
+        ApproxParams params;
+        params.radius_kernel = kernel;
+        params.born_dipole_correction = dipole;
+        const BornSolver solver(f.prep, params);
+        BornAccumulator whole_list = solver.make_accumulator();
+        solver.accumulate_lists(solver.build_lists(0, n), whole_list);
+        for (const std::vector<std::uint32_t>& bounds : leaf_cuts(n)) {
+          BornAccumulator relay = solver.make_accumulator();
+          for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+            BornAccumulator walk = solver.make_accumulator();
+            BornAccumulator list = solver.make_accumulator();
+            solver.accumulate_walk(bounds[c], bounds[c + 1], walk);
+            const InteractionLists lists = solver.build_lists(bounds[c], bounds[c + 1]);
+            solver.accumulate_far_range(lists, 0, lists.far.size(), list);
+            solver.accumulate_near_range(lists, 0, lists.near.size(), list);
+            expect_same_bits(walk.flat().first(n_nodes), list.flat().first(n_nodes),
+                             "node_s");
+            expect_same_bits(walk.flat().subspan(n_nodes), list.flat().subspan(n_nodes),
+                             "atom_s");
+            solver.accumulate_walk(bounds[c], bounds[c + 1], relay);
+          }
+          expect_same_bits(relay.flat(), whole_list.flat(), "relayed accumulator");
+        }
+      }
+    }
+  }
+}
+
+// The E_pol walk continues the far and near raw sums exactly as the range
+// evaluators over the mirrored self-walk's lists do, with exact and
+// approximate math: per chunk of every cut, and relayed across a cut's
+// chunks (raws carried from one sub-range to the next, list and walk
+// evaluation mixed along the chain).
+TEST_F(InteractionListsTest, EpolWalkEvaluationMatchesListsBitwise) {
+  const auto check = [](const Prepared& prep, const std::vector<double>& born) {
+    const auto n = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
+    for (const bool approx_math : {false, true}) {
+      SCOPED_TRACE(approx_math ? "approx math" : "exact math");
+      ApproxParams params;
+      params.approx_math = approx_math;
+      const EpolSolver solver(prep, born, params, GBConstants{});
+      const auto list_raws = [&](std::uint32_t lo, std::uint32_t hi, double& far,
+                                 double& near) {
+        const InteractionLists lists = solver.build_lists(lo, hi);
+        solver.accumulate_energy_far_range(lists, 0, lists.far.size(), far);
+        solver.accumulate_energy_near_range(lists, 0, lists.near.size(), near);
+      };
+      double whole_far = 0.0, whole_near = 0.0;
+      list_raws(0, n, whole_far, whole_near);
+      ASSERT_NE(whole_near, 0.0);
+      for (const std::vector<std::uint32_t>& bounds : leaf_cuts(n)) {
+        SCOPED_TRACE(std::to_string(bounds.size() - 1) + " chunks");
+        double relay_far = 0.0, relay_near = 0.0;
+        double mixed_far = 0.0, mixed_near = 0.0;
+        for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+          double walk_far = 0.0, walk_near = 0.0, list_far = 0.0, list_near = 0.0;
+          solver.accumulate_energy_walk(bounds[c], bounds[c + 1], walk_far, walk_near);
+          list_raws(bounds[c], bounds[c + 1], list_far, list_near);
+          EXPECT_EQ(bits_of(walk_far), bits_of(list_far)) << "chunk " << c;
+          EXPECT_EQ(bits_of(walk_near), bits_of(list_near)) << "chunk " << c;
+          solver.accumulate_energy_walk(bounds[c], bounds[c + 1], relay_far, relay_near);
+          if (c % 2 == 0)
+            solver.accumulate_energy_walk(bounds[c], bounds[c + 1], mixed_far,
+                                          mixed_near);
+          else
+            list_raws(bounds[c], bounds[c + 1], mixed_far, mixed_near);
+        }
+        EXPECT_EQ(bits_of(relay_far), bits_of(whole_far));
+        EXPECT_EQ(bits_of(relay_near), bits_of(whole_near));
+        EXPECT_EQ(bits_of(mixed_far), bits_of(whole_far));
+        EXPECT_EQ(bits_of(mixed_near), bits_of(whole_near));
+      }
+    }
+  };
+  for (const Fixture& f : fixtures()) {
+    SCOPED_TRACE("fixture " + std::to_string(f.mol.size()) + " atoms");
+    check(f.prep, naive_born_sorted(f));
+  }
+}
+
+// A build stores its lists at their exact size: the arena bytes it leaves
+// mapped are the entries' bytes plus page rounding, not the abandoned
+// buffers of a doubling vector. Built over a dense random point cloud
+// against itself with small leaves, which yields over a million entries.
+TEST_F(InteractionListsTest, ListBuildMapsExactSizeStorage) {
+  std::vector<Vec3> pos(40000);
+  std::uint64_t state = 12345;
+  const auto next = [&] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  };
+  for (Vec3& p : pos) p = Vec3{next(), next(), next()} * 60.0;
+  Octree::BuildParams bp;
+  bp.leaf_capacity = 4;
+  const Octree tree = Octree::build(pos, bp);
+  const ListBuildParams lp{.far_multiplier = 1.5,
+                           .exact_at_target_leaf = false,
+                           .source_leaf_lo = 0,
+                           .source_leaf_hi =
+                               static_cast<std::uint32_t>(tree.leaves().size())};
+  const std::size_t mapped_before = arena_mapped_bytes();
+  const InteractionLists lists = build_interaction_lists(tree, tree, lp);
+  const std::size_t mapped = arena_mapped_bytes() - mapped_before;
+  const std::size_t entry_bytes = lists.far.size() * sizeof(InteractionLists::Far) +
+                                  lists.near.size() * sizeof(InteractionLists::Near);
+  ASSERT_GE(lists.far.size() + lists.near.size(), std::size_t{1} << 20);
+  EXPECT_GE(mapped, entry_bytes);
+  EXPECT_LE(static_cast<double>(mapped),
+            1.25 * static_cast<double>(entry_bytes) + PageArena::kDefaultSlabBytes);
+  EXPECT_EQ(lists.far.capacity(), lists.far.size());
+  EXPECT_EQ(lists.near.capacity(), lists.near.size());
 }
 
 // End-to-end: the drivers under kList vs kRecursive agree on energy and every
