@@ -9,9 +9,10 @@
 # surface is final; one canonical chunk-fold driver), the Engine drivers
 # (src/core/drivers.cpp) must evaluate the interaction walk as it runs and
 # never materialize a list (no build_lists / build_interaction_lists call),
-# the balance_stress
-# bench must
-# hold its >= 1.3x steal-vs-static makespan target, the micro_kernels bench
+# the surface march must be reached only through molecular_surface_quadrature
+# outside src/surface/ and tests/, the balance_stress bench must hold its
+# >= 1.3x steal-vs-static makespan target on the median of five interleaved
+# reps, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
 # records the ratios in bench_out/micro_kernels.json), the approx-math
 # primitive accuracy/speed point is refreshed into bench_out/, the
@@ -101,6 +102,19 @@ if grep -nE 'build_lists\(|build_interaction_lists\(' src/core/drivers.cpp; then
   exit 1
 fi
 
+echo "=== grep gate: one surface path ==="
+# molecular_surface_quadrature is the one entry point to the surface march:
+# it runs the parallel plane walker (march_planes) and builds each plane's
+# quadrature as the plane is polygonized. march_tetrahedra, march_planes and
+# quadrature_from_mesh (the whole-mesh composition) stay inside src/surface/
+# and tests/, so Service, TrajectoryDriver, the examples, the benches and
+# perfbench cannot grow a second surface path beside it.
+if grep -rnE 'march_tetrahedra\(|march_planes\(|quadrature_from_mesh\(' src bench examples perfbench 2>/dev/null \
+    | grep -v '^src/surface/'; then
+  echo "check.sh: surface march outside src/surface/ and tests/ (call surface::molecular_surface_quadrature)" >&2
+  exit 1
+fi
+
 for preset in "${PRESETS[@]}"; do
   echo "=== ${preset}: configure + build ==="
   cmake --preset "${preset}"
@@ -117,8 +131,9 @@ for preset in "${PRESETS[@]}"; do
 done
 
 echo "=== balance_stress: skew-bench smoke run (release build) ==="
-# Runs the 8-rank balance A/B; the binary itself fails unless the three
-# policies agree to the bit AND kSteal beats kStatic by >= 1.3x makespan.
+# Runs the 8-rank balance A/B five times, interleaved; the binary itself fails
+# unless the three policies agree to the bit on every rep AND the median
+# kSteal-vs-kStatic makespan ratio is >= 1.3x.
 (cd build/bench && ./balance_stress)
 
 echo "=== fig_memory_scaling: owned-mode footprint self-gate (release build) ==="

@@ -1,8 +1,16 @@
 #include "surface/march_tetra.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 namespace gbpol::surface {
@@ -75,54 +83,145 @@ void polygonize_tet(TriangleMesh& mesh, const std::array<Vec3, 4>& p,
   emit_oriented(mesh, Triangle{q0, q2, q3}, inside_ref);
 }
 
-}  // namespace
+// The sampling lattice: (nx+1)(ny+1)(nz+1) points spaced h apart from the
+// field's domain corner, and the nx*ny*nz cells between them.
+struct Lattice {
+  Lattice(const DensityField& field, double spacing)
+      : lo(field.domain().lo), h(spacing) {
+    const Vec3 ext = field.domain().extent();
+    nx = std::max(1, static_cast<int>(std::ceil(ext.x / h)));
+    ny = std::max(1, static_cast<int>(std::ceil(ext.y / h)));
+    nz = std::max(1, static_cast<int>(std::ceil(ext.z / h)));
+  }
 
-TriangleMesh march_tetrahedra(const DensityField& field, const MarchParams& params) {
-  const Aabb& dom = field.domain();
-  const Vec3 ext = dom.extent();
-  const double h = params.grid_spacing;
-  const int nx = std::max(1, static_cast<int>(std::ceil(ext.x / h)));
-  const int ny = std::max(1, static_cast<int>(std::ceil(ext.y / h)));
-  const int nz = std::max(1, static_cast<int>(std::ceil(ext.z / h)));
+  std::size_t samples() const {
+    return static_cast<std::size_t>(nx + 1) * (ny + 1) * (nz + 1);
+  }
+  std::size_t index(int ix, int iy, int iz) const {
+    return (static_cast<std::size_t>(iz) * (ny + 1) + iy) * (nx + 1) + ix;
+  }
+  Vec3 point(int ix, int iy, int iz) const {
+    return Vec3{lo.x + ix * h, lo.y + iy * h, lo.z + iz * h};
+  }
 
-  // Sample the field on the (nx+1)(ny+1)(nz+1) lattice once; cells then read
-  // corners from the cache instead of re-evaluating the field 8x6 times.
-  const std::size_t sx = nx + 1, sy = ny + 1, sz = nz + 1;
-  std::vector<double> values(sx * sy * sz);
-  auto vidx = [&](int ix, int iy, int iz) {
-    return (static_cast<std::size_t>(iz) * sy + iy) * sx + ix;
-  };
-  auto point = [&](int ix, int iy, int iz) {
-    return Vec3{dom.lo.x + ix * h, dom.lo.y + iy * h, dom.lo.z + iz * h};
-  };
-  for (int iz = 0; iz < static_cast<int>(sz); ++iz)
-    for (int iy = 0; iy < static_cast<int>(sy); ++iy)
-      for (int ix = 0; ix < static_cast<int>(sx); ++ix)
-        values[vidx(ix, iy, iz)] = field.value(point(ix, iy, iz));
+  Vec3 lo;
+  double h;
+  int nx = 1, ny = 1, nz = 1;
+};
 
-  TriangleMesh mesh;
-  const double iso = params.iso_value;
-  for (int cz = 0; cz < nz; ++cz) {
-    for (int cy = 0; cy < ny; ++cy) {
-      for (int cx = 0; cx < nx; ++cx) {
-        std::array<Vec3, 8> corner;
-        std::array<double, 8> fval;
-        bool any_in = false, any_out = false;
-        for (int i = 0; i < 8; ++i) {
-          const int ix = cx + (i & 1), iy = cy + ((i >> 1) & 1), iz = cz + ((i >> 2) & 1);
-          corner[i] = point(ix, iy, iz);
-          fval[i] = values[vidx(ix, iy, iz)];
-          (fval[i] > iso ? any_in : any_out) = true;
-        }
-        if (!any_in || !any_out) continue;
-        for (const auto& tet : kTets) {
-          polygonize_tet(mesh,
-                         {corner[tet[0]], corner[tet[1]], corner[tet[2]], corner[tet[3]]},
-                         {fval[tet[0]], fval[tet[1]], fval[tet[2]], fval[tet[3]]}, iso);
-        }
+void sample_plane(const DensityField& field, const Lattice& lat, int iz,
+                  std::vector<double>& values) {
+  for (int iy = 0; iy <= lat.ny; ++iy)
+    for (int ix = 0; ix <= lat.nx; ++ix)
+      values[lat.index(ix, iy, iz)] = field.value(lat.point(ix, iy, iz));
+}
+
+void polygonize_plane(const Lattice& lat, const std::vector<double>& values, double iso,
+                      int cz, TriangleMesh& mesh) {
+  for (int cy = 0; cy < lat.ny; ++cy) {
+    for (int cx = 0; cx < lat.nx; ++cx) {
+      std::array<Vec3, 8> corner;
+      std::array<double, 8> fval;
+      bool any_in = false, any_out = false;
+      for (int i = 0; i < 8; ++i) {
+        const int ix = cx + (i & 1), iy = cy + ((i >> 1) & 1), iz = cz + ((i >> 2) & 1);
+        corner[i] = lat.point(ix, iy, iz);
+        fval[i] = values[lat.index(ix, iy, iz)];
+        (fval[i] > iso ? any_in : any_out) = true;
+      }
+      if (!any_in || !any_out) continue;
+      for (const auto& tet : kTets) {
+        polygonize_tet(mesh,
+                       {corner[tet[0]], corner[tet[1]], corner[tet[2]], corner[tet[3]]},
+                       {fval[tet[0]], fval[tet[1]], fval[tet[2]], fval[tet[3]]}, iso);
       }
     }
   }
+}
+
+// CPUs in the calling thread's affinity mask, as `nproc` counts them.
+int affinity_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return std::max(1, CPU_COUNT(&set));
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+}  // namespace
+
+namespace detail {
+
+int cell_planes(const DensityField& field, const MarchParams& params) {
+  return Lattice(field, params.grid_spacing).nz;
+}
+
+void march_planes(const DensityField& field, const MarchParams& params, int workers,
+                  const PlaneSink& sink) {
+  const Lattice lat(field, params.grid_spacing);
+  const int sample_planes = lat.nz + 1;
+  // Sampled once; cells read their corners from here instead of
+  // re-evaluating the field 8x6 times.
+  std::vector<double> values(lat.samples());
+
+  std::atomic<int> next_sample{0}, sampled{0}, next_cell{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // guarded by error_mutex
+
+  // Runs on every worker and never throws: an exception from a plane stops
+  // the walk and is kept for the caller.
+  const auto work = [&] {
+    for (int iz; (iz = next_sample.fetch_add(1)) < sample_planes;) {
+      sample_plane(field, lat, iz, values);
+      if (sampled.fetch_add(1) + 1 == sample_planes) sampled.notify_all();
+    }
+    // Barrier: a cell plane reads two lattice planes, which other workers
+    // may have sampled.
+    for (int n; (n = sampled.load()) < sample_planes;) sampled.wait(n);
+
+    TriangleMesh plane;
+    try {
+      for (int cz; !failed.load() && (cz = next_cell.fetch_add(1)) < lat.nz;) {
+        plane.triangles.clear();
+        polygonize_plane(lat, values, params.iso_value, cz, plane);
+        sink(cz, plane);
+      }
+    } catch (...) {
+      failed.store(true);
+      const std::lock_guard lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  };
+
+  const int count = std::clamp(workers > 0 ? workers : affinity_cpus(), 1, sample_planes);
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(static_cast<std::size_t>(count - 1));
+    for (int t = 1; t < count; ++t) {
+      try {
+        helpers.emplace_back(work);
+      } catch (const std::system_error&) {
+        break;  // the workers already running claim the remaining planes
+      }
+    }
+    work();
+  }  // joins the helpers
+  if (error) std::rethrow_exception(error);
+}
+
+}  // namespace detail
+
+TriangleMesh march_tetrahedra(const DensityField& field, const MarchParams& params,
+                              int workers) {
+  std::vector<std::vector<Triangle>> planes(detail::cell_planes(field, params));
+  detail::march_planes(field, params, workers, [&](int cz, TriangleMesh& plane) {
+    planes[cz] = std::move(plane.triangles);
+  });
+  std::size_t total = 0;
+  for (const auto& p : planes) total += p.size();
+  TriangleMesh mesh;
+  mesh.triangles.reserve(total);
+  for (const auto& p : planes) mesh.triangles.insert(mesh.triangles.end(), p.begin(), p.end());
   return mesh;
 }
 

@@ -1,5 +1,7 @@
 #include "surface/quadrature.hpp"
 
+#include <vector>
+
 #include "surface/density.hpp"
 #include "surface/dunavant.hpp"
 #include "surface/march_tetra.hpp"
@@ -29,10 +31,27 @@ SurfaceQuadrature quadrature_from_mesh(const TriangleMesh& mesh, int degree) {
 
 SurfaceQuadrature molecular_surface_quadrature(const Molecule& mol,
                                                const QuadratureParams& params) {
-  DensityField field(mol, {.kappa = params.kappa, .tolerance = 1e-4});
-  const TriangleMesh mesh =
-      march_tetrahedra(field, {.grid_spacing = params.grid_spacing, .iso_value = 1.0});
-  return quadrature_from_mesh(mesh, params.dunavant_degree);
+  const DensityField field(mol, {.kappa = params.kappa, .tolerance = 1e-4});
+  const MarchParams march{.grid_spacing = params.grid_spacing, .iso_value = 1.0};
+  // Each cell plane becomes its own quadrature part as soon as it is
+  // polygonized, so the whole-surface mesh is never built.
+  std::vector<SurfaceQuadrature> parts(detail::cell_planes(field, march));
+  detail::march_planes(field, march, /*workers=*/0, [&](int cz, TriangleMesh& plane) {
+    parts[cz] = quadrature_from_mesh(plane, params.dunavant_degree);
+  });
+
+  std::size_t total = 0;
+  for (const SurfaceQuadrature& part : parts) total += part.size();
+  SurfaceQuadrature quad;
+  quad.points.reserve(total);
+  quad.normals.reserve(total);
+  quad.weights.reserve(total);
+  for (const SurfaceQuadrature& part : parts) {
+    quad.points.insert(quad.points.end(), part.points.begin(), part.points.end());
+    quad.normals.insert(quad.normals.end(), part.normals.begin(), part.normals.end());
+    quad.weights.insert(quad.weights.end(), part.weights.begin(), part.weights.end());
+  }
+  return quad;
 }
 
 }  // namespace gbpol::surface

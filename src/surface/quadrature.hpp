@@ -38,7 +38,13 @@ struct QuadratureParams {
 };
 
 // End-to-end pipeline: Gaussian density -> marching tetrahedra -> Dunavant
-// sampling. This is the production path a user calls on a Molecule.
+// sampling. This is the production path a user calls on a Molecule. The
+// march runs on one worker per CPU in the caller's affinity mask (see
+// march_tetra.hpp); each cell plane's triangles become that plane's
+// quadrature part, and the parts are concatenated in plane order. The
+// whole-surface mesh is never built, and the points, normals and weights
+// are byte-identical to quadrature_from_mesh(march_tetrahedra(field, march,
+// 1), degree) for any worker count.
 SurfaceQuadrature molecular_surface_quadrature(const Molecule& mol,
                                                const QuadratureParams& params = {});
 

@@ -1,16 +1,26 @@
 // Surface substrate: density field, marching tetrahedra, Dunavant rules,
-// quadrature pipeline, Fibonacci sphere.
+// quadrature pipeline, Fibonacci sphere, and the byte-identity of the
+// parallel march for any worker count.
+#include <sched.h>
+
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "molecule/generate.hpp"
+#include "molecule/suite.hpp"
+#include "mpisim/pool.hpp"
 #include "surface/density.hpp"
 #include "surface/dunavant.hpp"
 #include "surface/march_tetra.hpp"
 #include "surface/quadrature.hpp"
 #include "surface/sphere_quad.hpp"
+#include "ws/scheduler.hpp"
 
 namespace gbpol::surface {
 namespace {
@@ -186,6 +196,178 @@ TEST(FibonacciSphereTest, GaussTheoremOnDipoleField) {
     flux += quad.weights[i] * dot(d, quad.normals[i]) / std::pow(norm(d), 3.0);
   }
   EXPECT_NEAR(flux / (4.0 * std::numbers::pi), 1.0, 1e-3);
+}
+
+// --- Parallel march: byte-identical output for any worker count ----------
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_bytes(const SurfaceQuadrature& a, const SurfaceQuadrature& b) {
+  return same_bytes(a.points, b.points) && same_bytes(a.normals, b.normals) &&
+         same_bytes(a.weights, b.weights);
+}
+
+// The surface the perfbench workloads request.
+constexpr QuadratureParams kBenchSurface{.grid_spacing = 2.0, .dunavant_degree = 1, .kappa = 2.3};
+
+DensityField field_for(const Molecule& mol, const QuadratureParams& q) {
+  return DensityField(mol, {.kappa = q.kappa, .tolerance = 1e-4});
+}
+
+// The serial reference composition: one worker, whole mesh, whole-mesh
+// quadrature.
+SurfaceQuadrature serial_quadrature(const Molecule& mol, const QuadratureParams& q) {
+  const DensityField field = field_for(mol, q);
+  return quadrature_from_mesh(
+      march_tetrahedra(field, {.grid_spacing = q.grid_spacing, .iso_value = 1.0}, 1),
+      q.dunavant_degree);
+}
+
+// Restricts the calling thread to the first `cpus` CPUs of its affinity mask
+// for the object's lifetime: molecular_surface_quadrature derives its worker
+// count from that mask.
+class PinnedCpus {
+ public:
+  explicit PinnedCpus(int cpus) {
+    CPU_ZERO(&saved_);
+    ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0 && CPU_COUNT(&saved_) >= cpus;
+    if (!ok_) return;
+    cpu_set_t pinned;
+    CPU_ZERO(&pinned);
+    for (int c = 0, taken = 0; c < CPU_SETSIZE && taken < cpus; ++c)
+      if (CPU_ISSET(c, &saved_)) {
+        CPU_SET(c, &pinned);
+        ++taken;
+      }
+    ok_ = sched_setaffinity(0, sizeof(pinned), &pinned) == 0;
+  }
+  ~PinnedCpus() {
+    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinnedCpus(const PinnedCpus&) = delete;
+  PinnedCpus& operator=(const PinnedCpus&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+TEST(SurfaceTest, ParallelMarchIsBitIdenticalAcrossWorkers) {
+  // All 84 zdock-like complexes and the six cmv_owned shell sizes, at the
+  // perfbench surface.
+  std::vector<Molecule> mols = molgen::zdock_like_suite();
+  for (const double atoms : {15000.0, 18000.0, 21000.0, 24000.0, 27000.0, 30000.0})
+    mols.push_back(molgen::cmv_like(atoms / 120000.0));
+
+  const MarchParams march{.grid_spacing = kBenchSurface.grid_spacing, .iso_value = 1.0};
+  for (const Molecule& mol : mols) {
+    const DensityField field = field_for(mol, kBenchSurface);
+    const TriangleMesh reference = march_tetrahedra(field, march, 1);
+    ASSERT_FALSE(reference.triangles.empty()) << mol.size() << " atoms";
+    for (const int workers : {2, 4, 7})
+      ASSERT_TRUE(same_bytes(march_tetrahedra(field, march, workers).triangles,
+                             reference.triangles))
+          << mol.size() << " atoms, " << workers << " workers";
+
+    const SurfaceQuadrature serial =
+        quadrature_from_mesh(reference, kBenchSurface.dunavant_degree);
+    ASSERT_TRUE(same_bytes(molecular_surface_quadrature(mol, kBenchSurface), serial))
+        << mol.size() << " atoms";
+  }
+
+  // The quadrature's own worker count follows the affinity mask: one CPU
+  // and two CPUs give the same bytes as the serial composition.
+  const Molecule& largest = mols.back();
+  const SurfaceQuadrature serial = serial_quadrature(largest, kBenchSurface);
+  for (const int cpus : {1, 2}) {
+    const PinnedCpus pin(cpus);
+    if (!pin.ok()) continue;  // the host has fewer CPUs
+    EXPECT_TRUE(same_bytes(molecular_surface_quadrature(largest, kBenchSurface), serial))
+        << cpus << " CPUs";
+  }
+}
+
+TEST(SurfaceTest, ParallelMarchEdgeCases) {
+  // The fine single-atom sphere of SphereAreaAndVolume.
+  {
+    const DensityField field(single_atom(2.0));
+    const MarchParams fine{.grid_spacing = 0.25, .iso_value = 1.0};
+    const TriangleMesh reference = march_tetrahedra(field, fine, 1);
+    ASSERT_GT(reference.triangles.size(), 100u);
+    for (const int workers : {2, 4, 7})
+      EXPECT_TRUE(same_bytes(march_tetrahedra(field, fine, workers).triangles,
+                             reference.triangles))
+          << workers << " workers";
+    const QuadratureParams q{.grid_spacing = 0.25, .dunavant_degree = 3, .kappa = 2.3};
+    EXPECT_TRUE(same_bytes(molecular_surface_quadrature(single_atom(2.0), q),
+                           serial_quadrature(single_atom(2.0), q)));
+  }
+  // A domain one cell plane thick: a spacing wider than the domain's z
+  // extent. Both lattice planes lie a cutoff beyond every atom, so the mesh
+  // is empty; the walk still runs its two sample planes and one cell plane
+  // on every worker count.
+  {
+    const Molecule mol = molgen::synthetic_protein(64, 13);
+    const DensityField field(mol);
+    const MarchParams slab{.grid_spacing = field.domain().extent().z * 1.01, .iso_value = 1.0};
+    ASSERT_EQ(detail::cell_planes(field, slab), 1);
+    for (const int workers : {1, 2, 4})
+      EXPECT_TRUE(march_tetrahedra(field, slab, workers).triangles.empty())
+          << workers << " workers";
+  }
+  // More workers than lattice planes: the count is capped, the bytes hold.
+  {
+    const DensityField field(single_atom(1.5));
+    const MarchParams coarse{.grid_spacing = 1.0, .iso_value = 1.0};
+    ASSERT_LT(detail::cell_planes(field, coarse) + 1, 16);
+    const TriangleMesh reference = march_tetrahedra(field, coarse, 1);
+    ASSERT_FALSE(reference.triangles.empty());
+    EXPECT_TRUE(same_bytes(march_tetrahedra(field, coarse, 16).triangles, reference.triangles));
+  }
+}
+
+TEST(SurfaceTest, PlaneSinkExceptionReachesTheCaller) {
+  const Molecule mol = molgen::synthetic_protein(400, 17);
+  const DensityField field(mol);
+  const MarchParams march{.grid_spacing = 1.0, .iso_value = 1.0};
+  std::atomic<int> planes{0};
+  EXPECT_THROW(detail::march_planes(field, march, 4,
+                                    [&](int cz, TriangleMesh&) {
+                                      planes.fetch_add(1);
+                                      if (cz == 3) throw std::runtime_error("sink failed");
+                                    }),
+               std::runtime_error);
+  EXPECT_LE(planes.load(), detail::cell_planes(field, march));
+}
+
+TEST(SurfaceTest, QuadratureFromInsideWorkerPoolsMatchesSerial) {
+  // The march starts its own threads and never the caller's pool, so a call
+  // from a ws::Scheduler task or an mpisim rank neither deadlocks nor nests
+  // pools, and returns the serial bytes.
+  const Molecule mol = molgen::bound_complex(3000, 77);
+  const SurfaceQuadrature serial = serial_quadrature(mol, kBenchSurface);
+
+  SurfaceQuadrature from_task;
+  ws::Scheduler sched(2);
+  sched.run([&] { from_task = molecular_surface_quadrature(mol, kBenchSurface); });
+  EXPECT_TRUE(same_bytes(from_task, serial));
+
+  std::vector<SurfaceQuadrature> from_ranks(2);
+  mpisim::PersistentPool pool(2);
+  mpisim::Runtime::Config config;
+  config.ranks = 2;
+  pool.run(config, [&](mpisim::Comm& comm) {
+    from_ranks[comm.rank()] = molecular_surface_quadrature(mol, kBenchSurface);
+    comm.barrier();
+  });
+  EXPECT_EQ(pool.jobs_served(), 1u);
+  for (const SurfaceQuadrature& q : from_ranks) EXPECT_TRUE(same_bytes(q, serial));
 }
 
 }  // namespace
