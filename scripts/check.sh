@@ -10,7 +10,9 @@
 # (src/core/drivers.cpp) must evaluate the interaction walk as it runs and
 # never materialize a list (no build_lists / build_interaction_lists call),
 # the surface march must be reached only through molecular_surface_quadrature
-# outside src/surface/ and tests/, the balance_stress bench must hold its
+# outside src/surface/ and tests/, threads may be started in src/ only by the
+# work-stealing scheduler, the mpisim runtime and the short-lived worker
+# helper (src/support/workers.*), the balance_stress bench must hold its
 # >= 1.3x steal-vs-static makespan target on the median of five interleaved
 # reps, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
@@ -112,6 +114,20 @@ echo "=== grep gate: one surface path ==="
 if grep -rnE 'march_tetrahedra\(|march_planes\(|quadrature_from_mesh\(' src bench examples perfbench 2>/dev/null \
     | grep -v '^src/surface/'; then
   echo "check.sh: surface march outside src/surface/ and tests/ (call surface::molecular_surface_quadrature)" >&2
+  exit 1
+fi
+
+echo "=== grep gate: one worker idiom ==="
+# Host stages that run on every core (the surface march, the planning walks,
+# Prepared::build) start their threads through workers::run / for_blocks
+# (src/support/workers.*): one place derives the count from the affinity
+# mask, falls back when a thread cannot start, joins, and rethrows. Only the
+# work-stealing scheduler (src/ws/) and the simulated cluster's rank threads
+# (src/mpisim/) own threads besides it.
+if grep -rnE 'std::j?thread\b' src 2>/dev/null \
+    | grep -vE 'std::thread::(hardware_concurrency|id)\b' \
+    | grep -vE '^src/(ws|mpisim)/|^src/support/workers\.(hpp|cpp):'; then
+  echo "check.sh: std::thread / std::jthread outside src/ws/, src/mpisim/ and src/support/workers.* (use workers::run or workers::for_blocks)" >&2
   exit 1
 fi
 

@@ -7,6 +7,7 @@
 #include "mpisim/comm.hpp"
 #include "obs/trace.hpp"
 #include "support/mat3.hpp"
+#include "support/workers.hpp"
 
 namespace gbpol {
 namespace {
@@ -47,6 +48,39 @@ std::uint32_t points_under(const Octree& tree,
   std::uint32_t n = 0;
   for (const std::uint32_t l : leaf_ords) n += tree.node(leaves[l]).count();
   return n;
+}
+
+// Planning-walk blocks: source leaves per claimed block. A Born row (one
+// q-tree leaf against the atoms tree) is cheaper than an E_pol row, so its
+// blocks are wider.
+constexpr std::uint32_t kBornBlockLeaves = 64;
+constexpr std::uint32_t kEpolBlockLeaves = 16;
+// Source leaves (Born + E_pol) each planning worker must have, so a small
+// molecule walks on the calling thread alone.
+constexpr std::size_t kMinPlanningLeavesPerWorker = 512;
+
+// The per-block walks of consecutive source-leaf ranges, joined in leaf
+// order into the walk of their union (near_start rebased per block).
+LeafWalk concatenate(std::span<LeafWalk> blocks) {
+  LeafWalk out;
+  std::size_t leaves = 0, targets = 0;
+  for (const LeafWalk& b : blocks) {
+    leaves += b.interactions.size();
+    targets += b.near_targets.size();
+  }
+  out.interactions.reserve(leaves);
+  out.near_start.reserve(leaves + 1);
+  out.near_targets.reserve(targets);
+  out.near_start.push_back(0);
+  for (LeafWalk& b : blocks) {
+    const auto base = static_cast<std::uint32_t>(out.near_targets.size());
+    out.interactions.insert(out.interactions.end(), b.interactions.begin(), b.interactions.end());
+    for (std::size_t i = 1; i < b.near_start.size(); ++i)
+      out.near_start.push_back(base + b.near_start[i]);
+    out.near_targets.insert(out.near_targets.end(), b.near_targets.begin(), b.near_targets.end());
+    b = LeafWalk{};  // transient: release each block once it is copied
+  }
+  return out;
 }
 
 }  // namespace
@@ -110,17 +144,33 @@ std::uint64_t HaloPlan::hash() const {
 PlanningWalks walk_planning(const Prepared& prep, const ApproxParams& params) {
   const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
   const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
-  return PlanningWalks{
-      .born = walk_source_leaves(prep.atoms_tree, prep.q_tree,
-                                 {.far_multiplier = params.born_far_multiplier(),
-                                  .exact_at_target_leaf = false,
-                                  .source_leaf_lo = 0,
-                                  .source_leaf_hi = n_qleaves}),
-      .epol = walk_source_leaves(prep.atoms_tree, prep.atoms_tree,
-                                 {.far_multiplier = params.epol_far_multiplier(),
-                                  .exact_at_target_leaf = true,
-                                  .source_leaf_lo = 0,
-                                  .source_leaf_hi = n_aleaves})};
+  const ListBuildParams born{.far_multiplier = params.born_far_multiplier(),
+                             .exact_at_target_leaf = false};
+  const ListBuildParams epol{.far_multiplier = params.epol_far_multiplier(),
+                             .exact_at_target_leaf = true};
+
+  // Blocks [0, born_blocks) cover the q-tree source leaves, the rest the
+  // atoms-tree ones; one run of workers claims them all.
+  const std::uint32_t born_blocks = (n_qleaves + kBornBlockLeaves - 1) / kBornBlockLeaves;
+  const std::uint32_t epol_blocks = (n_aleaves + kEpolBlockLeaves - 1) / kEpolBlockLeaves;
+  std::vector<LeafWalk> blocks(born_blocks + epol_blocks);
+  const auto walk_block = [&](std::size_t b) {
+    const bool is_born = b < born_blocks;
+    ListBuildParams lp = is_born ? born : epol;
+    const std::uint32_t block = is_born ? static_cast<std::uint32_t>(b)
+                                        : static_cast<std::uint32_t>(b) - born_blocks;
+    const std::uint32_t width = is_born ? kBornBlockLeaves : kEpolBlockLeaves;
+    lp.source_leaf_lo = block * width;
+    lp.source_leaf_hi = std::min(lp.source_leaf_lo + width, is_born ? n_qleaves : n_aleaves);
+    blocks[b] = walk_source_leaves(prep.atoms_tree, is_born ? prep.q_tree : prep.atoms_tree, lp);
+  };
+  workers::for_blocks(workers::count_for(blocks.size(), std::size_t{n_qleaves} + n_aleaves,
+                                         kMinPlanningLeavesPerWorker),
+                      blocks.size(), walk_block);
+
+  const std::span<LeafWalk> all(blocks);
+  return PlanningWalks{.born = concatenate(all.first(born_blocks)),
+                       .epol = concatenate(all.subspan(born_blocks))};
 }
 
 HaloPlan build_halo_plan(const Prepared& prep, const PlanningWalks& walks,

@@ -74,6 +74,14 @@ OwnershipMap make_ownership_map(const Prepared& prep, int ranks,
 // E_pol (Fig. 3: atom leaves against the atoms tree) phases. One walk per
 // tree serves every planning consumer: chunk costs (chunk_costs over
 // LeafWalk::interactions) and the halo plan (the near CSR rows).
+//
+// Short-lived host workers (support/workers.hpp) claim fixed-size blocks of
+// source leaves, every Born block then every E_pol block, and each block is
+// a walk_source_leaves call over its leaf range; the blocks' walks are
+// concatenated in leaf order. A leaf's row does not depend on the cut, so
+// the result equals one full-range walk per tree byte for byte, for any
+// worker count. Planning stays host-side: the modeled makespan does not
+// charge it.
 struct PlanningWalks {
   LeafWalk born;  // rows indexed by q-tree leaf ordinal
   LeafWalk epol;  // rows indexed by atoms-tree leaf ordinal

@@ -57,7 +57,7 @@ struct Prepared {
   // around the node centroid instead of collapsing the node to a point.
   std::vector<Mat3> node_moment;
 
-  double build_seconds = 0.0;  // octree + aggregate construction CPU time
+  double build_seconds = 0.0;  // octree + aggregate construction wall time
 
   std::size_t num_atoms() const { return atoms_tree.num_points(); }
   std::size_t num_qpoints() const { return q_tree.num_points(); }
@@ -69,6 +69,12 @@ struct Prepared {
   // data" scheme (§IV-A): both trees plus all payload arrays.
   MemoryFootprint replicated_footprint() const;
 
+  // Builds both octrees (Octree::build), then the payloads and the SoA
+  // stores slot by slot and the leaf aggregates leaf by leaf, each pass on
+  // claimed blocks of short-lived workers (build_workers in octree.hpp); the
+  // internal-node aggregates fold serially, children in child order. Every
+  // value comes from the same expression in the same order whichever worker
+  // computes it, so the result is byte-identical for any worker count.
   static Prepared build(const Molecule& mol, const surface::SurfaceQuadrature& quad,
                         std::uint32_t leaf_capacity);
 

@@ -18,6 +18,7 @@
 // that centroid enclosing all of them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -28,6 +29,17 @@
 #include "support/vec3.hpp"
 
 namespace gbpol {
+
+// Per-point passes of an octree build, and of Prepared::build over a tree's
+// slots, run on short-lived workers (support/workers.hpp) that claim blocks
+// of kBuildBlockPoints points. A pass gets one worker per
+// kMinBuildPointsPerWorker points at most, so small point sets build on the
+// calling thread alone.
+inline constexpr std::size_t kBuildBlockPoints = 2048;
+inline constexpr std::size_t kMinBuildPointsPerWorker = 4096;
+
+// Workers for a per-point build pass over `points` points.
+int build_workers(std::size_t points);
 
 struct OctreeNode {
   Vec3 centroid;            // geometric center of points under the node
@@ -62,6 +74,13 @@ class Octree {
 
   // Builds over a point set. The octree keeps a Morton-sorted COPY of the
   // points; `original_index(i)` maps sorted slot i back to the input index.
+  //
+  // The Morton encoding and sort, the gather of points, and every node's
+  // centroid and radius run on claimed blocks (build_workers); the
+  // breadth-first node construction and the leaf order stay serial. Each
+  // node's sums run over its points in slot order whichever worker computes
+  // them, and the sorted order is the unique stable sort by code, so the
+  // tree is byte-identical for any worker count.
   static Octree build(std::span<const Vec3> points, const BuildParams& params);
   static Octree build(std::span<const Vec3> points) { return build(points, BuildParams{}); }
 

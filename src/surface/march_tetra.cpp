@@ -1,17 +1,13 @@
 #include "surface/march_tetra.hpp"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <exception>
-#include <mutex>
-#include <system_error>
-#include <thread>
 #include <vector>
+
+#include "support/workers.hpp"
 
 namespace gbpol::surface {
 namespace {
@@ -139,14 +135,6 @@ void polygonize_plane(const Lattice& lat, const std::vector<double>& values, dou
   }
 }
 
-// CPUs in the calling thread's affinity mask, as `nproc` counts them.
-int affinity_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) return std::max(1, CPU_COUNT(&set));
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-}
-
 }  // namespace
 
 namespace detail {
@@ -165,11 +153,9 @@ void march_planes(const DensityField& field, const MarchParams& params, int work
 
   std::atomic<int> next_sample{0}, sampled{0}, next_cell{0};
   std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr error;  // guarded by error_mutex
 
-  // Runs on every worker and never throws: an exception from a plane stops
-  // the walk and is kept for the caller.
+  // Runs on every worker. An exception from a plane stops the walk and
+  // reaches the caller through workers::run.
   const auto work = [&] {
     for (int iz; (iz = next_sample.fetch_add(1)) < sample_planes;) {
       sample_plane(field, lat, iz, values);
@@ -188,25 +174,13 @@ void march_planes(const DensityField& field, const MarchParams& params, int work
       }
     } catch (...) {
       failed.store(true);
-      const std::lock_guard lock(error_mutex);
-      if (!error) error = std::current_exception();
+      throw;
     }
   };
 
-  const int count = std::clamp(workers > 0 ? workers : affinity_cpus(), 1, sample_planes);
-  {
-    std::vector<std::jthread> helpers;
-    helpers.reserve(static_cast<std::size_t>(count - 1));
-    for (int t = 1; t < count; ++t) {
-      try {
-        helpers.emplace_back(work);
-      } catch (const std::system_error&) {
-        break;  // the workers already running claim the remaining planes
-      }
-    }
-    work();
-  }  // joins the helpers
-  if (error) std::rethrow_exception(error);
+  workers::run(workers > 0 ? std::clamp(workers, 1, sample_planes)
+                           : workers::count_for(sample_planes, sample_planes, 1),
+               work);
 }
 
 }  // namespace detail

@@ -7,15 +7,15 @@
 // so their geometric normal points OUT of the molecule (toward decreasing
 // density), which is the orientation Eq. (4)'s surface integral requires.
 //
-// The march runs on short-lived worker threads started for each call (the
-// calling thread works too): workers claim lattice z-planes one at a time to
-// sample the density, then, after every plane is sampled, claim cell
-// z-planes one at a time to polygonize them. Emission order is plane-major,
-// then y, then x, and every sample and triangle comes from the same
-// floating-point expression whichever worker computes it, so the output is
-// byte-identical for any number of workers. The march never uses a caller's
-// thread pool, so it may be called from inside a ws::Scheduler task or an
-// mpisim rank.
+// The march runs on short-lived worker threads started for each call
+// (support/workers.hpp; the calling thread works too): workers claim lattice
+// z-planes one at a time to sample the density, then, after every plane is
+// sampled, claim cell z-planes one at a time to polygonize them. Emission
+// order is plane-major, then y, then x, and every sample and triangle comes
+// from the same floating-point expression whichever worker computes it, so
+// the output is byte-identical for any number of workers. The march never
+// uses a caller's thread pool, so it may be called from inside a
+// ws::Scheduler task or an mpisim rank.
 #pragma once
 
 #include <functional>

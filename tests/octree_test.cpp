@@ -3,12 +3,15 @@
 // node-based work division assume.
 #include "octree/octree.hpp"
 
+#include <optional>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "molecule/generate.hpp"
+#include "support/morton.hpp"
 #include "support/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace gbpol {
 namespace {
@@ -118,6 +121,43 @@ TEST(OctreeTest, DuplicatePointsTerminateViaDepthBound) {
   std::size_t total = 0;
   for (const std::uint32_t leaf_id : tree.leaves()) total += tree.node(leaf_id).count();
   EXPECT_EQ(total, pts.size());
+}
+
+TEST(OctreeTest, BuildIsBitIdenticalAtAnyAffinity) {
+  // Large enough for every CPU to get blocks: random points, a duplicate-
+  // point set that ends in depth-bounded single-child chains, and a pinned
+  // domain that clamps points onto its faces.
+  std::vector<Vec3> dup(40000, Vec3{1, 1, 1});
+  dup.resize(60000, Vec3{2, 2, 2});
+  Aabb small_domain;
+  small_domain.expand(Vec3{-5, -5, -5});
+  small_domain.expand(Vec3{5, 5, 5});
+  const struct {
+    std::vector<Vec3> points;
+    Octree::BuildParams params;
+  } cases[] = {
+      {random_points(50000, 11), {.leaf_capacity = 8, .max_depth = 20, .domain = {}}},
+      {dup, {.leaf_capacity = 4, .max_depth = 6, .domain = {}}},
+      {random_points(30000, 12), {.leaf_capacity = 32, .max_depth = 20, .domain = small_domain}},
+  };
+  for (const auto& c : cases) {
+    Octree serial;
+    {
+      const testing::PinnedCpus one(1);
+      ASSERT_TRUE(one.ok());
+      serial = Octree::build(c.points, c.params);
+    }
+    // The serial reference of the sort: the stable Morton permutation.
+    const Aabb box = c.params.domain.empty() ? bounding_box(c.points) : c.params.domain;
+    EXPECT_TRUE(testing::same_bytes(
+        serial.permutation(), morton::sort_permutation(morton::encode_points(c.points, box))));
+    for (const int cpus : {2, 0}) {  // 0: the whole affinity mask
+      std::optional<testing::PinnedCpus> pin;
+      if (cpus > 0 && !pin.emplace(cpus).ok()) continue;  // the host has fewer CPUs
+      EXPECT_TRUE(testing::same_octree(Octree::build(c.points, c.params), serial))
+          << c.points.size() << " points, " << cpus << " CPUs";
+    }
+  }
 }
 
 TEST(OctreeTest, HeightGrowsLogarithmically) {

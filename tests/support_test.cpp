@@ -1,7 +1,13 @@
-// Support substrate: geometry, RNG, Morton codes, statistics, tables.
+// Support substrate: geometry, RNG, Morton codes, statistics, tables, and
+// the short-lived worker helper.
+#include <atomic>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +19,7 @@
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "support/vec3.hpp"
+#include "support/workers.hpp"
 
 namespace gbpol {
 namespace {
@@ -201,6 +208,89 @@ TEST(MemtrackTest, FootprintAccounting) {
 }
 
 TEST(MemtrackTest, ProcessRssPositive) { EXPECT_GT(process_rss_bytes(), 0u); }
+
+// --- Short-lived workers -------------------------------------------------
+
+TEST(WorkersTest, EveryBlockRunsExactlyOnceForAnyWorkerCount) {
+  for (const int count : {1, 2, 4, 7}) {
+    // More workers than blocks (3), about as many (8), many more blocks (1000).
+    for (const std::size_t blocks : {std::size_t{3}, std::size_t{8}, std::size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(blocks);
+      std::mutex ids_mutex;
+      std::set<std::thread::id> ids;
+      workers::for_blocks(count, blocks, [&](std::size_t b) {
+        hits[b].fetch_add(1);
+        const std::lock_guard lock(ids_mutex);
+        ids.insert(std::this_thread::get_id());
+      });
+      for (std::size_t b = 0; b < blocks; ++b)
+        ASSERT_EQ(hits[b].load(), 1) << count << " workers, block " << b << " of " << blocks;
+      // Never more workers than blocks, and the caller is one of them.
+      EXPECT_LE(ids.size(), std::min<std::size_t>(count, blocks));
+      if (count == 1) EXPECT_EQ(ids, std::set{std::this_thread::get_id()});
+    }
+  }
+}
+
+TEST(WorkersTest, ZeroBlocksCallNothing) {
+  for (const int count : {1, 2, 4, 7}) {
+    int calls = 0;
+    workers::for_blocks(count, 0, [&](std::size_t) { ++calls; });
+    workers::for_ranges(count, 0, 16, [&](std::size_t, std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 0) << count << " workers";
+  }
+}
+
+TEST(WorkersTest, RangesCoverTheItemsInConsecutiveBlocks) {
+  for (const int count : {1, 2, 4, 7}) {
+    std::vector<std::atomic<int>> hits(1001);
+    workers::for_ranges(count, hits.size(), 64, [&](std::size_t lo, std::size_t hi) {
+      EXPECT_EQ(lo % 64, 0u);
+      EXPECT_EQ(hi, std::min(lo + 64, hits.size()));
+      for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(WorkersTest, AnExceptionInOneBlockReachesTheCaller) {
+  for (const int count : {1, 2, 4, 7}) {
+    std::atomic<int> started{0};
+    try {
+      workers::for_blocks(count, 100, [&](std::size_t b) {
+        started.fetch_add(1);
+        if (b == 5) throw std::runtime_error("block 5");
+      });
+      ADD_FAILURE() << count << " workers: no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "block 5") << count << " workers";
+    }
+    // One worker claims blocks in ascending order and stops at the throw.
+    // (Other workers may claim more blocks before they see the failure.)
+    if (count == 1) EXPECT_EQ(started.load(), 6);
+  }
+  // run: every worker throws; exactly one exception reaches the caller.
+  EXPECT_THROW(workers::run(4, [] { throw std::logic_error("each"); }), std::logic_error);
+}
+
+TEST(WorkersTest, RunStartsTheRequestedWorkers) {
+  for (const int count : {1, 2, 4, 7}) {
+    std::atomic<int> bodies{0};
+    workers::run(count, [&] { bodies.fetch_add(1); });
+    EXPECT_EQ(bodies.load(), count);
+  }
+}
+
+TEST(WorkersTest, CountIsCappedByBlocksAndWork) {
+  const int cpus = workers::affinity_cpus();
+  EXPECT_GE(cpus, 1);
+  EXPECT_EQ(workers::count_for(1000, 1'000'000, 1), cpus);
+  EXPECT_EQ(workers::count_for(2, 1'000'000, 1), std::min(cpus, 2));
+  EXPECT_EQ(workers::count_for(0, 1'000'000, 1), 1);
+  // Below the minimum work per worker the caller works alone.
+  EXPECT_EQ(workers::count_for(1000, 99, 100), 1);
+  EXPECT_EQ(workers::count_for(1000, 250, 100), std::min(cpus, 2));
+}
 
 }  // namespace
 }  // namespace gbpol

@@ -1,8 +1,6 @@
 // Surface substrate: density field, marching tetrahedra, Dunavant rules,
 // quadrature pipeline, Fibonacci sphere, and the byte-identity of the
 // parallel march for any worker count.
-#include <sched.h>
-
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -20,6 +18,7 @@
 #include "surface/march_tetra.hpp"
 #include "surface/quadrature.hpp"
 #include "surface/sphere_quad.hpp"
+#include "test_helpers.hpp"
 #include "ws/scheduler.hpp"
 
 namespace gbpol::surface {
@@ -200,19 +199,15 @@ TEST(FibonacciSphereTest, GaussTheoremOnDipoleField) {
 
 // --- Parallel march: byte-identical output for any worker count ----------
 
-template <typename T>
-bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
+using gbpol::testing::same_bytes;
 
 bool same_bytes(const SurfaceQuadrature& a, const SurfaceQuadrature& b) {
   return same_bytes(a.points, b.points) && same_bytes(a.normals, b.normals) &&
          same_bytes(a.weights, b.weights);
 }
 
-// The surface the perfbench workloads request.
-constexpr QuadratureParams kBenchSurface{.grid_spacing = 2.0, .dunavant_degree = 1, .kappa = 2.3};
+using gbpol::testing::kBenchSurface;
+using gbpol::testing::PinnedCpus;
 
 DensityField field_for(const Molecule& mol, const QuadratureParams& q) {
   return DensityField(mol, {.kappa = q.kappa, .tolerance = 1e-4});
@@ -227,43 +222,10 @@ SurfaceQuadrature serial_quadrature(const Molecule& mol, const QuadratureParams&
       q.dunavant_degree);
 }
 
-// Restricts the calling thread to the first `cpus` CPUs of its affinity mask
-// for the object's lifetime: molecular_surface_quadrature derives its worker
-// count from that mask.
-class PinnedCpus {
- public:
-  explicit PinnedCpus(int cpus) {
-    CPU_ZERO(&saved_);
-    ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0 && CPU_COUNT(&saved_) >= cpus;
-    if (!ok_) return;
-    cpu_set_t pinned;
-    CPU_ZERO(&pinned);
-    for (int c = 0, taken = 0; c < CPU_SETSIZE && taken < cpus; ++c)
-      if (CPU_ISSET(c, &saved_)) {
-        CPU_SET(c, &pinned);
-        ++taken;
-      }
-    ok_ = sched_setaffinity(0, sizeof(pinned), &pinned) == 0;
-  }
-  ~PinnedCpus() {
-    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
-  }
-  PinnedCpus(const PinnedCpus&) = delete;
-  PinnedCpus& operator=(const PinnedCpus&) = delete;
-
-  bool ok() const { return ok_; }
-
- private:
-  cpu_set_t saved_;
-  bool ok_ = false;
-};
-
 TEST(SurfaceTest, ParallelMarchIsBitIdenticalAcrossWorkers) {
   // All 84 zdock-like complexes and the six cmv_owned shell sizes, at the
   // perfbench surface.
-  std::vector<Molecule> mols = molgen::zdock_like_suite();
-  for (const double atoms : {15000.0, 18000.0, 21000.0, 24000.0, 27000.0, 30000.0})
-    mols.push_back(molgen::cmv_like(atoms / 120000.0));
+  const std::vector<Molecule> mols = gbpol::testing::bench_molecules();
 
   const MarchParams march{.grid_spacing = kBenchSurface.grid_spacing, .iso_value = 1.0};
   for (const Molecule& mol : mols) {

@@ -2,11 +2,14 @@
 // surface quadratures and Prepared octrees.
 #pragma once
 
+#include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include "core/balance.hpp"
@@ -109,5 +112,108 @@ inline std::vector<Molecule> workload_molecules() {
   mols.push_back(molgen::cmv_like(0.05));
   return mols;
 }
+
+// The surface the perfbench workloads request.
+inline constexpr surface::QuadratureParams kBenchSurface{
+    .grid_spacing = 2.0, .dunavant_degree = 1, .kappa = 2.3};
+
+// Every molecule the benchmark workloads are drawn from: the 84 zdock-like
+// complexes, then the six cmv_owned shell sizes (15k-30k atoms).
+inline std::vector<Molecule> bench_molecules() {
+  std::vector<Molecule> mols = molgen::zdock_like_suite();
+  for (const double atoms : {15000.0, 18000.0, 21000.0, 24000.0, 27000.0, 30000.0})
+    mols.push_back(molgen::cmv_like(atoms / 120000.0));
+  return mols;
+}
+
+// Byte equality of two arrays of trivially copyable values (padding-free
+// element types only: compare OctreeNode field by field, see same_octree).
+template <typename A, typename B>
+bool same_bytes(const A& a, const B& b) {
+  const std::span sa(a), sb(b);
+  return sa.size() == sb.size() &&
+         (sa.empty() || std::memcmp(sa.data(), sb.data(), sa.size_bytes()) == 0);
+}
+
+// Two octrees are byte-identical: points, permutation, every node field (a
+// node has padding bytes, so not one memcmp over the node array) and leaves.
+inline ::testing::AssertionResult same_octree(const Octree& a, const Octree& b) {
+  if (!same_bytes(a.points(), b.points())) return ::testing::AssertionFailure() << "points";
+  if (!same_bytes(a.permutation(), b.permutation()))
+    return ::testing::AssertionFailure() << "permutation";
+  if (!same_bytes(a.leaves(), b.leaves())) return ::testing::AssertionFailure() << "leaves";
+  if (a.nodes().size() != b.nodes().size()) return ::testing::AssertionFailure() << "node count";
+  for (std::size_t id = 0; id < a.nodes().size(); ++id) {
+    const OctreeNode &x = a.nodes()[id], &y = b.nodes()[id];
+    const bool same = std::memcmp(&x.centroid, &y.centroid, sizeof(Vec3)) == 0 &&
+                      std::memcmp(&x.radius, &y.radius, sizeof(double)) == 0 &&
+                      x.begin == y.begin && x.end == y.end &&
+                      x.first_child == y.first_child && x.child_count == y.child_count &&
+                      x.depth == y.depth;
+    if (!same) return ::testing::AssertionFailure() << "node " << id;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Two Prepared are byte-identical: both trees, every payload array, the SoA
+// stores and the node aggregates.
+inline ::testing::AssertionResult same_prepared(const Prepared& a, const Prepared& b) {
+  if (auto r = same_octree(a.atoms_tree, b.atoms_tree); !r) return r << " (atoms tree)";
+  if (auto r = same_octree(a.q_tree, b.q_tree); !r) return r << " (q tree)";
+  const struct {
+    const char* name;
+    bool same;
+  } arrays[] = {
+      {"charge", same_bytes(a.charge, b.charge)},
+      {"intrinsic_radius", same_bytes(a.intrinsic_radius, b.intrinsic_radius)},
+      {"weighted_normal", same_bytes(a.weighted_normal, b.weighted_normal)},
+      {"node_weighted_normal", same_bytes(a.node_weighted_normal, b.node_weighted_normal)},
+      {"node_moment", same_bytes(a.node_moment, b.node_moment)},
+      {"atoms_soa.x", same_bytes(a.atoms_soa.x, b.atoms_soa.x)},
+      {"atoms_soa.y", same_bytes(a.atoms_soa.y, b.atoms_soa.y)},
+      {"atoms_soa.z", same_bytes(a.atoms_soa.z, b.atoms_soa.z)},
+      {"q_soa.x", same_bytes(a.q_soa.x, b.q_soa.x)},
+      {"q_soa.y", same_bytes(a.q_soa.y, b.q_soa.y)},
+      {"q_soa.z", same_bytes(a.q_soa.z, b.q_soa.z)},
+      {"q_wn_soa.x", same_bytes(a.q_wn_soa.x, b.q_wn_soa.x)},
+      {"q_wn_soa.y", same_bytes(a.q_wn_soa.y, b.q_wn_soa.y)},
+      {"q_wn_soa.z", same_bytes(a.q_wn_soa.z, b.q_wn_soa.z)},
+  };
+  for (const auto& arr : arrays)
+    if (!arr.same) return ::testing::AssertionFailure() << arr.name;
+  return ::testing::AssertionSuccess();
+}
+
+// Restricts the calling thread to the first `cpus` CPUs of its affinity mask
+// for the object's lifetime. The host stages on short-lived workers (the
+// surface march, the planning walks, Prepared::build) derive their worker
+// count from that mask. ok() is false when the host has fewer CPUs.
+class PinnedCpus {
+ public:
+  explicit PinnedCpus(int cpus) {
+    CPU_ZERO(&saved_);
+    ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0 && CPU_COUNT(&saved_) >= cpus;
+    if (!ok_) return;
+    cpu_set_t pinned;
+    CPU_ZERO(&pinned);
+    for (int c = 0, taken = 0; c < CPU_SETSIZE && taken < cpus; ++c)
+      if (CPU_ISSET(c, &saved_)) {
+        CPU_SET(c, &pinned);
+        ++taken;
+      }
+    ok_ = sched_setaffinity(0, sizeof(pinned), &pinned) == 0;
+  }
+  ~PinnedCpus() {
+    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinnedCpus(const PinnedCpus&) = delete;
+  PinnedCpus& operator=(const PinnedCpus&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
 
 }  // namespace gbpol::testing
