@@ -4,8 +4,9 @@
 # trace) under each, plus repo-wide gates: the removed run_oct_* free
 # functions and the superseded distributed paths (the oct_balanced driver,
 # the distributed_data ghost-exchange prototype, WorkDivision::kDynamic,
-# Comm::charge_rpc, the canonical_reduction opt-in and the legacy
-# checkpoint chunking) must not reappear anywhere (the Engine/Service API
+# Comm::charge_rpc, the canonical_reduction opt-in, the legacy checkpoint
+# chunking and the kNodeBalanced relay-chain reduction) must not reappear
+# anywhere (the Engine/Service API
 # surface is final; one canonical chunk-fold driver), the Engine drivers
 # (src/core/drivers.cpp) must evaluate the interaction walk as it runs and
 # never materialize a list (no build_lists / build_interaction_lists call),
@@ -72,11 +73,14 @@ echo "=== grep gate: superseded distributed paths stay deleted ==="
 # (checkpoint.chunk_leaves) and the hybrid driver's parallel list builders
 # and list grain are gone; DataDistribution::kOwned replaced the
 # ghost-exchange prototype and BalancePolicy::kSteal replaced the
-# shared-counter kDynamic division with its RPC charge. None of them may
+# shared-counter kDynamic division with its RPC charge. The kNodeBalanced
+# division and the relay-chain death recovery of oct_distributed that only
+# it ran are gone too: the chunk fold's stripe recovery covers every death,
+# and oct_atom_based is the one-thread kAtomBased ablation. None of them may
 # come back.
-if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves|build_lists_parallel|build_interaction_lists_parallel|list_grain' \
+if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves|build_lists_parallel|build_interaction_lists_parallel|list_grain|kNodeBalanced|leaf_segments_by_points|kTagBornChain|kTagBornSlice|kTagEpolChain|oct_distributed|Driver::kDistributed' \
     src bench tests examples 2>/dev/null; then
-  echo "check.sh: superseded distributed path found in-tree (use Engine::run; route() picks oct_distributed or oct_canonical)" >&2
+  echo "check.sh: superseded distributed path found in-tree (use Engine::run; route() picks oct_canonical, or oct_atom_based for kAtomBased)" >&2
   exit 1
 fi
 
@@ -92,8 +96,8 @@ if grep -nE 'Prepared::build' \
 fi
 
 echo "=== grep gate: Engine drivers evaluate during the walk ==="
-# Every Engine pass (serial, canonical chunks, hybrid chunks, relay chains,
-# owned recovery pre-passes) evaluates each list entry the moment the
+# Every Engine pass (serial, canonical chunks, hybrid chunks, the kAtomBased
+# ablation, owned recovery pre-passes) evaluates each list entry the moment the
 # opening-criterion walk reaches it (BornSolver::accumulate_walk,
 # EpolSolver::accumulate_energy_walk, or a walk_interactions visitor).
 # Materialized lists are for consumers that reuse them (TrajectoryDriver,

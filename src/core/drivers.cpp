@@ -4,13 +4,10 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <deque>
-#include <exception>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <span>
 
@@ -70,11 +67,6 @@ std::vector<PairTask> expand_pair_frontier(const Octree& tree_a, const Octree& t
   return terminal;
 }
 
-// Tag bases for the degraded-mode recovery chains; + dead rank id
-// disambiguates concurrent recoveries of different ranks.
-constexpr int kTagBornChain = 9000;
-constexpr int kTagBornSlice = 10000;
-constexpr int kTagEpolChain = 11000;
 // 12000 is the owned-mode Born halo exchange (core/halo_exchange.cpp);
 // 12001 gathers the owned Born slices to the writer at the end of an owned
 // oct_canonical run.
@@ -365,8 +357,8 @@ RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
   return result;
 }
 
-RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
-                          const GBConstants& constants, const RunOptions& options) {
+RunResult oct_atom_based(const Prepared& prep, const ApproxParams& params,
+                         const GBConstants& constants, const RunOptions& options) {
   // From driver entry, so host-side planning counts toward wall_seconds.
   WallTimer wall;
   RunResult result;
@@ -376,36 +368,9 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
   const BornSolver born_solver(prep, params);
   const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
   const std::uint32_t n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
-  const std::uint32_t n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
-
-  // Precomputed point-balanced segments for the kNodeBalanced extension.
-  std::vector<Segment> balanced_q, balanced_a;
-  if (options.division == WorkDivision::kNodeBalanced) {
-    balanced_q = leaf_segments_by_points(prep.q_tree, P);
-    balanced_a = leaf_segments_by_points(prep.atoms_tree, P);
-  }
 
   std::vector<double> born_shared(prep.num_atoms(), 0.0);  // filled by rank 0
   double energy_shared = 0.0;
-
-  // Degraded-mode recovery needs a node division (whole leaves, so a dead
-  // rank's range re-partitions exactly): kNodeBalanced uses the
-  // fault-tolerant collectives + recovery relays below even in fault-free
-  // runs (they fold in the identical order, so results match the plain path
-  // bit-for-bit). kAtomBased keeps the plain collectives, which fail fast if
-  // a rank dies.
-  const bool use_ft = options.division == WorkDivision::kNodeBalanced;
-
-  const auto q_segment = [&](int rr) {
-    return options.division == WorkDivision::kNodeBalanced
-               ? balanced_q[static_cast<std::size_t>(rr)]
-               : even_segment(n_qleaves, P, rr);
-  };
-  const auto l_segment = [&](int rr) {
-    return options.division == WorkDivision::kNodeBalanced
-               ? balanced_a[static_cast<std::size_t>(rr)]
-               : even_segment(n_aleaves, P, rr);
-  };
 
   mpisim::Runtime::Config rt;
   rt.ranks = P;
@@ -415,25 +380,14 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
   rt.corruption = options.corruption;
   rt.integrity_guards = options.integrity_guards;
 
+  // The plain collectives fail fast if a rank dies: this ablation has no
+  // recovery protocol.
   const auto report = mpisim::run_on(options.pool, rt, [&](mpisim::Comm& comm) {
     const int r = comm.rank();
 
-    // Chain receive for the recovery relays: a predecessor can only vanish
-    // mid-chain when the job is doomed (a pooled rank failed, raising the
-    // kill flag) — then this rank abandons too. Any other mid-chain loss is a protocol breach (scheduled
-    // deaths happen at collective entries, never inside a chain).
-    const auto chain_recv = [&](std::span<double> buf, int src, int tag) {
-      const mpisim::RecvStatus rs = comm.recv_ft(buf, src, tag);
-      if (rs.ok()) return;
-      if (comm.kill_requested()) comm.abandon();
-      std::fprintf(stderr, "driver: rank %d: lost chain peer %d (tag %d)\n", r,
-                   src, tag);
-      std::terminate();
-    };
-
     // ---- Step 2: approximated integrals for this rank's Q-leaf segment.
     obs::phase_begin(obs::PhaseId::kBornAccum);
-    const Segment q_seg = q_segment(r);
+    const Segment q_seg = even_segment(n_qleaves, P, r);
     BornAccumulator acc = born_solver.make_accumulator();
     traced_chunk(q_seg.lo, q_seg.hi, obs::PhaseId::kBornAccum, [&] {
       mpisim::Comm::ComputeRegion region(comm);
@@ -441,51 +395,8 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
     });
 
     // ---- Step 3: gather partial integrals from every rank.
-    //
-    // Fault-tolerant path: on kRankDied the ranks in st.missing died without
-    // contributing their Born partials. Survivors re-partition each dead
-    // rank's Q-leaf segment (workdiv::sub_segment) and recompute it as a
-    // RELAY CHAIN: survivor j receives the accumulator-in-progress from
-    // survivor j-1, extends it with its own sub-range, and passes it on.
-    // Chaining — rather than summing independent partials — reproduces the
-    // dead rank's sequential fold operation-for-operation, which is what
-    // makes the recovered energy bit-identical to the fault-free run (the
-    // far/near deposits of consecutive sub-ranges touch accumulator slots in
-    // the same per-slot order as one full-range pass). The last survivor
-    // keeps the result and publishes it as the dead rank's proxy on retry.
     obs::phase_begin(obs::PhaseId::kBornReduce);
-    if (use_ft) {
-      std::map<int, BornAccumulator> proxy_accs;  // dead rank -> its partial
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxy_accs.size());
-        for (auto& [d, pacc] : proxy_accs) pubs.push_back({d, pacc.flat().data()});
-        const mpisim::CollectiveStatus st = comm.allreduce_sum_ft(acc.flat(), pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        const std::vector<int> live = live_ranks(P, st.dead);
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        for (const int d : st.missing) {
-          const Segment d_seg = q_segment(d);
-          BornAccumulator chain = born_solver.make_accumulator();
-          if (my > 0) chain_recv(chain.flat(), live[static_cast<std::size_t>(my - 1)], kTagBornChain + d);
-          const Segment sub = sub_segment(d_seg, parts, my);
-          if (sub.count() > 0) {
-            mpisim::Comm::ComputeRegion region(comm);
-            accumulate_born(born_solver, params.traversal, sub, chain);
-          }
-          comm.add_redistributed_work(sub.count());
-          if (my + 1 < parts) {
-            comm.send<double>(chain.flat(), live[static_cast<std::size_t>(my + 1)], kTagBornChain + d);
-          } else {
-            proxy_accs[d] = std::move(chain);  // this rank proxies d on retry
-          }
-        }
-      }
-    } else {
-      comm.allreduce_sum(acc.flat());
-    }
+    comm.allreduce_sum(acc.flat());
 
     // ---- Step 4: Born radii for this rank's atom segment.
     obs::phase_begin(obs::PhaseId::kPush);
@@ -504,56 +415,9 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
       counts[static_cast<std::size_t>(i)] = static_cast<int>(s.count());
       displs[static_cast<std::size_t>(i)] = static_cast<int>(s.lo);
     }
-    // Recovery here is simpler than step 3: push_to_atoms is independent per
-    // atom, so survivors each recompute a sub-range of the dead rank's atom
-    // segment directly (no chaining needed for bit-equality) and ship it to
-    // the proxy, which assembles the full slice and republishes it.
-    if (use_ft) {
-      std::map<int, std::vector<double>> proxy_born;  // dead rank -> slice
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxy_born.size());
-        for (auto& [d, slice] : proxy_born) pubs.push_back({d, slice.data()});
-        const mpisim::CollectiveStatus st = comm.allgatherv_ft<double>(
-            {born.data() + a_seg.lo, a_seg.count()}, born, counts, displs, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        const std::vector<int> live = live_ranks(P, st.dead);
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        for (const int d : st.missing) {
-          const Segment d_aseg = even_segment(n_atoms, P, d);
-          const Segment sub = sub_segment(d_aseg, parts, my);
-          if (sub.count() > 0) {
-            // Writes land in this rank's own `born` buffer; the successful
-            // retry overwrites them with the proxy's identical values.
-            mpisim::Comm::ComputeRegion region(comm);
-            born_solver.push_to_atoms(acc, sub.lo, sub.hi, born);
-          }
-          comm.add_redistributed_work(sub.count());
-          const int proxy = live.back();
-          if (r == proxy) {
-            std::vector<double>& slice = proxy_born[d];
-            slice.assign(d_aseg.count(), 0.0);
-            std::copy(born.begin() + sub.lo, born.begin() + sub.hi,
-                      slice.begin() + (sub.lo - d_aseg.lo));
-            for (int j = 0; j + 1 < parts; ++j) {
-              const Segment sj = sub_segment(d_aseg, parts, j);
-              if (sj.count() == 0) continue;
-              chain_recv({slice.data() + (sj.lo - d_aseg.lo), sj.count()},
-                         live[static_cast<std::size_t>(j)], kTagBornSlice + d);
-            }
-          } else if (sub.count() > 0) {
-            comm.send<double>({born.data() + sub.lo, sub.count()}, proxy,
-                              kTagBornSlice + d);
-          }
-        }
-      }
-    } else {
-      comm.allgatherv<double>({born.data() + a_seg.lo, a_seg.count()}, born, counts, displs);
-    }
+    comm.allgatherv<double>({born.data() + a_seg.lo, a_seg.count()}, born, counts, displs);
 
-    // ---- Step 6: partial energy for this rank's leaf (or atom) segment.
+    // ---- Step 6: partial energy for this rank's atom segment.
     obs::phase_begin(obs::PhaseId::kEpol);
     double partial[1] = {0.0};
     // Bin construction is replicated per rank; count it as compute.
@@ -562,59 +426,15 @@ RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
       mpisim::Comm::ComputeRegion region(comm);
       epol_solver = std::make_unique<EpolSolver>(prep, born, params, constants);
     }
-    const bool atom_based = options.division == WorkDivision::kAtomBased;
-    const Segment seg = atom_based ? a_seg : l_segment(r);
-    traced_chunk(seg.lo, seg.hi, obs::PhaseId::kEpol, [&] {
+    traced_chunk(a_seg.lo, a_seg.hi, obs::PhaseId::kEpol, [&] {
       mpisim::Comm::ComputeRegion region(comm);
-      partial[0] = atom_based ? epol_solver->energy_for_atom_range(seg.lo, seg.hi)
-                              : epol_energy(*epol_solver, params.traversal, seg);
+      partial[0] = epol_solver->energy_for_atom_range(a_seg.lo, a_seg.hi);
     });
 
     // ---- Step 7: master accumulates the final energy.
-    //
-    // Fault-tolerant path: a dead rank's partial energy is recomputed by the
-    // same relay-chain pattern as step 3, but over raw (unscaled) running
-    // sums — EpolSolver::accumulate_energy_* continue the fold across ranks
-    // and finish_energy applies the -tau/2 ke scale once at the chain's end,
-    // exactly as the dead rank would have. If the root itself died, the
-    // reduction re-targets the lowest surviving rank, which then harvests
-    // the results.
     obs::phase_begin(obs::PhaseId::kEpolReduce);
-    int live_root = 0;
-    if (use_ft) {
-      std::map<int, double> proxy_partial;  // dead rank -> partial energy
-      for (;;) {
-        std::vector<mpisim::ProxyPub> pubs;
-        pubs.reserve(proxy_partial.size());
-        for (auto& [d, val] : proxy_partial) pubs.push_back({d, &val});
-        const mpisim::CollectiveStatus st = comm.reduce_sum_ft(partial, live_root, pubs);
-        if (st.ok()) break;
-        if (comm.kill_requested()) comm.abandon();
-        const std::vector<int> live = live_ranks(P, st.dead);
-        live_root = live.front();
-        const int parts = static_cast<int>(live.size());
-        const int my = index_of(live, r);
-        for (const int d : st.missing) {
-          const Segment sub = sub_segment(l_segment(d), parts, my);
-          double raws[2] = {0.0, 0.0};
-          if (my > 0)
-            chain_recv({raws, 2}, live[static_cast<std::size_t>(my - 1)], kTagEpolChain + d);
-          if (sub.count() > 0) {
-            mpisim::Comm::ComputeRegion region(comm);
-            accumulate_epol(*epol_solver, params.traversal, sub, raws);
-          }
-          comm.add_redistributed_work(sub.count());
-          if (my + 1 < parts) {
-            comm.send<double>({raws, 2}, live[static_cast<std::size_t>(my + 1)], kTagEpolChain + d);
-          } else {
-            proxy_partial[d] = finish_epol(*epol_solver, params.traversal, raws);
-          }
-        }
-      }
-    } else {
-      comm.reduce_sum(partial, 0);
-    }
-    if (r == live_root) {
+    comm.reduce_sum(partial, 0);
+    if (r == 0) {
       energy_shared = partial[0];
       std::copy(born.begin(), born.end(), born_shared.begin());
     }

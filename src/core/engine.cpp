@@ -87,17 +87,15 @@ Driver route(const RunOptions& options) {
     return Driver::kCanonical;
   }
 
-  // The kAtomBased / kNodeBalanced ablations run the paper's one-thread
-  // static reduction, which has no chunks to balance, own, kill at or
-  // checkpoint.
+  // The kAtomBased ablation runs the paper's one-thread static reduction,
+  // which has no chunks to balance, own, kill at or checkpoint.
   if (options.threads_per_rank > 1)
-    reject("threads_per_rank", "kAtomBased and kNodeBalanced run one thread per rank");
+    reject("threads_per_rank", "kAtomBased runs one thread per rank");
   if (owned || balanced)
     reject("division", "the canonical chunk fold (balance, kOwned) needs kNodeNode");
-  if (options.kill.armed) reject("kill", "kAtomBased and kNodeBalanced have no kill points");
-  if (options.checkpoint.enabled())
-    reject("checkpoint.dir", "kAtomBased and kNodeBalanced cannot checkpoint");
-  return Driver::kDistributed;
+  if (options.kill.armed) reject("kill", "kAtomBased has no kill points");
+  if (options.checkpoint.enabled()) reject("checkpoint.dir", "kAtomBased cannot checkpoint");
+  return Driver::kAtomBased;
 }
 
 RunResult Engine::run(const RunOptions& options) const {
@@ -116,10 +114,10 @@ RunResult Engine::run(const RunOptions& options) const {
       return detail::oct_cilk(*prep_, params, constants_, options.threads_per_rank);
     case Driver::kCanonical:
       return detail::oct_canonical(*prep_, params, constants_, options);
-    case Driver::kDistributed:
+    case Driver::kAtomBased:
       break;
   }
-  return detail::oct_distributed(*prep_, params, constants_, options);
+  return detail::oct_atom_based(*prep_, params, constants_, options);
 }
 
 // --- RunResult JSON ------------------------------------------------------

@@ -84,7 +84,7 @@ struct RunOptions {
   // run (the paper's OCT_MPI, and OCT_MPI+CILK with threads_per_rank > 1)
   // runs the canonical chunk-fold driver under every policy, kStatic
   // included, so all policies agree to the bit. Policies other than kStatic
-  // need that shape; route() throws for kAtomBased / kNodeBalanced. The
+  // need that shape; route() throws for kAtomBased. The
   // chunk geometry (balance_chunk_leaves; auto = 8 chunks per worker thread,
   // ranks x threads_per_rank workers) is also the checkpoint and kill
   // granularity, so P x p and (P*p) x 1 runs agree to the bit.
@@ -100,7 +100,7 @@ struct RunOptions {
 
   // Fault injection, process kill, stall supervision (mpisim). An armed kill
   // needs the canonical chunk fold's kill points: route() throws for
-  // serial/cilk, kAtomBased and kNodeBalanced.
+  // serial/cilk and kAtomBased.
   mpisim::FaultPlan faults;
   mpisim::KillPlan kill;
   double stall_timeout_seconds = 0.0;
@@ -258,9 +258,8 @@ struct RunResult {
 enum class Driver {
   kSerial,       // detail::oct_serial (OCT_SERIAL)
   kCilk,         // detail::oct_cilk (OCT_CILK)
-  kDistributed,  // detail::oct_distributed (the one-thread kAtomBased /
-                 // kNodeBalanced ablations: the paper's static split and
-                 // reduction)
+  kAtomBased,    // detail::oct_atom_based (the one-thread kAtomBased
+                 // ablation: the paper's static split and reduction)
   kCanonical,    // detail::oct_canonical (OCT_MPI and OCT_MPI+CILK: the
                  // chunk fold, every balance policy, replicated or owned)
 };
@@ -376,10 +375,9 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
 RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
                    const GBConstants& constants, int threads);
 // The paper's static split and reduction, one thread per rank, for the
-// kAtomBased / kNodeBalanced ablations (kNodeBalanced keeps the relay-chain
-// death recovery).
-RunResult oct_distributed(const Prepared& prep, const ApproxParams& params,
-                          const GBConstants& constants, const RunOptions& options);
+// kAtomBased ablation. Its plain collectives fail fast if a rank dies.
+RunResult oct_atom_based(const Prepared& prep, const ApproxParams& params,
+                         const GBConstants& constants, const RunOptions& options);
 // The canonical chunk-fold driver with cross-rank balancing (DESIGN.md "Load
 // balancing") for both data distributions: replicated, or owned ranges plus
 // halos (DESIGN.md "Domain decomposition & halo exchange"). One chunk,

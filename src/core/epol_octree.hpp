@@ -113,14 +113,15 @@ class EpolSolver {
                            std::size_t hi) const;
   double energy_from_lists(const InteractionLists& lists) const;
 
-  // --- raw accumulation (Engine passes, degraded-mode recovery) -------------
+  // --- raw accumulation (Engine passes) --------------------------------------
   // The energy_* functions above fold entries sequentially into one running
   // sum and apply the -tau/2 ke scale ONCE at the end. These entry points
-  // expose that running sum, so a chain of ranks can continue each other's
-  // fold over disjoint sub-ranges and reproduce a dead rank's partial energy
-  // operation-for-operation (bit-identically): relay `raw` along the chain,
-  // accumulate, and let the last rank call finish_energy. The public energy
-  // functions are wrappers over these, guaranteeing the sequences agree.
+  // expose that running sum: the canonical chunk fold keeps one raw partial
+  // per chunk, sums them in chunk order and scales the totals once.
+  // Continuing one `raw` across consecutive sub-ranges reproduces a single
+  // pass over their union operation-for-operation (bit-identically). The
+  // public energy functions are wrappers over these, guaranteeing the
+  // sequences agree.
   void accumulate_energy_leaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
                                     double& raw) const;
   void accumulate_energy_far_range(const InteractionLists& lists, std::size_t lo,
@@ -130,12 +131,12 @@ class EpolSolver {
   // Evaluates every entry the moment the walk reaches it, storing no list:
   // what every Engine pass runs. Continues the far and near running sums
   // exactly as accumulate_energy_far_range / _near_range over build_lists'
-  // entries would (bit-identical, so relays may mix the two).
+  // entries would (bit-identical, so one running sum may mix the two).
   void accumulate_energy_walk(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
                               double& raw_far, double& raw_near) const;
   double finish_energy(double raw) const { return scale_ * raw; }
   // Two-term finish for every kList energy (separate far/near raw sums):
-  // energy_from_lists, the drivers and the recovery relays all call it.
+  // energy_from_lists and the drivers call it.
   // Deliberately out of line (and noinline, so not even this TU inlines
   // it): the expression scale*far + scale*near is FMA-contractible, and if
   // it inlined into more than one call site the compiler could contract one

@@ -14,7 +14,7 @@ namespace {
 
 // One p2p tag for the whole exchange: messages are disambiguated by the
 // (src, dst) channel, and each ordered pair carries at most one halo
-// message per run (drivers.cpp reserves 9000-11999 for the relay chains).
+// message per run (drivers.cpp gathers the owned Born slices on 12001).
 constexpr int kHaloTag = 12000;
 
 std::uint64_t hash_words(std::uint64_t h, std::uint64_t w) {

@@ -18,8 +18,8 @@
 //
 //   * evaluating visitors (BornSolver::accumulate_walk,
 //     EpolSolver::accumulate_energy_walk) run the kernel the moment the walk
-//     reaches the entry — every Engine pass (serial, canonical chunks, relay
-//     chains) evaluates its lists once, so it never stores them;
+//     reaches the entry — every Engine pass (serial, canonical chunks, the
+//     kAtomBased Born pass) evaluates its lists once, so it never stores them;
 //   * build_interaction_lists materializes the entries as flat FAR/NEAR
 //     lists for consumers that stream them more than once or in another
 //     order (TrajectoryDriver's cached lists, micro benches, the stage walk

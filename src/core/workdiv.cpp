@@ -15,38 +15,6 @@ Segment even_segment(std::size_t n, int parts, int index) {
   return Segment{static_cast<std::uint32_t>(lo), static_cast<std::uint32_t>(hi)};
 }
 
-Segment sub_segment(Segment whole, int parts, int index) {
-  const Segment rel = even_segment(whole.count(), parts, index);
-  return Segment{whole.lo + rel.lo, whole.lo + rel.hi};
-}
-
-std::vector<Segment> leaf_segments_by_points(const Octree& tree, int parts) {
-  const auto leaves = tree.leaves();
-  const int p = std::max(1, parts);
-  std::vector<Segment> segments(static_cast<std::size_t>(p));
-
-  const std::size_t total_points = tree.num_points();
-  std::uint32_t cursor = 0;
-  std::size_t points_taken = 0;
-  for (int i = 0; i < p; ++i) {
-    const std::uint32_t lo = cursor;
-    if (i == p - 1) {
-      cursor = static_cast<std::uint32_t>(leaves.size());
-    } else {
-      // Greedy: extend this segment until the cumulative point count reaches
-      // its proportional share of the total.
-      const std::size_t target =
-          total_points * static_cast<std::size_t>(i + 1) / static_cast<std::size_t>(p);
-      while (cursor < leaves.size() && points_taken < target) {
-        points_taken += tree.node(leaves[cursor]).count();
-        ++cursor;
-      }
-    }
-    segments[static_cast<std::size_t>(i)] = Segment{lo, cursor};
-  }
-  return segments;
-}
-
 std::vector<Segment> segments_by_cost(std::span<const double> costs, int parts) {
   const int p = std::max(1, parts);
   const std::size_t n = costs.size();
@@ -69,8 +37,7 @@ std::vector<Segment> segments_by_cost(std::span<const double> costs, int parts) 
     if (i == p - 1) {
       cursor = static_cast<std::uint32_t>(n);
     } else {
-      // Greedy: extend until cumulative cost reaches the proportional target,
-      // mirroring leaf_segments_by_points so both splitters share one shape.
+      // Greedy: extend until cumulative cost reaches the proportional target.
       const double target = total * static_cast<double>(i + 1) / static_cast<double>(p);
       while (cursor < n && cost_taken < target) {
         cost_taken += costs[cursor];

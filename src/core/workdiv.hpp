@@ -6,8 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "octree/octree.hpp"
-
 namespace gbpol {
 
 struct Segment {
@@ -19,18 +17,6 @@ struct Segment {
 // Paper's scheme: even split of n items into `parts` segments (sizes differ
 // by at most one). Returns segment `index`.
 Segment even_segment(std::size_t n, int parts, int index);
-
-// Even split of an EXISTING segment into `parts` sub-segments — the degraded
-// -mode recovery path uses this to re-partition a dead rank's leaf range
-// across the surviving ranks (same split rule as even_segment, offset by
-// whole.lo, so replays are deterministic).
-Segment sub_segment(Segment whole, int parts, int index);
-
-// Extension (DESIGN.md ablation): leaf segments balanced by the number of
-// POINTS under the leaves rather than the number of leaves, which evens the
-// exact-interaction work when leaf occupancy is skewed. Returns `parts`
-// segments of leaf indices.
-std::vector<Segment> leaf_segments_by_points(const Octree& tree, int parts);
 
 // Cost-guided partitioning: contiguous segments of `costs.size()` items,
 // chosen greedily so each segment's cumulative cost approaches its
@@ -71,10 +57,9 @@ enum class DataDistribution {
 // explicit cross-rank dynamic balancing of §VI's future work is
 // BalancePolicy (core/balance.hpp).
 enum class WorkDivision {
-  kNodeNode,     // default: leaf-node segments for both phases (error is
-                 // independent of the number of processes)
-  kAtomBased,    // atom-index segments (Gromacs-style; error drifts with P)
-  kNodeBalanced  // node-node with point-balanced leaf segments (extension)
+  kNodeNode,  // default: leaf-node segments for both phases (error is
+              // independent of the number of processes)
+  kAtomBased  // atom-index segments (Gromacs-style; error drifts with P)
 };
 
 }  // namespace gbpol

@@ -254,14 +254,6 @@ CollectiveStatus Comm::allreduce_min_ft(std::span<double> data,
                                         std::span<const ProxyPub> proxies) {
   return fold_ft(data, FoldOp::kMin, -1, proxies);
 }
-CollectiveStatus Comm::allreduce_max_ft(std::span<double> data,
-                                        std::span<const ProxyPub> proxies) {
-  return fold_ft(data, FoldOp::kMax, -1, proxies);
-}
-CollectiveStatus Comm::reduce_sum_ft(std::span<double> data, int root,
-                                     std::span<const ProxyPub> proxies) {
-  return fold_ft(data, FoldOp::kSum, root, proxies);
-}
 
 // root < 0 means allreduce (every rank folds and keeps the result).
 CollectiveStatus Comm::fold_ft(std::span<double> data, FoldOp op, int root,

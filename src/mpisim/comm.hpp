@@ -119,17 +119,6 @@ class Comm {
                                     std::span<const ProxyPub> proxies);
   CollectiveStatus allreduce_min_ft(std::span<double> data,
                                     std::span<const ProxyPub> proxies);
-  CollectiveStatus allreduce_max_ft(std::span<double> data,
-                                    std::span<const ProxyPub> proxies);
-  CollectiveStatus reduce_sum_ft(std::span<double> data, int root,
-                                 std::span<const ProxyPub> proxies);
-
-  template <typename T>
-  CollectiveStatus bcast_ft(std::span<T> data, int root,
-                            std::span<const ProxyPub> proxies) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return bcast_bytes_ft(data.data(), data.size_bytes(), root, proxies);
-  }
 
   template <typename T>
   CollectiveStatus allgatherv_ft(std::span<const T> send, std::span<T> recv,

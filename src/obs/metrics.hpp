@@ -41,11 +41,11 @@ const char* coll_kind_name(CollKind k);
 // Driver phases, in schedule order (mirrors core/drivers.cpp Fig. 4 steps).
 enum class PhaseId : std::uint8_t {
   kBornAccum = 0,  // step 2: approximated integrals
-  kBornReduce,     // step 3: allreduce (+ relay-chain recovery)
+  kBornReduce,     // step 3: allreduce (+ death recovery)
   kPush,           // step 4: Born radii for this rank's atoms
-  kBornGather,     // step 5: allgatherv (+ slice recovery)
+  kBornGather,     // step 5: allgatherv (+ dead ranks' radii by proxy)
   kEpol,           // step 6: partial energy
-  kEpolReduce,     // step 7: reduce to root (+ chain recovery)
+  kEpolReduce,     // step 7: reduce to root (+ death recovery)
   kOther,          // anything outside an explicit phase bracket
   kCount,
 };

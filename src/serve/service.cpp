@@ -216,7 +216,7 @@ Service::Service(ServiceOptions options)
         next_sequence_ = seen + 1;
     }
   }
-  if ((driver_ == Driver::kDistributed || driver_ == Driver::kCanonical) &&
+  if ((driver_ == Driver::kAtomBased || driver_ == Driver::kCanonical) &&
       options_.run.ranks >= 1)
     pool_ = std::make_unique<mpisim::PersistentPool>(options_.run.ranks);
 }

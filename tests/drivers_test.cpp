@@ -85,9 +85,7 @@ TEST(DriversEdgeTest, MoreRanksThanLeavesGivesEmptySegmentsNotCrashes) {
   ApproxParams params;
   const Engine engine(tiny.prep, params, GBConstants{});
   const RunResult serial = run_serial(tiny, params);
-  for (const WorkDivision division :
-       {WorkDivision::kNodeNode, WorkDivision::kAtomBased,
-        WorkDivision::kNodeBalanced}) {
+  for (const WorkDivision division : {WorkDivision::kNodeNode, WorkDivision::kAtomBased}) {
     RunOptions options = distributed_options(16);
     options.division = division;
     const RunResult r = engine.run(options);
@@ -173,27 +171,13 @@ TEST_F(DriversTest, AtomBasedDivisionEnergyVariesWithRankCount) {
   EXPECT_LT(percent_error(b.energy, fix().naive_energy), 6.0);
 }
 
-TEST_F(DriversTest, BalancedNodeDivisionMatchesDefaultEnergy) {
-  ApproxParams params;
-  const Engine engine(fix().prep, params, GBConstants{});
-  const RunOptions def = distributed_options(5);
-  RunOptions balanced = def;
-  balanced.division = WorkDivision::kNodeBalanced;
-  const RunResult a = engine.run(def);
-  const RunResult b = engine.run(balanced);
-  // Same set of leaf-vs-tree interactions, different grouping only.
-  EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-10);
-}
-
 TEST_F(DriversTest, FaultFreeRunsReportZeroRetriesAndRedistribution) {
   // Regression guard: the fault accounting fields must be POPULATED (as
   // zeros) on the fault-free path, not left to whatever the caller had —
   // downstream tooling (bench metrics.json) reads them unconditionally.
   ApproxParams params;
   const Engine engine(fix().prep, params, GBConstants{});
-  for (const WorkDivision division :
-       {WorkDivision::kNodeNode, WorkDivision::kAtomBased,
-        WorkDivision::kNodeBalanced}) {
+  for (const WorkDivision division : {WorkDivision::kNodeNode, WorkDivision::kAtomBased}) {
     RunOptions options = distributed_options(4);
     options.division = division;
     const RunResult r = engine.run(options);

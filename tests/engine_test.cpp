@@ -121,8 +121,8 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   // kOwned outside the canonical-fold configuration.
   o = distributed_options(3);
   o.distribution = DataDistribution::kOwned;
-  o.division = WorkDivision::kNodeBalanced;
-  add("owned kNodeBalanced", "division", o);
+  o.division = WorkDivision::kAtomBased;
+  add("owned kAtomBased", "division", o);
   o = distributed_options(3);
   o.distribution = DataDistribution::kOwned;
   o.traversal = TraversalMode::kRecursive;
@@ -134,13 +134,10 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o.division = WorkDivision::kAtomBased;
   add("kCostModel kAtomBased", "division", o);
 
-  // Threads inside ranks on the one-thread static-reduction ablations.
+  // Threads inside ranks on the one-thread static-reduction ablation.
   o = distributed_options(2, 2);
   o.division = WorkDivision::kAtomBased;
   add("kAtomBased hybrid", "threads_per_rank", o);
-  o = distributed_options(2, 2);
-  o.division = WorkDivision::kNodeBalanced;
-  add("kNodeBalanced hybrid", "threads_per_rank", o);
 
   // Kill or checkpoint on a legacy shape without kill points.
   o = distributed_options(3);
@@ -151,14 +148,6 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o.division = WorkDivision::kAtomBased;
   o.checkpoint.dir = dir;
   add("checkpoint kAtomBased", "checkpoint.dir", o);
-  o = distributed_options(3);
-  o.division = WorkDivision::kNodeBalanced;
-  o.kill.armed = true;
-  add("kill kNodeBalanced", "kill", o);
-  o = distributed_options(3);
-  o.division = WorkDivision::kNodeBalanced;
-  o.checkpoint.dir = dir;
-  add("checkpoint kNodeBalanced", "checkpoint.dir", o);
 
   // Distributed-only fields on the shared-memory modes.
   o = serial_options();
@@ -226,8 +215,8 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
   o.checkpoint.dir = dir;
   add("checkpoint hybrid", Driver::kCanonical, o);
   o = distributed_options(3);
-  o.division = WorkDivision::kNodeBalanced;
-  add("kNodeBalanced", Driver::kDistributed, o);
+  o.division = WorkDivision::kAtomBased;
+  add("kAtomBased", Driver::kAtomBased, o);
   add("1-thread kStatic replicated", Driver::kCanonical, distributed_options(3));
   o = distributed_options(3);
   o.balance = BalancePolicy::kCostModel;

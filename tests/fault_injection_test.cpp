@@ -259,12 +259,10 @@ class FaultedDriverTest : public ::testing::Test {
   }
 
   static RunResult run(int ranks, FaultPlan plan,
-                       TraversalMode traversal = TraversalMode::kList,
-                       WorkDivision division = WorkDivision::kNodeNode) {
+                       TraversalMode traversal = TraversalMode::kList) {
     RunOptions options;
     options.mode = EngineMode::kDistributed;
     options.ranks = ranks;
-    options.division = division;
     options.traversal = traversal;
     options.faults = std::move(plan);
     return Engine(*prep_, ApproxParams{}, GBConstants{}).run(options);
@@ -285,26 +283,6 @@ class FaultedDriverTest : public ::testing::Test {
 Molecule* FaultedDriverTest::mol_ = nullptr;
 surface::SurfaceQuadrature* FaultedDriverTest::quad_ = nullptr;
 Prepared* FaultedDriverTest::prep_ = nullptr;
-
-TEST_F(FaultedDriverTest, DeathAtEachCollectiveRecoversBitExactly) {
-  // The relay chains of the paper's static reduction, which the
-  // kNodeBalanced ablation still runs.
-  const WorkDivision division = WorkDivision::kNodeBalanced;
-  const RunResult clean = run(4, {}, TraversalMode::kList, division);
-  ASSERT_NE(clean.energy, 0.0);
-  // Kill rank 2 at each of the driver's three collectives in turn:
-  // 0 = Born allreduce, 1 = Born-radius allgatherv, 2 = energy reduce.
-  for (const std::uint64_t seq : {0u, 1u, 2u}) {
-    FaultPlan plan;
-    plan.deaths.push_back({.rank = 2, .collective_seq = seq});
-    const RunResult faulty = run(4, plan, TraversalMode::kList, division);
-    SCOPED_TRACE("death at collective " + std::to_string(seq));
-    expect_bit_identical(faulty, clean);
-    EXPECT_TRUE(faulty.degraded);
-    EXPECT_GE(faulty.retries, 3u);  // every survivor aborted at least once
-    EXPECT_GT(faulty.redistributed_work_items, 0u);
-  }
-}
 
 TEST_F(FaultedDriverTest, DeathAtEachCollectiveRecoversBitExactlyOnTheChunkFold) {
   // Plain OCT_MPI runs the canonical chunk fold: survivors recompute the
@@ -388,19 +366,15 @@ TEST_F(FaultedDriverTest, StallAndDeathMixRecoversBitExactly) {
   EXPECT_EQ(faulty.stalls_converted, 1);
 }
 
-TEST_F(FaultedDriverTest, RecoveryWorksForRecursiveTraversalAndBalancedDivision) {
+TEST_F(FaultedDriverTest, RecoveryWorksForBothTraversals) {
   for (const TraversalMode traversal : {TraversalMode::kList, TraversalMode::kRecursive}) {
-    for (const WorkDivision division :
-         {WorkDivision::kNodeNode, WorkDivision::kNodeBalanced}) {
-      const RunResult clean = run(4, {}, traversal, division);
-      FaultPlan plan;
-      plan.deaths.push_back({.rank = 1, .collective_seq = 0});
-      const RunResult faulty = run(4, plan, traversal, division);
-      SCOPED_TRACE("traversal=" + std::to_string(static_cast<int>(traversal)) +
-                   " division=" + std::to_string(static_cast<int>(division)));
-      expect_bit_identical(faulty, clean);
-      EXPECT_TRUE(faulty.degraded);
-    }
+    const RunResult clean = run(4, {}, traversal);
+    FaultPlan plan;
+    plan.deaths.push_back({.rank = 1, .collective_seq = 0});
+    const RunResult faulty = run(4, plan, traversal);
+    SCOPED_TRACE("traversal=" + std::to_string(static_cast<int>(traversal)));
+    expect_bit_identical(faulty, clean);
+    EXPECT_TRUE(faulty.degraded);
   }
 }
 

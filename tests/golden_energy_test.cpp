@@ -31,6 +31,7 @@ struct GoldenCase {
   // Committed references (regenerate with GBPOL_GOLDEN_REGEN=1).
   double energy_list;       // E_pol, TraversalMode::kList (default engine)
   double energy_recursive;  // E_pol, TraversalMode::kRecursive (A/B baseline)
+  double energy_atom_based;  // E_pol, WorkDivision::kAtomBased at P = 7
   double born_first;        // Born radius digest, atoms_tree order
   double born_middle;
   double born_last;
@@ -39,15 +40,15 @@ struct GoldenCase {
 
 constexpr GoldenCase kGolden[] = {
     {"small", 400, 21,
-     -1164.0295346432363, -1164.0295346432358,
+     -1164.0295346432363, -1164.0295346432358, -1164.3243004816934,
      1.4372946177771664, 2.209740363881167, 2.4653893056033072,
      4.026781772203627},
     {"medium", 1200, 22,
-     -1307.2294729168566, -1307.2294729168545,
+     -1307.2294729168566, -1307.2294729168545, -1305.9212250385881,
      1.3216090668027425, 2.874508723660286, 1.2,
      5.6772261446541581},
     {"large", 3000, 23,
-     -4140.6879568687918, -4140.68795686877,
+     -4140.6879568687918, -4140.68795686877, -4146.0139394184862,
      1.9149627763775596, 7.8249094727121351, 1.782815854520273,
      5.0269731639976918},
 };
@@ -70,6 +71,9 @@ TEST_P(GoldenEnergyTest, MatchesCommittedReference) {
   const Engine engine(prep, ApproxParams{}, GBConstants{});
   const RunResult list = engine.run(serial_options(TraversalMode::kList));
   const RunResult recursive = engine.run(serial_options(TraversalMode::kRecursive));
+  RunOptions atom_options = distributed_options(7);
+  atom_options.division = WorkDivision::kAtomBased;
+  const RunResult atom_based = engine.run(atom_options);
 
   const std::vector<double>& born = list.born_sorted;
   ASSERT_FALSE(born.empty());
@@ -79,10 +83,11 @@ TEST_P(GoldenEnergyTest, MatchesCommittedReference) {
 
   if (std::getenv("GBPOL_GOLDEN_REGEN") != nullptr) {
     std::printf(
-        "    {\"%s\", %zu, %llu,\n     %.17g, %.17g,\n     %.17g, %.17g, %.17g,\n"
-        "     %.17g},\n",
+        "    {\"%s\", %zu, %llu,\n     %.17g, %.17g, %.17g,\n"
+        "     %.17g, %.17g, %.17g,\n     %.17g},\n",
         g.name, g.n_atoms, static_cast<unsigned long long>(g.seed), list.energy,
-        recursive.energy, born.front(), born[born.size() / 2], born.back(), mean);
+        recursive.energy, atom_based.energy, born.front(), born[born.size() / 2],
+        born.back(), mean);
     GTEST_SKIP() << "regen mode: printed fresh golden values";
   }
 
@@ -90,6 +95,9 @@ TEST_P(GoldenEnergyTest, MatchesCommittedReference) {
       << std::setprecision(17) << "E_pol (list) drifted: got " << list.energy;
   EXPECT_LE(rel_err(recursive.energy, g.energy_recursive), kTol)
       << std::setprecision(17) << "E_pol (recursive) drifted: got " << recursive.energy;
+  EXPECT_LE(rel_err(atom_based.energy, g.energy_atom_based), kTol)
+      << std::setprecision(17) << "E_pol (kAtomBased, P = 7) drifted: got "
+      << atom_based.energy;
   EXPECT_LE(rel_err(born.front(), g.born_first), kTol);
   EXPECT_LE(rel_err(born[born.size() / 2], g.born_middle), kTol);
   EXPECT_LE(rel_err(born.back(), g.born_last), kTol);

@@ -78,9 +78,10 @@ TEST_F(GoldenTraceTest, HybridReplayIsBitIdentical) {
 }
 
 TEST_F(GoldenTraceTest, FaultedReplayIsBitIdentical) {
-  // Death at a collective entry plus a dropped p2p message exercise the
-  // abort/retry and retransmit paths; both are scheduled on logical
-  // coordinates, so the canonical dumps must still match byte for byte.
+  // A death at a collective entry exercises the abort/retry path and the
+  // chunk fold's stripe recovery. Deaths are scheduled on logical
+  // coordinates, so the canonical dumps must still match byte for byte. The
+  // planned drop never fires: plain OCT_MPI sends no p2p message.
   ApproxParams params;
   RunOptions config;
   config.ranks = 3;
@@ -99,11 +100,11 @@ TEST_F(GoldenTraceTest, PlannedFaultsAppearExactlyInTrace) {
   ApproxParams params;
   RunOptions config;
   config.ranks = 3;
-  // The relay chains of the paper's static reduction (kNodeBalanced).
-  config.division = WorkDivision::kNodeBalanced;
+  // Owned data: the Born halo exchange is the run's p2p traffic.
+  config.distribution = DataDistribution::kOwned;
   config.faults.deaths.push_back({/*rank=*/2, /*collective_seq=*/0});
-  // First rank0 -> rank1 send is the Born recovery relay hand-off; losing
-  // its first two copies forces exactly two retransmit rounds at rank 1.
+  // First rank0 -> rank1 send is rank 0's Born halo for rank 1; losing its
+  // first two copies forces exactly two retransmit rounds at rank 1.
   config.faults.drops.push_back(
       {/*src=*/0, /*dst=*/1, /*send_seq=*/0, /*lost_copies=*/2});
   const TracedRun run = run_traced(fix().prep, params, GBConstants{}, config);
@@ -288,10 +289,12 @@ TEST_F(GoldenTraceTest, OwnedHaloEventsMatchByteMetrics) {
 }
 
 TEST_F(GoldenTraceTest, FaultedEnergyMatchesFaultFree) {
-  // The recovery relays reproduce the dead rank's fold exactly; the golden
-  // schedule must therefore leave the energy bit-identical (the property the
-  // fault-injection suite pins at large; re-asserted here against the traced
-  // configuration specifically).
+  // Stripe recovery recomputes the dead rank's chunks fresh from zero, and
+  // the fold sums chunk partials in ascending chunk order whoever computed
+  // them; the golden schedule must therefore leave the energy bit-identical
+  // (the property the fault-injection suite pins at large; re-asserted here
+  // against the traced configuration specifically). The planned drop never
+  // fires: plain OCT_MPI sends no p2p message.
   ApproxParams params;
   RunOptions clean;
   clean.ranks = 3;

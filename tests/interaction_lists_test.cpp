@@ -427,8 +427,8 @@ void expect_same_bits(std::span<const double> walk, std::span<const double> list
 // Walk evaluation (what every Engine pass runs) equals build_lists + the
 // range evaluators at 0 ulp: Born node_s and atom_s separately, for r6/r4
 // with the dipole correction on and off, over every chunk of several
-// source-leaf cuts; and one accumulator continued across a cut's chunks —
-// the relay chain's fold — equals one pass over the whole list.
+// source-leaf cuts; and one accumulator continued across a cut's chunks
+// equals one pass over the whole list.
 TEST_F(InteractionListsTest, BornWalkEvaluationMatchesListsBitwise) {
   for (const Fixture& f : fixtures()) {
     const auto n = static_cast<std::uint32_t>(f.prep.q_tree.leaves().size());

@@ -510,10 +510,10 @@ TEST(ServeTest, UnroutableRunShapeThrowsAtConstruction) {
   options.campaign_dir = "-";
   options.run = distributed_options(2);
   options.run.distribution = DataDistribution::kOwned;
-  options.run.division = WorkDivision::kNodeBalanced;
+  options.run.division = WorkDivision::kAtomBased;
   try {
     Service service(options);
-    ADD_FAILURE() << "Service accepted kOwned with kNodeBalanced";
+    ADD_FAILURE() << "Service accepted kOwned with kAtomBased";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("division"), std::string::npos)
         << e.what();

@@ -238,7 +238,7 @@ TEST_F(SoakMpisimTest, HybridDeathAndKillSchedulesMatchOneThreadRanks) {
 
 // Cascading death: the recovery of the first death is itself interrupted by
 // the death of another survivor at the immediately following logical clock
-// (the retried collective), so the relay chain has to re-form around the
+// (the retried collective), so the recovery stripe has to re-form around the
 // second corpse. The final answer must still be exact.
 TEST_F(SoakMpisimTest, CascadingDeathDuringRecoveryStaysBitExact) {
   const int ranks = 5;

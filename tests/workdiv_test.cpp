@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "molecule/generate.hpp"
-
 namespace gbpol {
 namespace {
 
@@ -55,46 +53,6 @@ TEST(EvenSegmentTest, MorePartsThanItemsYieldsEmptySegments) {
     }
     EXPECT_EQ(cursor, n);
     EXPECT_EQ(empty, 16 - n);
-  }
-}
-
-TEST(SubSegmentTest, MorePartsThanItemsYieldsEmptySubranges) {
-  const Segment whole{10, 13};  // 3 items, offset origin
-  std::uint32_t cursor = whole.lo;
-  for (int i = 0; i < 8; ++i) {
-    const Segment s = sub_segment(whole, 8, i);
-    EXPECT_EQ(s.lo, cursor);
-    EXPECT_LE(s.count(), 1u);
-    cursor = s.hi;
-  }
-  EXPECT_EQ(cursor, whole.hi);
-}
-
-TEST(LeafSegmentsByPointsTest, PartitionsLeavesAndBalancesPoints) {
-  const Molecule mol = molgen::synthetic_protein(3000, 31);
-  std::vector<Vec3> pts(mol.size());
-  for (std::size_t i = 0; i < mol.size(); ++i) pts[i] = mol.atom(i).pos;
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 8, .max_depth = 20});
-
-  for (const int parts : {2, 4, 8}) {
-    const auto segments = leaf_segments_by_points(tree, parts);
-    ASSERT_EQ(segments.size(), static_cast<std::size_t>(parts));
-    std::uint32_t cursor = 0;
-    std::size_t total_points = 0;
-    std::size_t max_points = 0;
-    for (const Segment& s : segments) {
-      EXPECT_EQ(s.lo, cursor);
-      cursor = s.hi;
-      std::size_t seg_points = 0;
-      for (std::uint32_t l = s.lo; l < s.hi; ++l)
-        seg_points += tree.node(tree.leaves()[l]).count();
-      total_points += seg_points;
-      max_points = std::max(max_points, seg_points);
-    }
-    EXPECT_EQ(cursor, tree.leaves().size());
-    EXPECT_EQ(total_points, mol.size());
-    // Balanced within a couple of leaf capacities of the ideal share.
-    EXPECT_LE(max_points, mol.size() / static_cast<std::size_t>(parts) + 2 * 8 + 8);
   }
 }
 
@@ -188,20 +146,6 @@ TEST(SegmentsByCostTest, SkewedCostsBeatTheEvenSplitOnMaxSegmentCost) {
     worst_even = std::max(worst_even, even_sum);
   }
   EXPECT_LT(worst_cost, worst_even);
-}
-
-TEST(LeafSegmentsByPointsTest, MorePartsThanLeavesYieldsEmptyTails) {
-  const Vec3 pts[2] = {{0, 0, 0}, {5, 5, 5}};
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 1, .max_depth = 20});
-  const auto segments = leaf_segments_by_points(tree, 8);
-  std::size_t nonempty = 0;
-  std::uint32_t covered = 0;
-  for (const Segment& s : segments) {
-    nonempty += s.count() > 0;
-    covered += s.count();
-  }
-  EXPECT_EQ(covered, tree.leaves().size());
-  EXPECT_LE(nonempty, tree.leaves().size());
 }
 
 }  // namespace
