@@ -3,12 +3,6 @@
 // speedup is relative to each variant's 12-core (one node) run, as in the
 // paper. Also reports the replicated-memory gap (§V-B: 8.2 GB vs 1.4 GB on
 // BTV at one node — a 5.86x ratio).
-//
-// Each variant runs under BOTH traversal engines (the `traversal` column):
-// `list` is the default flat interaction-list engine with batched SoA
-// kernels and list-chunk task granularity; `recursive` is the per-leaf
-// recursive walk kept as the A/B baseline. Speedups are computed within each
-// (variant, traversal) pair so scaling curves stay comparable.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -30,50 +24,38 @@ int main() {
   const GBConstants constants;
   const mpisim::ClusterModel cluster = mpisim::ClusterModel::lonestar4();
 
-  struct Mode {
-    const char* name;
-    TraversalMode traversal;
-  };
-  const Mode modes[] = {{"list", TraversalMode::kList},
-                        {"recursive", TraversalMode::kRecursive}};
-
-  Table table({"cores", "variant", "traversal", "modeled(s)", "speedup vs 12",
-               "memory(MiB)", "E_pol"});
+  Table table({"cores", "variant", "modeled(s)", "speedup vs 12", "memory(MiB)",
+               "E_pol"});
   BenchMetrics metrics("fig5_speedup");
-  const ApproxParams params;  // 0.9/0.9; traversal comes from RunOptions
+  const ApproxParams params;  // 0.9/0.9
   const Engine engine(pm.prep, params, constants);
-  for (const Mode& mode : modes) {
-    double base_mpi = 0.0, base_hybrid = 0.0;
-    for (const int cores : {12, 24, 48, 96, 144}) {
-      RunOptions mpi;
-      mpi.mode = EngineMode::kDistributed;
-      mpi.ranks = cores;
-      mpi.cluster = cluster;
-      mpi.traversal = mode.traversal;
-      const RunResult a = metrics.traced(
-          std::string("OCT_MPI ") + mode.name + " cores=" + std::to_string(cores),
-          [&] { return engine.run(mpi); });
-      if (cores == 12) base_mpi = a.modeled_seconds();
-      table.add_row({Table::integer(cores), "OCT_MPI", mode.name,
-                     Table::num(a.modeled_seconds(), 4),
-                     Table::num(base_mpi / a.modeled_seconds(), 3),
-                     Table::num(static_cast<double>(a.replicated_bytes) / (1 << 20), 4),
-                     Table::num(a.energy, 6)});
+  double base_mpi = 0.0, base_hybrid = 0.0;
+  for (const int cores : {12, 24, 48, 96, 144}) {
+    RunOptions mpi;
+    mpi.mode = EngineMode::kDistributed;
+    mpi.ranks = cores;
+    mpi.cluster = cluster;
+    const RunResult a = metrics.traced(
+        std::string("OCT_MPI list cores=") + std::to_string(cores),
+        [&] { return engine.run(mpi); });
+    if (cores == 12) base_mpi = a.modeled_seconds();
+    table.add_row({Table::integer(cores), "OCT_MPI", Table::num(a.modeled_seconds(), 4),
+                   Table::num(base_mpi / a.modeled_seconds(), 3),
+                   Table::num(static_cast<double>(a.replicated_bytes) / (1 << 20), 4),
+                   Table::num(a.energy, 6)});
 
-      RunOptions hybrid = mpi;
-      hybrid.ranks = cores / 6;
-      hybrid.threads_per_rank = 6;
-      const RunResult b = metrics.traced(
-          std::string("OCT_MPI+CILK ") + mode.name + " cores=" +
-              std::to_string(cores),
-          [&] { return engine.run(hybrid); });
-      if (cores == 12) base_hybrid = b.modeled_seconds();
-      table.add_row({Table::integer(cores), "OCT_MPI+CILK", mode.name,
-                     Table::num(b.modeled_seconds(), 4),
-                     Table::num(base_hybrid / b.modeled_seconds(), 3),
-                     Table::num(static_cast<double>(b.replicated_bytes) / (1 << 20), 4),
-                     Table::num(b.energy, 6)});
-    }
+    RunOptions hybrid = mpi;
+    hybrid.ranks = cores / 6;
+    hybrid.threads_per_rank = 6;
+    const RunResult b = metrics.traced(
+        std::string("OCT_MPI+CILK list cores=") + std::to_string(cores),
+        [&] { return engine.run(hybrid); });
+    if (cores == 12) base_hybrid = b.modeled_seconds();
+    table.add_row({Table::integer(cores), "OCT_MPI+CILK",
+                   Table::num(b.modeled_seconds(), 4),
+                   Table::num(base_hybrid / b.modeled_seconds(), 3),
+                   Table::num(static_cast<double>(b.replicated_bytes) / (1 << 20), 4),
+                   Table::num(b.energy, 6)});
   }
   harness::emit_table(table, "fig5_speedup");
   metrics.write("fig5_speedup");

@@ -5,7 +5,8 @@
 # functions and the superseded distributed paths (the oct_balanced driver,
 # the distributed_data ghost-exchange prototype, WorkDivision::kDynamic,
 # Comm::charge_rpc, the canonical_reduction opt-in, the legacy checkpoint
-# chunking and the kNodeBalanced relay-chain reduction) must not reappear
+# chunking, the kNodeBalanced relay-chain reduction and the second traversal
+# knob on ApproxParams with its driver dispatchers) must not reappear
 # anywhere (the Engine/Service API
 # surface is final; one canonical chunk-fold driver), the Engine drivers
 # (src/core/drivers.cpp) must evaluate the interaction walk as it runs and
@@ -76,9 +77,12 @@ echo "=== grep gate: superseded distributed paths stay deleted ==="
 # shared-counter kDynamic division with its RPC charge. The kNodeBalanced
 # division and the relay-chain death recovery of oct_distributed that only
 # it ran are gone too: the chunk fold's stripe recovery covers every death,
-# and oct_atom_based is the one-thread kAtomBased ablation. None of them may
-# come back.
-if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves|build_lists_parallel|build_interaction_lists_parallel|list_grain|kNodeBalanced|leaf_segments_by_points|kTagBornChain|kTagBornSlice|kTagEpolChain|oct_distributed|Driver::kDistributed' \
+# and oct_atom_based is the one-thread kAtomBased ablation. RunOptions::traversal
+# is the one traversal knob and oct_serial its one reader: ApproxParams lost
+# its copy, and the drivers' traversal dispatchers (accumulate_epol,
+# finish_epol, epol_energy) and the recursive raw-sum entry point went with
+# it. None of them may come back.
+if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves|build_lists_parallel|build_interaction_lists_parallel|list_grain|kNodeBalanced|leaf_segments_by_points|kTagBornChain|kTagBornSlice|kTagEpolChain|oct_distributed|Driver::kDistributed|params\.traversal|approx\.traversal|finish_epol\(|accumulate_epol\(|epol_energy\(|accumulate_energy_leaf_range' \
     src bench tests examples 2>/dev/null; then
   echo "check.sh: superseded distributed path found in-tree (use Engine::run; route() picks oct_canonical, or oct_atom_based for kAtomBased)" >&2
   exit 1

@@ -92,37 +92,6 @@ int index_of(const std::vector<int>& live, int rank) {
                           live.begin());
 }
 
-// One leaf range of each phase under either traversal engine: the list
-// engine's walk, evaluating each entry as it is reached (no list is stored),
-// or the recursive engine. E_pol leaves raw (unscaled) sums — {far, near}
-// under kList, {total, 0} under kRecursive — that finish_epol scales once.
-void accumulate_born(const BornSolver& solver, TraversalMode traversal, Segment leaves,
-                     BornAccumulator& acc) {
-  if (traversal == TraversalMode::kList)
-    solver.accumulate_walk(leaves.lo, leaves.hi, acc);
-  else
-    solver.accumulate_qleaf_range(leaves.lo, leaves.hi, acc);
-}
-
-void accumulate_epol(const EpolSolver& solver, TraversalMode traversal, Segment leaves,
-                     double* raws) {
-  if (traversal == TraversalMode::kList)
-    solver.accumulate_energy_walk(leaves.lo, leaves.hi, raws[0], raws[1]);
-  else
-    solver.accumulate_energy_leaf_range(leaves.lo, leaves.hi, raws[0]);
-}
-
-double finish_epol(const EpolSolver& solver, TraversalMode traversal, const double* raws) {
-  return traversal == TraversalMode::kList ? solver.finish_energy_pair(raws[0], raws[1])
-                                           : solver.finish_energy(raws[0]);
-}
-
-double epol_energy(const EpolSolver& solver, TraversalMode traversal, Segment leaves) {
-  double raws[2] = {0.0, 0.0};
-  accumulate_epol(solver, traversal, leaves, raws);
-  return finish_epol(solver, traversal, raws);
-}
-
 // A recovering survivor's share of the dead executors' chunks: every
 // `parts`-th of them (a plan-derived list, identical on every survivor),
 // from slot `my`, minus the chunks already published — a rank dying at a
@@ -255,15 +224,19 @@ void absorb_report(RunResult& result, const mpisim::RunReport& report) {
 namespace detail {
 
 RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
-                     const GBConstants& constants) {
+                     const GBConstants& constants, TraversalMode traversal) {
   RunResult result;
   WallTimer wall;
   ThreadCpuTimer cpu;
+  const bool walk = traversal == TraversalMode::kList;
 
   const BornSolver born_solver(prep, params);
   BornAccumulator acc = born_solver.make_accumulator();
   const auto n_qleaves = static_cast<std::uint32_t>(prep.q_tree.leaves().size());
-  accumulate_born(born_solver, params.traversal, {0, n_qleaves}, acc);
+  if (walk)
+    born_solver.accumulate_walk(0, n_qleaves, acc);
+  else
+    born_solver.accumulate_qleaf_range(0, n_qleaves, acc);
 
   result.born_sorted.assign(prep.num_atoms(), 0.0);
   born_solver.push_to_atoms(acc, 0, static_cast<std::uint32_t>(prep.num_atoms()),
@@ -271,7 +244,13 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
 
   const EpolSolver epol_solver(prep, result.born_sorted, params, constants);
   const auto n_aleaves = static_cast<std::uint32_t>(prep.atoms_tree.leaves().size());
-  result.energy = epol_energy(epol_solver, params.traversal, {0, n_aleaves});
+  if (walk) {
+    double raw_far = 0.0, raw_near = 0.0;
+    epol_solver.accumulate_energy_walk(0, n_aleaves, raw_far, raw_near);
+    result.energy = epol_solver.finish_energy_pair(raw_far, raw_near);
+  } else {
+    result.energy = epol_solver.energy_for_leaf_range(0, n_aleaves);
+  }
 
   result.compute_seconds = cpu.seconds();
   result.wall_seconds = wall.seconds();
@@ -391,7 +370,7 @@ RunResult oct_atom_based(const Prepared& prep, const ApproxParams& params,
     BornAccumulator acc = born_solver.make_accumulator();
     traced_chunk(q_seg.lo, q_seg.hi, obs::PhaseId::kBornAccum, [&] {
       mpisim::Comm::ComputeRegion region(comm);
-      accumulate_born(born_solver, params.traversal, q_seg, acc);
+      born_solver.accumulate_walk(q_seg.lo, q_seg.hi, acc);
     });
 
     // ---- Step 3: gather partial integrals from every rank.
@@ -591,11 +570,13 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   // replicated snapshots are policy-portable: a restored chunk's partial is
   // identical wherever (and under whichever policy) it was computed. The
   // owned halo follows the policy's steals, so owned snapshots are
-  // deliberately tied to the plans they were written under.
+  // deliberately tied to the plans they were written under. The fifth word
+  // names the traversal; it is fixed at kList, the only one this driver
+  // walks, and kept so the key format, and every snapshot, stay valid.
   const ckpt::CheckpointPolicy& policy = options.checkpoint;
   const std::uint64_t job_key = ckpt::fnv1a64(
       {n_atoms, n_qleaves, n_aleaves, static_cast<std::uint64_t>(P),
-       static_cast<std::uint64_t>(params.traversal), 0xBA1Aull, born_plan.n_chunks,
+       static_cast<std::uint64_t>(TraversalMode::kList), 0xBA1Aull, born_plan.n_chunks,
        born_plan.chunk_items, epol_plan.n_chunks, epol_plan.chunk_items, 0x04EDull,
        ownership_hash, halo_hash, kernel_job_word(options.integrity_guards),
        policy.job_salt});
@@ -874,7 +855,8 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
     // One Born chunk, fresh-from-zero.
     const auto born_chunk_partial = [&](std::uint32_t c) {
       BornAccumulator out = born_solver.make_accumulator();
-      accumulate_born(born_solver, params.traversal, born_plan.chunk_range(c), out);
+      const Segment seg = born_plan.chunk_range(c);
+      born_solver.accumulate_walk(seg.lo, seg.hi, out);
       return out;
     };
     // Computes `chunks` fresh-from-zero while `walk(record)` runs on the rank
@@ -1291,9 +1273,10 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       run_chunks(
           chunks, epol_plan, obs::PhaseId::kEpol,
           [&](std::uint32_t c) {
+            const Segment seg = epol_plan.chunk_range(c);
             epol_raws[c] = {0.0, 0.0};
-            accumulate_epol(*epol_solver, params.traversal, epol_plan.chunk_range(c),
-                            epol_raws[c].data());
+            epol_solver->accumulate_energy_walk(seg.lo, seg.hi, epol_raws[c][0],
+                                                epol_raws[c][1]);
           },
           [&](std::uint32_t c) {
             seal(epol_raws[c], c, epol_crcs, epol_fired,
@@ -1350,7 +1333,7 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
         totals[0] += epol_raws[c][0];
         totals[1] += epol_raws[c][1];
       }
-      energy = finish_epol(*epol_solver, params.traversal, totals);
+      energy = epol_solver->finish_energy_pair(totals[0], totals[1]);
     }
 
     // ---- Publish: the lowest survivor writes the shared answer. Replicated

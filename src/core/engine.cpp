@@ -64,6 +64,8 @@ Driver route(const RunOptions& options) {
     else
       mode = EngineMode::kSerial;
   }
+  if (mode != EngineMode::kSerial && options.traversal != TraversalMode::kList)
+    reject("traversal", "kRecursive is the serial A/B baseline; other shapes walk kList");
   const bool owned = options.distribution == DataDistribution::kOwned;
   const bool balanced = options.balance != BalancePolicy::kStatic;
 
@@ -81,11 +83,7 @@ Driver route(const RunOptions& options) {
   // Every kNodeNode shape — OCT_MPI and OCT_MPI+CILK alike — runs the
   // canonical chunk fold (hybrid ranks run their chunks on a rank-local
   // pool); owned halos are planned from interaction lists.
-  if (options.division == WorkDivision::kNodeNode) {
-    if (owned && options.traversal != TraversalMode::kList)
-      reject("traversal", "kOwned plans its halos from kList interaction lists");
-    return Driver::kCanonical;
-  }
+  if (options.division == WorkDivision::kNodeNode) return Driver::kCanonical;
 
   // The kAtomBased ablation runs the paper's one-thread static reduction,
   // which has no chunks to balance, own, kill at or checkpoint.
@@ -100,8 +98,6 @@ Driver route(const RunOptions& options) {
 
 RunResult Engine::run(const RunOptions& options) const {
   const Driver driver = route(options);
-  ApproxParams params = params_;
-  params.traversal = options.traversal;
 
   // Explicit SIMD request wins over the GBPOL_SIMD env default; an empty
   // field leaves the process-wide dispatch untouched (kernels_simd.hpp).
@@ -109,15 +105,15 @@ RunResult Engine::run(const RunOptions& options) const {
 
   switch (driver) {
     case Driver::kSerial:
-      return detail::oct_serial(*prep_, params, constants_);
+      return detail::oct_serial(*prep_, params_, constants_, options.traversal);
     case Driver::kCilk:
-      return detail::oct_cilk(*prep_, params, constants_, options.threads_per_rank);
+      return detail::oct_cilk(*prep_, params_, constants_, options.threads_per_rank);
     case Driver::kCanonical:
-      return detail::oct_canonical(*prep_, params, constants_, options);
+      return detail::oct_canonical(*prep_, params_, constants_, options);
     case Driver::kAtomBased:
       break;
   }
-  return detail::oct_atom_based(*prep_, params, constants_, options);
+  return detail::oct_atom_based(*prep_, params_, constants_, options);
 }
 
 // --- RunResult JSON ------------------------------------------------------

@@ -76,8 +76,9 @@ struct RunOptions {
   mpisim::ClusterModel cluster = mpisim::ClusterModel::lonestar4();
   WorkDivision division = WorkDivision::kNodeNode;
 
-  // Tree traversal for Born + E_pol (replaces setting ApproxParams::traversal
-  // on the params the Engine was constructed with).
+  // Tree traversal for Born + E_pol, read by serial runs only: kRecursive is
+  // the paper's per-leaf recursion, the walk's A/B baseline; route() throws
+  // for it on every other shape.
   TraversalMode traversal = TraversalMode::kList;
 
   // Cross-rank balancing (core/balance.hpp). Every distributed kNodeNode
@@ -94,8 +95,8 @@ struct RunOptions {
   // Data residency (core/workdiv.hpp). kOwned runs the canonical chunk-fold
   // driver with owned data: ranks own Morton-contiguous leaf ranges and
   // exchange halos instead of holding the full molecule. Requires a
-  // distributed run in the canonical-fold configuration (kNodeNode,
-  // TraversalMode::kList); route() throws for any other shape.
+  // distributed run in the canonical-fold configuration (kNodeNode);
+  // route() throws for any other shape.
   DataDistribution distribution = DataDistribution::kReplicated;
 
   // Fault injection, process kill, stall supervision (mpisim). An armed kill
@@ -163,12 +164,10 @@ inline RunOptions serial_options(TraversalMode traversal = TraversalMode::kList)
   return options;
 }
 
-inline RunOptions cilk_options(int threads,
-                               TraversalMode traversal = TraversalMode::kList) {
+inline RunOptions cilk_options(int threads) {
   RunOptions options;
   options.mode = EngineMode::kCilk;
   options.threads_per_rank = threads;
-  options.traversal = traversal;
   return options;
 }
 
@@ -273,8 +272,7 @@ Driver route(const RunOptions& options);
 class Engine {
  public:
   // The Engine borrows `prep` (it must outlive the Engine) and copies the
-  // parameter packs. ApproxParams::traversal is overridden per run by
-  // RunOptions::traversal.
+  // parameter packs.
   explicit Engine(const Prepared& prep, const ApproxParams& params = {},
                   const GBConstants& constants = {})
       : prep_(&prep), params_(params), constants_(constants) {}
@@ -370,8 +368,10 @@ bool write_run_result_json(const RunResult& result, const std::string& label,
 // --- implementation entry points (called by Engine; not part of the public
 // surface) -----------------------------------------------------------------
 namespace detail {
+// The one reader of RunOptions::traversal: kList runs the walk, kRecursive
+// the per-leaf recursion (the A/B baseline).
 RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
-                     const GBConstants& constants);
+                     const GBConstants& constants, TraversalMode traversal);
 RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
                    const GBConstants& constants, int threads);
 // The paper's static split and reduction, one thread per rank, for the
@@ -384,8 +384,7 @@ RunResult oct_atom_based(const Prepared& prep, const ApproxParams& params,
 // checkpoint, integrity and recovery protocol, so every policy and both
 // distributions give bit-identical energies and Born radii. Hybrid ranks
 // (threads_per_rank > 1) compute their chunks on a rank-local pool, which
-// changes no bit. Requires WorkDivision::kNodeNode, plus
-// TraversalMode::kList when owned (route() enforces it).
+// changes no bit. Requires WorkDivision::kNodeNode (route() enforces it).
 RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
                         const GBConstants& constants, const RunOptions& options);
 }  // namespace detail

@@ -106,7 +106,7 @@ EpolSolver::EpolSolver(const Prepared& prep, std::span<const double> born_sorted
 
 [[gnu::noinline]] double EpolSolver::finish_energy_pair(double raw_far,
                                                         double raw_near) const {
-  return finish_energy(raw_far) + finish_energy(raw_near);
+  return scale_ * raw_far + scale_ * raw_near;
 }
 
 int EpolSolver::bin_of(double born_radius) const {
@@ -195,21 +195,15 @@ double EpolSolver::recurse_single(std::uint32_t u_node, const LeafView& v) const
   return sum;
 }
 
-void EpolSolver::accumulate_energy_leaf_range(std::uint32_t leaf_lo,
-                                              std::uint32_t leaf_hi,
-                                              double& raw) const {
-  if (prep_->atoms_tree.empty()) return;
+double EpolSolver::energy_for_leaf_range(std::uint32_t leaf_lo,
+                                         std::uint32_t leaf_hi) const {
+  if (prep_->atoms_tree.empty()) return 0.0;
   const auto leaves = prep_->atoms_tree.leaves();
+  double raw = 0.0;
   for (std::uint32_t i = leaf_lo; i < leaf_hi; ++i) {
     const LeafView v = make_leaf_view(leaves[i]);
     raw += approx_math_ ? recurse_single<true>(0, v) : recurse_single<false>(0, v);
   }
-}
-
-double EpolSolver::energy_for_leaf_range(std::uint32_t leaf_lo,
-                                         std::uint32_t leaf_hi) const {
-  double raw = 0.0;
-  accumulate_energy_leaf_range(leaf_lo, leaf_hi, raw);
   return scale_ * raw;
 }
 

@@ -93,7 +93,7 @@ class EpolSolver {
   // Energy contribution of atom-tree leaves [leaf_lo, leaf_hi) (indices into
   // atoms_tree.leaves()) interacting with the ENTIRE tree. Summing over all
   // leaves yields the full E_pol (every ordered pair counted once). This is
-  // the TraversalMode::kRecursive engine, kept as the A/B baseline.
+  // the TraversalMode::kRecursive engine, oct_serial's A/B baseline.
   double energy_for_leaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi) const;
 
   // --- Interaction-list engine (TraversalMode::kList, the default) ---------
@@ -120,10 +120,8 @@ class EpolSolver {
   // per chunk, sums them in chunk order and scales the totals once.
   // Continuing one `raw` across consecutive sub-ranges reproduces a single
   // pass over their union operation-for-operation (bit-identically). The
-  // public energy functions are wrappers over these, guaranteeing the
+  // public list energy functions are wrappers over these, guaranteeing the
   // sequences agree.
-  void accumulate_energy_leaf_range(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
-                                    double& raw) const;
   void accumulate_energy_far_range(const InteractionLists& lists, std::size_t lo,
                                    std::size_t hi, double& raw) const;
   void accumulate_energy_near_range(const InteractionLists& lists, std::size_t lo,
@@ -134,7 +132,6 @@ class EpolSolver {
   // entries would (bit-identical, so one running sum may mix the two).
   void accumulate_energy_walk(std::uint32_t leaf_lo, std::uint32_t leaf_hi,
                               double& raw_far, double& raw_near) const;
-  double finish_energy(double raw) const { return scale_ * raw; }
   // Two-term finish for every kList energy (separate far/near raw sums):
   // energy_from_lists and the drivers call it.
   // Deliberately out of line (and noinline, so not even this TU inlines

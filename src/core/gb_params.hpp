@@ -21,13 +21,12 @@ struct GBConstants {
 // Coulomb-field form of Eq. (3), which overestimates buried radii.
 enum class RadiusKernel { kR6, kR4 };
 
-// How the solvers traverse the octrees:
-//  * kList      — one pass over (target tree x source leaves) emits flat
-//                 near/far interaction lists (core/interaction_lists.hpp),
-//                 consumed by batched SoA kernels.
-//  * kRecursive — the per-source-leaf recursive walk with scalar Vec3
-//                 kernels, kept for A/B benchmarking (bench/micro_kernels,
-//                 bench/fig5_speedup).
+// How a serial run traverses the octrees (RunOptions::traversal; route()
+// rejects kRecursive on every other shape):
+//  * kList      — the opening-criterion walk (core/interaction_lists.hpp),
+//                 evaluating each near/far entry with batched SoA kernels.
+//  * kRecursive — the per-source-leaf recursion of Figs. 2 and 3 with
+//                 scalar Vec3 kernels, the serial A/B baseline.
 // Both modes evaluate the SAME near/far decomposition, so they agree to FP
 // reassociation noise (tests/interaction_lists_test.cpp pins <= 1e-12).
 enum class TraversalMode { kList, kRecursive };
@@ -57,8 +56,6 @@ struct ApproxParams {
   // performance, so it is the default for BOTH traversals; the strict
   // text form is kept as an ablation knob (bench/ablation_criterion).
   bool born_strict_criterion = false;
-  // Traversal engine for BornSolver / EpolSolver (see TraversalMode above).
-  TraversalMode traversal = TraversalMode::kList;
   // Extension: add the first-order (dipole) term of the far-field kernel's
   // Taylor expansion around the quadrature-node centroid, using the
   // per-node moment tensors Prepared aggregates. Reduces the far-field

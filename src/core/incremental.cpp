@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "core/forces.hpp"
 
@@ -99,9 +100,6 @@ TrajectoryDriver::TrajectoryDriver(const Molecule& mol,
                                    const ApproxParams& params,
                                    const GBConstants& constants)
     : mol_(mol), topt_(topt), params_(params), constants_(constants) {
-  // The caches and owned-mode runs both require the list engine.
-  params_.traversal = TraversalMode::kList;
-
   cur_pos_.resize(mol_.size());
   for (std::size_t i = 0; i < mol_.size(); ++i) cur_pos_[i] = mol_.atom(i).pos;
   anchor_pos_ = cur_pos_;
@@ -244,6 +242,10 @@ std::string TrajectoryDriver::journal_job_id() const {
 RunResult TrajectoryDriver::step(std::span<const Vec3> positions,
                                  const RunOptions& options) {
   assert(positions.size() == mol_.size());
+  // Refuse a shape before the state advances; the caches hold walk lists.
+  if (options.traversal != TraversalMode::kList)
+    throw std::invalid_argument("RunOptions::traversal: a trajectory step walks kList");
+  const Driver driver = route(options);
   stats_ = StepStats{};
 
   // Journal replay: a step the previous (killed) campaign already completed
@@ -366,9 +368,9 @@ RunResult TrajectoryDriver::step(std::span<const Vec3> positions,
       journal_->append({.state = ckpt::JobState::kRunning,
                         .attempt = 1,
                         .job = journal_job_id()});
-    if (route(options) == Driver::kSerial) {
+    if (driver == Driver::kSerial) {
       const bool fresh = !caches_->born_acc_valid;
-      result = evaluate_serial(options, fresh, atom_leaf_changed, q_leaf_changed);
+      result = evaluate_serial(fresh, atom_leaf_changed, q_leaf_changed);
     } else {
       result = evaluate_engine(options);
     }
@@ -398,10 +400,8 @@ RunResult TrajectoryDriver::step(std::span<const Vec3> positions,
 }
 
 RunResult TrajectoryDriver::evaluate_serial(
-    const RunOptions& options, bool fresh,
-    std::span<const char> atom_leaf_changed,
+    bool fresh, std::span<const char> atom_leaf_changed,
     std::span<const char> q_leaf_changed) {
-  (void)options;
   RunResult result;
   WallTimer wall;
   ThreadCpuTimer cpu;
@@ -517,10 +517,10 @@ RunResult TrajectoryDriver::evaluate_serial(
   }
   c.partials_valid = true;
 
-  // Per-entry partials folded in ascending list order: differs from the
-  // single running fold of EpolSolver::energy_near_range by association only
-  // (<= 1e-12 against a plain Engine run), and is the SAME association cold
-  // and incremental steps use — their 0-ulp contract.
+  // Per-entry partials folded in ascending list order. Each near entry's
+  // kernel returns its own sum, which the walk's running fold then adds, so
+  // this equals a plain Engine run's near sum bit for bit; cold and
+  // incremental steps use the same order — their 0-ulp contract.
   double raw_near = 0.0;
   for (const double partial : c.entry_partial) raw_near += partial;
 
@@ -547,7 +547,6 @@ RunResult TrajectoryDriver::evaluate_engine(const RunOptions& options) {
   // the checkpoint job key so within-step snapshots never leak across
   // frames.
   RunOptions opts = options;
-  opts.traversal = TraversalMode::kList;
   opts.checkpoint.job_salt = step_index_;
   const Engine engine(prep_, params_, constants_);
   RunResult result = engine.run(opts);

@@ -45,8 +45,9 @@
 // so kCold and kIncremental agree to 0 ulp on energies and Born radii at
 // every step — the cache machinery can never change a bit, only skip work.
 // Against a plain Engine::run(serial) over the driver's Prepared, Born radii
-// are bit-identical and the energy differs only by the per-segment
-// reassociation of the E_pol near fold (<= 1e-12 relative).
+// and the energy are bit-identical too: each E_pol near entry's kernel
+// returns its own sum, so per-entry partials added in ascending list order
+// repeat the walk's running fold.
 //
 // Distributed scope: a distributed RunOptions shape (replicated or owned
 // data) evaluates through Engine::run on the delta-maintained Prepared
@@ -103,9 +104,10 @@ class TrajectoryDriver {
   TrajectoryDriver& operator=(const TrajectoryDriver&) = delete;
 
   // Advances one step: atoms at `positions` (input order, mol.size() long),
-  // evaluated under `options`. TraversalMode is forced to kList (the only
-  // engine the caches and owned-mode runs support). Serial shapes use the
-  // in-process evaluation caches; every other shape routes through
+  // evaluated under `options`. Throws std::invalid_argument, before the
+  // state advances, for a shape route() rejects and for
+  // TraversalMode::kRecursive (the caches hold walk lists). Serial shapes
+  // use the in-process evaluation caches; every other shape routes through
   // Engine::run on the delta-maintained Prepared with
   // checkpoint.job_salt = step index. Returns the step's RunResult with the
   // dirty_leaves / lists_rebuilt / reused_fraction accounting filled in.
@@ -154,8 +156,7 @@ class TrajectoryDriver {
   void rebuild_structures();
   void patch_payload(std::span<const std::uint32_t> moved_orig,
                      std::span<const std::uint32_t> moved_q_orig);
-  RunResult evaluate_serial(const RunOptions& options, bool fresh,
-                            std::span<const char> atom_leaf_changed,
+  RunResult evaluate_serial(bool fresh, std::span<const char> atom_leaf_changed,
                             std::span<const char> q_leaf_changed);
   RunResult evaluate_engine(const RunOptions& options);
   std::string journal_job_id() const;

@@ -61,7 +61,6 @@ PackageRun run_package(std::string_view name, const Molecule& mol,
   }
   const Engine engine(prep, env.approx, env.constants);
   RunOptions options;
-  options.traversal = env.approx.traversal;
   options.cluster = env.cluster;
   if (name == "oct_serial") {
     options.mode = EngineMode::kSerial;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <utility>
 
 #include "molecule/io.hpp"
@@ -192,6 +193,11 @@ int resolved_soak_requests(const ServiceOptions& options, int quick_scale,
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)), driver_(route(options_.run)) {
+  // Delta-routed poses are TrajectoryDriver steps, which walk kList only.
+  if (options_.delta_routing && options_.run.traversal != TraversalMode::kList)
+    throw std::invalid_argument(
+        "RunOptions::traversal: delta routing evaluates kList; kRecursive needs "
+        "delta_routing = false");
   // The service owns its pool and its journal/trace destinations; a
   // caller-set pool or an engine-level campaign dir / trace file would
   // double-route every request. "-" is the explicit-off switch, so the

@@ -41,8 +41,8 @@
 //      of the same request;
 //   3. delta route — 0 ulp vs a mirror ReuseMode::kCold TrajectoryDriver fed
 //      the same step sequence (the core/incremental differential contract),
-//      and <= 1e-12 relative vs a direct Engine::run (E_pol near-fold
-//      reassociation, documented in core/incremental.hpp).
+//      which is itself 0 ulp vs a direct Engine::run over the driver's
+//      Prepared (the anchored geometry, not a fresh build of the pose).
 // ServiceOptions::delta_routing = false disables path 3, making EVERY served
 // energy 0 ulp against a direct cold Engine::run.
 //
@@ -176,8 +176,9 @@ struct ServiceStats {
 class Service {
  public:
   // Throws std::invalid_argument (naming the field, as Engine's route()
-  // does) when options.run is a shape no driver runs, so a misconfigured
-  // service fails at construction instead of on every request.
+  // does) when options.run is a shape no driver runs, or a kRecursive shape
+  // with delta_routing on, so a misconfigured service fails at construction
+  // instead of on every request.
   explicit Service(ServiceOptions options = {});
   ~Service();
 

@@ -298,11 +298,8 @@ class CheckpointDriverTest : public ::testing::Test {
     return config;
   }
 
-  static RunResult run(const RunOptions& config,
-                       TraversalMode traversal = TraversalMode::kList) {
-    RunOptions options = config;
-    options.traversal = traversal;
-    return Engine(*prep_, ApproxParams{}, GBConstants{}).run(options);
+  static RunResult run(const RunOptions& config) {
+    return Engine(*prep_, ApproxParams{}, GBConstants{}).run(config);
   }
 
   static void expect_bit_identical(const RunResult& a, const RunResult& b) {
@@ -393,24 +390,20 @@ TEST_F(CheckpointDriverTest, KillPastChunk64ResumesFromNewestSnapshot) {
 }
 
 TEST_F(CheckpointDriverTest, KillDuringEnergyPhaseResumesBitExactly) {
-  for (const TraversalMode traversal :
-       {TraversalMode::kList, TraversalMode::kRecursive}) {
-    SCOPED_TRACE(traversal == TraversalMode::kList ? "list" : "recursive");
-    const RunResult clean = run(base_config(3, 2), traversal);
-    RunOptions config = base_config(3, 2);
-    config.checkpoint.dir = testing::fresh_temp_dir("drv_kill_epol");
-    config.checkpoint.every_k_chunks = 1;
-    // Collective 2 = after the Born token + radii allgatherv: the E_pol loop.
-    config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
-    const RunResult killed = run(config, traversal);
-    EXPECT_TRUE(killed.killed);
+  const RunResult clean = run(base_config(3, 2));
+  RunOptions config = base_config(3, 2);
+  config.checkpoint.dir = testing::fresh_temp_dir("drv_kill_epol");
+  config.checkpoint.every_k_chunks = 1;
+  // Collective 2 = after the Born token + radii allgatherv: the E_pol loop.
+  config.kill = {.armed = true, .rank = 0, .collective_seq = 2, .tick = 2};
+  const RunResult killed = run(config);
+  EXPECT_TRUE(killed.killed);
 
-    config.kill = {};
-    config.checkpoint.resume = true;
-    const RunResult resumed = run(config, traversal);
-    EXPECT_TRUE(resumed.resumed);
-    expect_bit_identical(resumed, clean);
-  }
+  config.kill = {};
+  config.checkpoint.resume = true;
+  const RunResult resumed = run(config);
+  EXPECT_TRUE(resumed.resumed);
+  expect_bit_identical(resumed, clean);
 }
 
 TEST_F(CheckpointDriverTest, CorruptSnapshotsFallBackNeverWrongAnswer) {

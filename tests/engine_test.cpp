@@ -1,8 +1,8 @@
 // Engine facade contract: mode routing (the route() table: rejected shapes
-// throw naming the field, supported shapes run), the RunOptions factories, the
-// traversal override, env-default resolution for the two destination
-// fields, and the versioned RunResult JSON schema (round-trip fixed point +
-// loud rejection of unknown versions).
+// throw naming the field, supported shapes run), the RunOptions factories,
+// env-default resolution for the two destination fields, and the versioned
+// RunResult JSON schema (round-trip fixed point + loud rejection of unknown
+// versions).
 #include "core/engine.hpp"
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,22 +85,6 @@ TEST_F(EngineTest, AutoModeRoutesByTopology) {
   EXPECT_EQ(dist.rank_results.size(), 3u);
 }
 
-TEST_F(EngineTest, RunOptionsTraversalOverridesConstructionParams) {
-  // The Engine copies ApproxParams at construction but traversal is a
-  // per-run knob: the params' own setting must be ignored.
-  ApproxParams recursive_params;
-  recursive_params.traversal = TraversalMode::kRecursive;
-  const Engine engine(*prep_, recursive_params);
-  const Engine list_engine(*prep_);
-
-  const RunResult a = engine.run(serial_options(TraversalMode::kList));
-  const RunResult b = list_engine.run(serial_options(TraversalMode::kList));
-  ASSERT_EQ(a.energy, b.energy);
-  const RunResult c = engine.run(serial_options(TraversalMode::kRecursive));
-  const RunResult d = list_engine.run(serial_options(TraversalMode::kRecursive));
-  ASSERT_EQ(c.energy, d.energy);
-}
-
 // --- routing -------------------------------------------------------------
 
 // Every shape no driver honours throws std::invalid_argument naming the
@@ -123,10 +108,19 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o.distribution = DataDistribution::kOwned;
   o.division = WorkDivision::kAtomBased;
   add("owned kAtomBased", "division", o);
-  o = distributed_options(3);
-  o.distribution = DataDistribution::kOwned;
-  o.traversal = TraversalMode::kRecursive;
-  add("owned kRecursive", "traversal", o);
+
+  // The recursive A/B baseline on any shape but serial.
+  RunOptions owned = distributed_options(3), atom_based = distributed_options(3);
+  owned.distribution = DataDistribution::kOwned;
+  atom_based.division = WorkDivision::kAtomBased;
+  for (auto [label, shape] : {std::pair{"cilk kRecursive", cilk_options(2)},
+                              {"replicated kRecursive", distributed_options(3)},
+                              {"hybrid kRecursive", distributed_options(2, 2)},
+                              {"owned kRecursive", owned},
+                              {"kAtomBased kRecursive", atom_based}}) {
+    shape.traversal = TraversalMode::kRecursive;
+    add(label, "traversal", shape);
+  }
 
   // Balancing outside it.
   o = distributed_options(3);

@@ -258,12 +258,10 @@ class FaultedDriverTest : public ::testing::Test {
     delete mol_;
   }
 
-  static RunResult run(int ranks, FaultPlan plan,
-                       TraversalMode traversal = TraversalMode::kList) {
+  static RunResult run(int ranks, FaultPlan plan) {
     RunOptions options;
     options.mode = EngineMode::kDistributed;
     options.ranks = ranks;
-    options.traversal = traversal;
     options.faults = std::move(plan);
     return Engine(*prep_, ApproxParams{}, GBConstants{}).run(options);
   }
@@ -364,18 +362,6 @@ TEST_F(FaultedDriverTest, StallAndDeathMixRecoversBitExactly) {
   expect_bit_identical(faulty, clean);
   EXPECT_TRUE(faulty.degraded);
   EXPECT_EQ(faulty.stalls_converted, 1);
-}
-
-TEST_F(FaultedDriverTest, RecoveryWorksForBothTraversals) {
-  for (const TraversalMode traversal : {TraversalMode::kList, TraversalMode::kRecursive}) {
-    const RunResult clean = run(4, {}, traversal);
-    FaultPlan plan;
-    plan.deaths.push_back({.rank = 1, .collective_seq = 0});
-    const RunResult faulty = run(4, plan, traversal);
-    SCOPED_TRACE("traversal=" + std::to_string(static_cast<int>(traversal)));
-    expect_bit_identical(faulty, clean);
-    EXPECT_TRUE(faulty.degraded);
-  }
 }
 
 TEST_F(FaultedDriverTest, FaultScheduleReplayIsBitIdentical) {

@@ -7,8 +7,9 @@
 //    bit-for-bit on energy and Born radii at every step (<= 1e-12 was the
 //    contract; sharing the deterministic anchor recipe delivers exact 0 ulp).
 //  * Serial steps against a plain Engine::run over the driver's Prepared:
-//    Born radii bit-identical, energy within 1e-12 relative (the per-segment
-//    E_pol near fold differs by association only).
+//    Born radii and energy bit-identical.
+//  * A kRecursive step throws, naming RunOptions::traversal, before the
+//    driver's state advances.
 //  * Skin-margin property: a structural re-anchor happens iff a moved atom's
 //    displacement from its anchor exceeds its leaf margin; dirty_leaves == 0
 //    implies a bitwise-identical energy.
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -136,7 +138,9 @@ TEST(IncrementalDifferential, OwnedMode) {
 }
 
 // Serial trajectory steps against a plain Engine::run over the driver's own
-// Prepared: identical Born bits, energy within reassociation distance.
+// Prepared: identical Born and energy bits. Each E_pol near entry's kernel
+// returns its own sum, so the per-entry partials added in ascending order
+// repeat the walk's running fold.
 TEST(IncrementalDifferential, SerialMatchesPlainEngine) {
   const Molecule mol = molgen::synthetic_protein(kGolden[1].n_atoms,
                                                  kGolden[1].seed);
@@ -152,9 +156,33 @@ TEST(IncrementalDifferential, SerialMatchesPlainEngine) {
     for (std::size_t i = 0; i < traj.born_sorted.size(); ++i)
       ASSERT_EQ(traj.born_sorted[i], plain.born_sorted[i])
           << "step " << s << " born slot " << i;
-    EXPECT_NEAR(traj.energy, plain.energy, 1e-12 * std::abs(plain.energy))
-        << "step " << s;
+    EXPECT_EQ(traj.energy, plain.energy) << "step " << s;
   }
+}
+
+// The caches hold walk lists, so a recursive request is refused — on the
+// serial shape and on every other — and the refused step leaves the driver
+// where it was: the next kList step matches a fresh driver's first step.
+TEST(IncrementalDifferential, RecursiveTraversalThrowsBeforeTheStateAdvances) {
+  const Molecule mol = molgen::synthetic_protein(kGolden[0].n_atoms, kGolden[0].seed);
+  TrajectoryDriver driver(mol);
+  std::vector<Vec3> pos = initial_positions(mol);
+  std::uint64_t rng = 5;
+  perturb(pos, rng, 2);
+  for (RunOptions o : {serial_options(), distributed_options(3)}) {
+    o.traversal = TraversalMode::kRecursive;
+    try {
+      (void)driver.step(pos, o);
+      ADD_FAILURE() << "step accepted kRecursive";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("RunOptions::traversal:"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(driver.step_index(), 0u);
+  TrajectoryDriver fresh(mol);
+  expect_bit_identical(driver.step(pos, serial_options()),
+                       fresh.step(pos, serial_options()), 0);
 }
 
 // Cross-mode: a replicated trajectory step lands within reassociation

@@ -569,7 +569,6 @@ TEST_F(InteractionListsTest, DriversAgreeAcrossTraversalModes) {
   config.mode = EngineMode::kDistributed;
   config.ranks = 3;
   config.threads_per_rank = 2;
-  config.traversal = TraversalMode::kList;
   const RunResult dist_list = engine.run(config);
   // The chunk fold reassociates per-chunk partial sums, so compare against
   // the serial result at the drivers' established cross-mode tolerance.

@@ -505,19 +505,34 @@ TEST(ServeTest, ServiceNeutralizesEngineLevelTraceAndCampaignRouting) {
 TEST(ServeTest, UnroutableRunShapeThrowsAtConstruction) {
   // The constructor checks the run shape once through Engine's route(): a
   // shape no driver runs fails here, naming the field, rather than retrying
-  // and then quarantining every request the service accepts.
+  // and then quarantining every request the service accepts. Delta routing
+  // runs TrajectoryDriver steps, which walk kList only, so a kRecursive
+  // shape is refused with it on.
+  const auto expect_refused = [](const ServiceOptions& o, const char* field) {
+    try {
+      Service service(o);
+      ADD_FAILURE() << "Service accepted the shape refused on " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("RunOptions::") + field + ":"),
+                std::string::npos)
+          << e.what();
+    }
+  };
   ServiceOptions options;
   options.campaign_dir = "-";
   options.run = distributed_options(2);
   options.run.distribution = DataDistribution::kOwned;
   options.run.division = WorkDivision::kAtomBased;
-  try {
-    Service service(options);
-    ADD_FAILURE() << "Service accepted kOwned with kAtomBased";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("division"), std::string::npos)
-        << e.what();
-  }
+  expect_refused(options, "division");
+  options.run = distributed_options(2);
+  options.run.traversal = TraversalMode::kRecursive;
+  expect_refused(options, "traversal");
+  options.run = serial_options(TraversalMode::kRecursive);
+  ASSERT_TRUE(options.delta_routing);
+  expect_refused(options, "traversal");
+  options.delta_routing = false;  // the recursive baseline serves without it
+  EXPECT_EQ(Service(options).serve(make_request(molgen::synthetic_protein(100, 13))).path,
+            ServePath::kCold);
 }
 
 TEST(ServeTest, PooledRankExceptionFailsTheJobNotTheProcess) {

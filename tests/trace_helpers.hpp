@@ -24,7 +24,6 @@ inline TracedRun run_traced(const Prepared& prep, const ApproxParams& params,
                             const obs::TraceConfig& tc = {}) {
   RunOptions distributed = options;
   distributed.mode = EngineMode::kDistributed;
-  distributed.traversal = params.traversal;
   obs::start_session(tc);
   TracedRun out;
   out.result = Engine(prep, params, constants).run(distributed);
