@@ -14,7 +14,8 @@
 # the surface march must be reached only through molecular_surface_quadrature
 # outside src/surface/ and tests/, threads may be started in src/ only by the
 # work-stealing scheduler, the mpisim runtime and the short-lived worker
-# helper (src/support/workers.*), the balance_stress bench must hold its
+# helper (src/support/workers.*), nothing under src/ may call std::terminate
+# (a failing rank fails its job, never the process), the balance_stress bench must hold its
 # >= 1.3x steal-vs-static makespan target on the median of five interleaved
 # reps, the micro_kernels bench
 # must hold the >= 2x dispatched-SIMD-vs-SoA target on its gated kernel (and
@@ -136,6 +137,16 @@ if grep -rnE 'std::j?thread\b' src 2>/dev/null \
     | grep -vE 'std::thread::(hardware_concurrency|id)\b' \
     | grep -vE '^src/(ws|mpisim)/|^src/support/workers\.(hpp|cpp):'; then
   echo "check.sh: std::thread / std::jthread outside src/ws/, src/mpisim/ and src/support/workers.* (use workers::run or workers::for_blocks)" >&2
+  exit 1
+fi
+
+echo "=== grep gate: a failing rank fails its job, never the process ==="
+# One job body (src/mpisim/pool.cpp) runs every mpisim job, and a rank that
+# throws fails that job: the plain collectives throw mpisim::CommFailure and
+# run() rethrows to the caller. Nothing under src/ may end the process
+# instead.
+if grep -rn 'std::terminate' src 2>/dev/null; then
+  echo "check.sh: std::terminate under src/ (throw; a failing rank fails its job, never the process)" >&2
   exit 1
 fi
 

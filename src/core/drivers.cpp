@@ -359,8 +359,8 @@ RunResult oct_atom_based(const Prepared& prep, const ApproxParams& params,
   rt.corruption = options.corruption;
   rt.integrity_guards = options.integrity_guards;
 
-  // The plain collectives fail fast if a rank dies: this ablation has no
-  // recovery protocol.
+  // This ablation has no recovery protocol, so route() refuses deaths and
+  // stalls; the plain collectives would fail the job with CommFailure.
   const auto report = mpisim::run_on(options.pool, rt, [&](mpisim::Comm& comm) {
     const int r = comm.rank();
 

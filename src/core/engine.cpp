@@ -69,12 +69,22 @@ Driver route(const RunOptions& options) {
   const bool owned = options.distribution == DataDistribution::kOwned;
   const bool balanced = options.balance != BalancePolicy::kStatic;
 
-  // Shared-memory modes have no ranks to distribute, balance, kill or
-  // checkpoint.
+  // Shared-memory modes have no ranks to distribute, balance, fault, kill,
+  // supervise or checkpoint.
   if (mode != EngineMode::kDistributed) {
+    if (options.ranks > 1) reject("ranks", "more than one rank needs a distributed run");
+    if (mode == EngineMode::kSerial && options.threads_per_rank > 1)
+      reject("threads_per_rank", "a serial run has one thread; kCilk runs more");
+    if (options.division == WorkDivision::kAtomBased)
+      reject("division", "kAtomBased needs a distributed run");
     if (owned) reject("distribution", "kOwned needs a distributed run");
     if (balanced) reject("balance", "cross-rank balancing needs a distributed run");
+    if (!options.faults.empty()) reject("faults", "fault injection needs a distributed run");
+    if (!options.corruption.empty())
+      reject("corruption", "corruption injection needs a distributed run");
     if (options.kill.armed) reject("kill", "a process kill needs a distributed run");
+    if (options.stall_timeout_seconds > 0.0)
+      reject("stall_timeout_seconds", "stall supervision needs a distributed run");
     if (options.checkpoint.enabled())
       reject("checkpoint.dir", "checkpointing needs a distributed run");
     return mode == EngineMode::kSerial ? Driver::kSerial : Driver::kCilk;
@@ -86,11 +96,15 @@ Driver route(const RunOptions& options) {
   if (options.division == WorkDivision::kNodeNode) return Driver::kCanonical;
 
   // The kAtomBased ablation runs the paper's one-thread static reduction,
-  // which has no chunks to balance, own, kill at or checkpoint.
+  // which has no chunks to balance, own, kill at or checkpoint. Its plain
+  // collectives mask delays, drops and stragglers but have no recovery from
+  // a death (a converted stall is one).
   if (options.threads_per_rank > 1)
     reject("threads_per_rank", "kAtomBased runs one thread per rank");
   if (owned || balanced)
     reject("division", "the canonical chunk fold (balance, kOwned) needs kNodeNode");
+  if (options.faults.has_deaths() || options.faults.has_stalls())
+    reject("faults", "kAtomBased cannot recover from a death or a stall");
   if (options.kill.armed) reject("kill", "kAtomBased has no kill points");
   if (options.checkpoint.enabled()) reject("checkpoint.dir", "kAtomBased cannot checkpoint");
   return Driver::kAtomBased;

@@ -69,7 +69,8 @@ enum class ReuseMode { kCold, kIncremental };
 // field here; no positional knobs, no env-var side channels (the two env
 // vars above are read ONCE, as defaults, by resolved_*).
 struct RunOptions {
-  // Topology & routing.
+  // Topology & routing. route() throws for ranks > 1 on serial/cilk, for
+  // threads_per_rank > 1 on serial, and for kAtomBased off distributed.
   EngineMode mode = EngineMode::kAuto;
   int ranks = 1;
   int threads_per_rank = 1;
@@ -99,9 +100,10 @@ struct RunOptions {
   // route() throws for any other shape.
   DataDistribution distribution = DataDistribution::kReplicated;
 
-  // Fault injection, process kill, stall supervision (mpisim). An armed kill
-  // needs the canonical chunk fold's kill points: route() throws for
-  // serial/cilk and kAtomBased.
+  // Fault injection, process kill, stall supervision (mpisim). route()
+  // throws for each of them on serial/cilk. An armed kill needs the
+  // canonical chunk fold's kill points, and kAtomBased's plain collectives
+  // cannot recover from a death or a stall: route() throws for those too.
   mpisim::FaultPlan faults;
   mpisim::KillPlan kill;
   double stall_timeout_seconds = 0.0;
@@ -111,7 +113,8 @@ struct RunOptions {
   // deterministic bit flips in message/collective payloads, hot arrays and
   // snapshot bytes; `integrity_guards` (default ON) enables the checksum
   // detection + surgical-recompute recovery. Guards OFF is canary-test only:
-  // corrupted bytes then flow through undetected.
+  // corrupted bytes then flow through undetected. Distributed runs only:
+  // route() throws for a non-empty plan on serial/cilk.
   mpisim::CorruptionPlan corruption;
   bool integrity_guards = true;
 
@@ -375,7 +378,8 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
 RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
                    const GBConstants& constants, int threads);
 // The paper's static split and reduction, one thread per rank, for the
-// kAtomBased ablation. Its plain collectives fail fast if a rank dies.
+// kAtomBased ablation. It has no recovery, so route() refuses deaths and
+// stalls on it.
 RunResult oct_atom_based(const Prepared& prep, const ApproxParams& params,
                          const GBConstants& constants, const RunOptions& options);
 // The canonical chunk-fold driver with cross-rank balancing (DESIGN.md "Load

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <exception>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "mpisim/shared_state.hpp"
 #include "support/checksum.hpp"
@@ -90,13 +90,10 @@ const void* Comm::integrity_fetch(const void* published, std::size_t bytes,
 void Comm::die_now(std::uint64_t seq, obs::DeathCause cause) {
   // The rank dies without publishing. It still arrives once (so peers
   // waiting on the current phase proceed) but drops out of the expected
-  // count for every later phase, then unwinds to the Runtime. Sleepers in
+  // count for every later phase, then unwinds to the job body. Sleepers in
   // recv are woken to re-check peer liveness.
   obs::emit(obs::EventKind::kDeath, seq, 0, static_cast<std::uint8_t>(cause));
-  SharedState& s = *shared_;
-  s.dead[static_cast<std::size_t>(rank_)].store(true, std::memory_order_release);
-  s.sync.arrive_and_drop();
-  s.wake_all_mailboxes();
+  shared_->retire(rank_);
   throw RankKilled{rank_, seq};
 }
 
@@ -151,12 +148,8 @@ bool Comm::poll_kill() {
   ++tick_;
   const KillPlan& plan = s.kill;
   if (plan.armed && plan.rank == rank_ && plan.collective_seq == collective_seq_ &&
-      plan.tick == tick_ && !s.kill_all.load(std::memory_order_acquire)) {
-    s.kill_all.store(true, std::memory_order_release);
-    // Stalled ranks wait on kill_all too; wake them so they exit promptly.
-    std::lock_guard<std::mutex> lock(s.stall_mutex);
-    s.stall_cv.notify_all();
-  }
+      plan.tick == tick_ && !s.kill_all.load(std::memory_order_acquire))
+    s.raise_kill();
   const bool armed = s.kill_all.load(std::memory_order_acquire);
   obs::emit(obs::EventKind::kKillPoll, collective_seq_, tick_, armed ? 1 : 0);
   return armed;
@@ -197,21 +190,19 @@ void Comm::abort_collective(CollectiveStatus& st, std::uint64_t seq,
 
 void Comm::require_ok(const CollectiveStatus& st, const char* what) const {
   if (st.ok()) return;
-  // The legacy void collectives have no recovery channel; a dead peer here
-  // is unrecoverable, exactly like a crashed MPI process: fail fast rather
+  // The plain collectives have no recovery channel; a dead peer here is
+  // unrecoverable, exactly like a crashed MPI process: fail the job rather
   // than deadlock.
-  std::fprintf(stderr,
-               "mpisim: rank %d: %s observed a dead rank with no recovery "
-               "protocol attached\n",
-               rank_, what);
-  std::terminate();
+  throw CommFailure("mpisim: rank " + std::to_string(rank_) + ": " + what +
+                    " observed a dead rank with no recovery protocol attached");
 }
 
 void Comm::require_recv_ok(const RecvStatus& st, int src) const {
   if (st.ok()) return;
-  std::fprintf(stderr, "mpisim: rank %d: recv from %d failed (%s)\n", rank_, src,
-               st.error == CommError::kPeerDead ? "peer dead" : "watchdog timeout");
-  std::terminate();
+  throw CommFailure("mpisim: rank " + std::to_string(rank_) + ": recv from " +
+                    std::to_string(src) + " failed (" +
+                    (st.error == CommError::kPeerDead ? "peer dead" : "watchdog timeout") +
+                    ")");
 }
 
 void Comm::barrier() {
@@ -465,10 +456,11 @@ RecvStatus Comm::recv_bytes_ft(void* data, std::size_t bytes, int src, int tag) 
   for (;;) {
     for (auto it = mb.queue.begin(); it != mb.queue.end(); ++it) {
       if (it->src != src || it->tag != tag) continue;
-      if (it->payload.size() != bytes) {
-        // Size mismatch is a programming error in the caller.
-        std::terminate();
-      }
+      if (it->payload.size() != bytes)  // a programming error in the caller
+        throw std::logic_error("mpisim: rank " + std::to_string(rank_) + ": recv of " +
+                               std::to_string(bytes) + " bytes from " +
+                               std::to_string(src) + " matched a message of " +
+                               std::to_string(it->payload.size()));
       // Injected drops: the first `suppressed` copies were lost on the wire.
       // Each lost copy is a logical retransmit round — a timeout window plus
       // a fresh transmission — charged here, where the waiting happens.

@@ -17,14 +17,17 @@
 // when a rank dies: all survivors observe the same abort at the same logical
 // point and can retry with proxy publications standing in for dead ranks'
 // slots — the retry folds slots in the original rank order, so a recovered
-// reduction is bit-identical to the fault-free one. The legacy void APIs
-// wrap the `_ft` forms and fail fast (std::terminate with a message) on any
-// fault they cannot mask, preserving their original contract.
+// reduction is bit-identical to the fault-free one. The plain void APIs
+// wrap the `_ft` forms and throw CommFailure on any fault they cannot mask
+// (a dead peer, a recv watchdog timeout). The runtime treats that like any
+// other exception a rank function throws: the rank retires, its peers
+// unwind, and the job's caller receives the exception (runtime.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -67,9 +70,15 @@ struct ProxyPub {
   const void* data = nullptr;
 };
 
-// Thrown by a rank at its scheduled death point; caught by the Runtime,
-// which records the rank as dead and retires its thread. Deliberately not a
-// std::exception so user-level handlers don't swallow it.
+// Thrown by the plain collectives and recv when a fault they cannot mask
+// reaches them. The job fails with it; the process and the pool survive.
+struct CommFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Thrown by a rank at its scheduled death point; caught by the job body,
+// which records the rank as dead and ends its part of the job. Deliberately
+// not a std::exception so user-level handlers don't swallow it.
 struct RankKilled {
   int rank = 0;
   std::uint64_t collective_seq = 0;

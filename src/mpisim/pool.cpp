@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <memory>
 
 #include "mpisim/shared_state.hpp"
 #include "obs/trace.hpp"
@@ -16,22 +15,117 @@ namespace gbpol::mpisim {
 // ever touch it between the epoch handshake and their done signal, both of
 // which run() orders around the job's lifetime.
 struct PersistentPool::Job {
+  Job(const Runtime::Config& config, int ranks,
+      const std::function<void(Comm&)>& fn)
+      : shared(config.cluster, ranks, std::max(1, config.threads_per_rank),
+               config.faults, config.recv_watchdog_seconds, config.kill,
+               config.corruption, config.integrity_guards),
+        rank_fn(fn) {
+    report.ranks.resize(static_cast<std::size_t>(ranks));
+    if (config.stall_timeout_seconds > 0.0)
+      supervisor = std::thread([this, timeout = config.stall_timeout_seconds] {
+        supervise(timeout);
+      });
+  }
+  ~Job() { stop_supervisor(); }
+
+  void run_rank(int rank);
+  void fail(int rank, const char* what);
+  void supervise(double timeout);
+  void stop_supervisor() {
+    finished.store(true, std::memory_order_release);
+    if (supervisor.joinable()) supervisor.join();
+  }
+
   SharedState shared;
   RunReport report;
-  const std::function<void(Comm&)>* rank_fn = nullptr;
+  const std::function<void(Comm&)>& rank_fn;
   // First non-RankKilled exception thrown by any rank of this job; run()
   // rethrows it to its caller after the job drains. Written under
   // error_mutex (ranks fail concurrently), read after the done handshake.
   std::mutex error_mutex;
   std::exception_ptr error;
-
-  Job(const Runtime::Config& config, int ranks)
-      : shared(config.cluster, ranks, std::max(1, config.threads_per_rank),
-               config.faults, config.recv_watchdog_seconds, config.kill,
-               config.corruption, config.integrity_guards) {
-    report.ranks.resize(static_cast<std::size_t>(ranks));
-  }
+  std::atomic<bool> finished{false};  // stops the supervisor
+  std::thread supervisor;             // declared last: it reads the above
 };
+
+// The per-rank step. A scheduled death or a kill (RankKilled) has already
+// retired the rank through Comm::die_now; any other exception fails the job.
+void PersistentPool::Job::run_rank(int rank) {
+  obs::set_thread_rank(rank);
+  Comm comm(shared, rank);
+  RankResult& res = report.ranks[static_cast<std::size_t>(rank)];
+  try {
+    rank_fn(comm);
+  } catch (const RankKilled&) {
+    res.died = true;
+  } catch (const std::exception& e) {
+    fail(rank, e.what());
+  } catch (...) {
+    fail(rank, "unknown exception");
+  }
+  obs::phase_end();  // close a phase left open by a mid-phase unwind
+  res.compute_seconds = comm.compute_seconds();
+  res.straggler_seconds = comm.straggler_seconds();
+  res.comm_seconds = comm.comm_seconds();
+  res.bytes_sent = comm.bytes_sent();
+  res.retries = comm.retries();
+  res.redistributed_work_items = comm.redistributed_work();
+  res.migrated_chunks = comm.migrated_chunks();
+  res.corruption_injected = comm.corruption_injected();
+  res.corruption_detected = comm.corruption_detected();
+  res.corruption_recomputed = comm.corruption_recomputed();
+  res.corruption_retransmits = comm.corruption_retransmits();
+  obs::set_thread_rank(-1);
+}
+
+// Called from run_rank's handlers. The job is doomed (run() will rethrow),
+// so raise kill_all: the surviving ranks abandon at their next poll or
+// collective entry instead of finishing work nobody will read. Then retire
+// this rank as a death would, so no peer waits on it.
+void PersistentPool::Job::fail(int rank, const char* what) {
+  std::fprintf(stderr, "mpisim: rank %d failed: %s\n", rank, what);
+  {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    if (!error) error = std::current_exception();
+  }
+  shared.raise_kill();
+  shared.retire(rank);
+  report.ranks[static_cast<std::size_t>(rank)].died = true;
+}
+
+// Supervisor watchdog: samples the per-rank heartbeats and converts any
+// live rank whose logical clock stagnates past the timeout. Actuation is
+// via the stall_break flag, which only a rank parked in the stall state
+// reacts to, so a rank legitimately blocked at a barrier (also stagnant)
+// is never harmed by the conversion attempt.
+void PersistentPool::Job::supervise(double timeout) {
+  using clock = std::chrono::steady_clock;
+  const auto period = std::chrono::duration<double>(std::min(timeout / 4.0, 0.05));
+  const auto ranks = static_cast<std::size_t>(shared.ranks);
+  std::vector<std::uint64_t> last(ranks, 0);
+  std::vector<clock::time_point> since(ranks, clock::now());
+  while (!finished.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(period);
+    const auto now = clock::now();
+    for (std::size_t i = 0; i < ranks; ++i) {
+      if (shared.is_dead(static_cast<int>(i))) {
+        since[i] = now;
+        continue;
+      }
+      const std::uint64_t hb = shared.heartbeat[i].load(std::memory_order_relaxed);
+      if (hb != last[i]) {
+        last[i] = hb;
+        since[i] = now;
+        continue;
+      }
+      if (std::chrono::duration<double>(now - since[i]).count() < timeout) continue;
+      std::lock_guard<std::mutex> lock(shared.stall_mutex);
+      shared.stall_break[i].store(true, std::memory_order_release);
+      shared.stall_cv.notify_all();
+    }
+  }
+}
 
 PersistentPool::PersistentPool(int ranks) : ranks_(std::max(1, ranks)) {
   threads_.reserve(static_cast<std::size_t>(ranks_));
@@ -59,65 +153,7 @@ void PersistentPool::worker_main(int rank) {
       seen_epoch = job_epoch_;
       job = job_;
     }
-    // Same per-rank body as Runtime::run for the fault layer: a scheduled
-    // death (RankKilled) retires the JOB on this rank — the worker thread
-    // survives to serve the next job. Any OTHER exception fails the JOB,
-    // not the process: in the long-lived multi-tenant service, one bad
-    // request must not take down every tenant's queued work, so the
-    // exception is captured for run() to rethrow (the campaign layer then
-    // retries/quarantines that job) and this rank retires with the same
-    // bookkeeping as die_now so its peers unwind instead of hanging.
-    obs::set_thread_rank(rank);
-    Comm comm(job->shared, rank);
-    RankResult& res = job->report.ranks[static_cast<std::size_t>(rank)];
-    try {
-      (*job->rank_fn)(comm);
-    } catch (const RankKilled&) {
-      res.died = true;
-    } catch (...) {
-      try {
-        throw;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "mpisim: pooled rank %d failed: %s\n", rank,
-                     e.what());
-      } catch (...) {
-        std::fprintf(stderr, "mpisim: pooled rank %d failed: unknown exception\n",
-                     rank);
-      }
-      {
-        std::lock_guard<std::mutex> lock(job->error_mutex);
-        if (!job->error) job->error = std::current_exception();
-      }
-      SharedState& s = job->shared;
-      // The whole job is doomed (run() will rethrow): raise kill_all so the
-      // surviving ranks abandon at their next poll/collective entry instead
-      // of finishing work nobody will read, and wake any parked stalls.
-      s.kill_all.store(true, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lock(s.stall_mutex);
-        s.stall_cv.notify_all();
-      }
-      // die_now's bookkeeping: mark dead, arrive once for the phase peers
-      // may be waiting on, drop from later phases, wake blocked receivers.
-      s.dead[static_cast<std::size_t>(rank)].store(true,
-                                                   std::memory_order_release);
-      s.sync.arrive_and_drop();
-      s.wake_all_mailboxes();
-      res.died = true;
-    }
-    obs::phase_end();  // close a phase left open by a mid-phase unwind
-    res.compute_seconds = comm.compute_seconds();
-    res.straggler_seconds = comm.straggler_seconds();
-    res.comm_seconds = comm.comm_seconds();
-    res.bytes_sent = comm.bytes_sent();
-    res.retries = comm.retries();
-    res.redistributed_work_items = comm.redistributed_work();
-    res.migrated_chunks = comm.migrated_chunks();
-    res.corruption_injected = comm.corruption_injected();
-    res.corruption_detected = comm.corruption_detected();
-    res.corruption_recomputed = comm.corruption_recomputed();
-    res.corruption_retransmits = comm.corruption_retransmits();
-    obs::set_thread_rank(-1);
+    job->run_rank(rank);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++workers_done_;
@@ -128,53 +164,10 @@ void PersistentPool::worker_main(int rank) {
 
 RunReport PersistentPool::run(const Runtime::Config& config,
                               const std::function<void(Comm&)>& rank_fn) {
-  const int ranks = std::max(1, config.ranks);
-  if (ranks != ranks_) return Runtime::run(config, rank_fn);
+  if (std::max(1, config.ranks) != ranks_) return Runtime::run(config, rank_fn);
 
-  Job job(config, ranks);
-  job.rank_fn = &rank_fn;
-
-  // Supervisor watchdog, per job (mirrors Runtime::run; rarely armed on the
-  // serving path, so a per-job thread costs nothing in the common case).
-  std::atomic<bool> supervisor_done{false};
-  std::thread supervisor;
-  if (config.stall_timeout_seconds > 0.0) {
-    SharedState& shared = job.shared;
-    supervisor = std::thread([&shared, &supervisor_done, ranks,
-                              timeout = config.stall_timeout_seconds] {
-      using clock = std::chrono::steady_clock;
-      const auto period =
-          std::chrono::duration<double>(std::min(timeout / 4.0, 0.05));
-      std::vector<std::uint64_t> last(static_cast<std::size_t>(ranks), 0);
-      std::vector<clock::time_point> since(static_cast<std::size_t>(ranks),
-                                           clock::now());
-      while (!supervisor_done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(period);
-        const auto now = clock::now();
-        for (int r = 0; r < ranks; ++r) {
-          const auto i = static_cast<std::size_t>(r);
-          if (shared.is_dead(r)) {
-            since[i] = now;
-            continue;
-          }
-          const std::uint64_t hb =
-              shared.heartbeat[i].load(std::memory_order_relaxed);
-          if (hb != last[i]) {
-            last[i] = hb;
-            since[i] = now;
-            continue;
-          }
-          if (std::chrono::duration<double>(now - since[i]).count() < timeout)
-            continue;
-          std::lock_guard<std::mutex> lock(shared.stall_mutex);
-          shared.stall_break[i].store(true, std::memory_order_release);
-          shared.stall_cv.notify_all();
-        }
-      }
-    });
-  }
-
-  obs::emit(obs::EventKind::kRunBegin, static_cast<std::uint64_t>(ranks));
+  Job job(config, ranks_, rank_fn);
+  obs::emit(obs::EventKind::kRunBegin, static_cast<std::uint64_t>(ranks_));
   WallTimer wall;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -189,17 +182,16 @@ RunReport PersistentPool::run(const Runtime::Config& config,
     job_ = nullptr;
   }
   // "Merge at finalize": the done handshake above orders every rank's metric
-  // slot writes before these reads, exactly like Runtime::run's joins.
+  // slot writes before these reads and before stop_session's drain.
   RunReport& report = job.report;
-  for (int r = 0; r < ranks; ++r) {
+  for (int r = 0; r < ranks_; ++r) {
     const RankResult& res = report.ranks[static_cast<std::size_t>(r)];
     obs::record_rank_totals(r, res.compute_seconds, res.straggler_seconds,
                             res.comm_seconds, res.bytes_sent, res.retries,
                             res.redistributed_work_items);
   }
-  obs::emit(obs::EventKind::kRunEnd, static_cast<std::uint64_t>(ranks));
-  supervisor_done.store(true, std::memory_order_release);
-  if (supervisor.joinable()) supervisor.join();
+  obs::emit(obs::EventKind::kRunEnd, static_cast<std::uint64_t>(ranks_));
+  job.stop_supervisor();
   report.wall_seconds = wall.seconds();
   for (const RankResult& r : report.ranks) {
     report.retries += r.retries;
@@ -212,18 +204,16 @@ RunReport PersistentPool::run(const Runtime::Config& config,
     report.degraded = report.degraded || r.died;
   }
   report.killed = job.shared.kill_all.load(std::memory_order_acquire);
-  report.stalls_converted =
-      job.shared.stalls_converted.load(std::memory_order_relaxed);
+  report.stalls_converted = job.shared.stalls_converted.load(std::memory_order_relaxed);
   if (report.killed || report.degraded) {
     report.error_class = report.stalls_converted > 0 ? ErrorClass::kTimeout
                                                      : ErrorClass::kFault;
   }
   jobs_served_.fetch_add(1, std::memory_order_relaxed);
-  // A rank threw a real (non-RankKilled) exception: the job failed. Surface
-  // it to the caller — the pool itself stays healthy (per-job SharedState,
-  // resident threads already parked for the next job).
+  // The pool stays healthy after a failed job: per-job SharedState, and the
+  // resident threads are already parked for the next one.
   if (job.error) std::rethrow_exception(job.error);
-  return report;
+  return std::move(report);
 }
 
 }  // namespace gbpol::mpisim

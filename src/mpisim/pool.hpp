@@ -1,15 +1,15 @@
-// Persistent rank-thread pool for the serving layer.
+// Persistent rank-thread pool: the one place an mpisim job runs.
 //
-// Runtime::run (runtime.hpp) spawns and joins one OS thread per rank for
-// every call — the right shape for a single batch job, but a serving loop
-// pays that rank setup on every request. PersistentPool keeps the rank
-// threads alive across jobs: construction spawns `ranks` workers once, each
+// A PersistentPool keeps `ranks` worker threads alive across jobs. Each
 // run() builds a fresh per-job SharedState (collective sequence numbers,
-// fault schedules and kill flags are per job, exactly as in Runtime::run),
-// wakes the workers, and blocks until they all finish the job. The ONLY
-// thing amortized is thread creation/teardown; the per-job execution body is
-// the same as Runtime::run's, so a pooled job returns a bit-identical
-// RunReport to an unpooled one with the same Config and rank function.
+// fault schedules and kill flags are per job), wakes the workers, and blocks
+// until they all finish the job. The job body — the per-rank step, the
+// supervisor watchdog and the report finalize — is written once, here:
+// Runtime::run is a one-shot pool, so a job on a service's resident threads
+// returns a bit-identical RunReport to a job on fresh threads with the same
+// Config and rank function, and fails the same way (runtime.hpp, "Failure
+// contract"). The only thing a long-lived pool amortizes is thread creation
+// and teardown.
 //
 // A job whose Config::ranks differs from the pool width cannot reuse the
 // resident threads; run() transparently falls back to Runtime::run so
@@ -18,14 +18,10 @@
 //
 // Threading contract: run() may be called from one thread at a time (the
 // service serializes dispatch); worker threads are joined by the destructor.
-// RankKilled unwinds a worker's JOB, not the worker thread — the thread
-// parks again and serves the next job, which is what makes the pool safe
-// under the fault-injection plans. Any OTHER exception thrown by a rank
-// function fails that JOB, not the process: the rank retires with die_now's
-// bookkeeping (peers unwind promptly via kill_all), and run() rethrows the
-// first such exception to its caller once the job drains — the pool remains
-// usable for the next job. This is what lets the multi-tenant service
-// quarantine one bad request instead of losing every tenant's queued work.
+// A rank that dies or throws ends the worker's JOB, not the worker thread:
+// the thread parks again and serves the next job. This is what lets the
+// multi-tenant service quarantine one bad request instead of losing every
+// tenant's queued work.
 #pragma once
 
 #include <atomic>
@@ -54,15 +50,13 @@ class PersistentPool {
     return jobs_served_.load(std::memory_order_relaxed);
   }
 
-  // Same contract as Runtime::run, except that a rank function throwing a
-  // non-RankKilled exception fails the job (run() rethrows it) instead of
-  // terminating the process. Falls back to a one-shot Runtime::run when
-  // config.ranks does not match the pool width.
+  // Runtime::run's contract, on the resident threads. Falls back to a
+  // one-shot Runtime::run when config.ranks does not match the pool width.
   RunReport run(const Runtime::Config& config,
                 const std::function<void(Comm&)>& rank_fn);
 
  private:
-  struct Job;  // per-job shared state + report + rank function
+  struct Job;  // per-job shared state, report, supervisor and rank function
 
   void worker_main(int rank);
 

@@ -1,15 +1,8 @@
 #include "mpisim/runtime.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <exception>
-#include <thread>
 
-#include "mpisim/shared_state.hpp"
-#include "obs/trace.hpp"
-#include "support/timer.hpp"
+#include "mpisim/pool.hpp"
 
 namespace gbpol::mpisim {
 
@@ -40,125 +33,8 @@ std::uint64_t RunReport::total_bytes_sent() const {
 }
 
 RunReport Runtime::run(const Config& config, const std::function<void(Comm&)>& rank_fn) {
-  const int ranks = std::max(1, config.ranks);
-  SharedState shared(config.cluster, ranks, std::max(1, config.threads_per_rank),
-                     config.faults, config.recv_watchdog_seconds, config.kill,
-                     config.corruption, config.integrity_guards);
-
-  RunReport report;
-  report.ranks.resize(static_cast<std::size_t>(ranks));
-
-  // Supervisor watchdog: samples the per-rank heartbeats and converts any
-  // live rank whose logical clock stagnates past the timeout. Actuation is
-  // via the stall_break flag, which only a rank parked in the stall state
-  // reacts to, so a rank legitimately blocked at a barrier (also stagnant)
-  // is never harmed by the conversion attempt.
-  std::atomic<bool> supervisor_done{false};
-  std::thread supervisor;
-  if (config.stall_timeout_seconds > 0.0) {
-    supervisor = std::thread([&shared, &supervisor_done, ranks,
-                              timeout = config.stall_timeout_seconds] {
-      using clock = std::chrono::steady_clock;
-      const auto period =
-          std::chrono::duration<double>(std::min(timeout / 4.0, 0.05));
-      std::vector<std::uint64_t> last(static_cast<std::size_t>(ranks), 0);
-      std::vector<clock::time_point> since(static_cast<std::size_t>(ranks),
-                                           clock::now());
-      while (!supervisor_done.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(period);
-        const auto now = clock::now();
-        for (int r = 0; r < ranks; ++r) {
-          const auto i = static_cast<std::size_t>(r);
-          if (shared.is_dead(r)) {
-            since[i] = now;
-            continue;
-          }
-          const std::uint64_t hb =
-              shared.heartbeat[i].load(std::memory_order_relaxed);
-          if (hb != last[i]) {
-            last[i] = hb;
-            since[i] = now;
-            continue;
-          }
-          if (std::chrono::duration<double>(now - since[i]).count() < timeout)
-            continue;
-          std::lock_guard<std::mutex> lock(shared.stall_mutex);
-          shared.stall_break[i].store(true, std::memory_order_release);
-          shared.stall_cv.notify_all();
-        }
-      }
-    });
-  }
-
-  obs::emit(obs::EventKind::kRunBegin, static_cast<std::uint64_t>(ranks));
-  WallTimer wall;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      obs::set_thread_rank(r);
-      Comm comm(shared, r);
-      RankResult& res = report.ranks[static_cast<std::size_t>(r)];
-      // A throwing rank would leave peers blocked at a barrier with no safe
-      // recovery, exactly like a crashed MPI process: fail fast instead. The
-      // one exception is a scheduled death (RankKilled): the dying rank has
-      // already dropped out of the barrier group, so its thread just retires
-      // while survivors carry on (or fail fast themselves if they use the
-      // non-ft collectives).
-      try {
-        rank_fn(comm);
-      } catch (const RankKilled&) {
-        res.died = true;
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "mpisim: rank %d terminated with exception: %s\n", r, e.what());
-        std::terminate();
-      }
-      // A rank thread that unwound mid-phase (death) leaves its TLS phase
-      // open; close it so phase intervals never dangle past the run.
-      obs::phase_end();
-      res.compute_seconds = comm.compute_seconds();
-      res.straggler_seconds = comm.straggler_seconds();
-      res.comm_seconds = comm.comm_seconds();
-      res.bytes_sent = comm.bytes_sent();
-      res.retries = comm.retries();
-      res.redistributed_work_items = comm.redistributed_work();
-      res.migrated_chunks = comm.migrated_chunks();
-      res.corruption_injected = comm.corruption_injected();
-      res.corruption_detected = comm.corruption_detected();
-      res.corruption_recomputed = comm.corruption_recomputed();
-      res.corruption_retransmits = comm.corruption_retransmits();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  // "Merge at finalize": the joins above order every rank's metric slot
-  // writes before these reads and before stop_session's drain.
-  for (int r = 0; r < ranks; ++r) {
-    const RankResult& res = report.ranks[static_cast<std::size_t>(r)];
-    obs::record_rank_totals(r, res.compute_seconds, res.straggler_seconds,
-                            res.comm_seconds, res.bytes_sent, res.retries,
-                            res.redistributed_work_items);
-  }
-  obs::emit(obs::EventKind::kRunEnd, static_cast<std::uint64_t>(ranks));
-  supervisor_done.store(true, std::memory_order_release);
-  if (supervisor.joinable()) supervisor.join();
-  report.wall_seconds = wall.seconds();
-  for (const RankResult& r : report.ranks) {
-    report.retries += r.retries;
-    report.redistributed_work_items += r.redistributed_work_items;
-    report.migrated_chunks += r.migrated_chunks;
-    report.corruption_injected += r.corruption_injected;
-    report.corruption_detected += r.corruption_detected;
-    report.corruption_recomputed += r.corruption_recomputed;
-    report.corruption_retransmits += r.corruption_retransmits;
-    report.degraded = report.degraded || r.died;
-  }
-  report.killed = shared.kill_all.load(std::memory_order_acquire);
-  report.stalls_converted = shared.stalls_converted.load(std::memory_order_relaxed);
-  if (report.killed || report.degraded) {
-    report.error_class = report.stalls_converted > 0 ? ErrorClass::kTimeout
-                                                     : ErrorClass::kFault;
-  }
-  return report;
+  PersistentPool pool(config.ranks);
+  return pool.run(config, rank_fn);
 }
 
 }  // namespace gbpol::mpisim

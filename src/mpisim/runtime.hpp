@@ -1,8 +1,8 @@
 // Launching entry point for the in-process message-passing runtime.
 //
-// Runtime::run spawns `ranks` OS threads, hands each a Comm, executes the
-// same rank function on all of them (SPMD, like mpirun), joins, and returns
-// per-rank accounting plus the modeled cluster makespan:
+// Runtime::run starts `ranks` OS threads, hands each a Comm, executes the
+// same rank function on all of them (SPMD, like mpirun), waits for every
+// rank, and returns per-rank accounting plus the modeled cluster makespan:
 //
 //   modeled_seconds = max over ranks of (measured compute
 //                                        + modeled straggler surplus
@@ -14,12 +14,20 @@
 // is analytic. This is the substitution that lets the paper's 144-core
 // experiments run on any machine (see DESIGN.md).
 //
-// Fault injection: Config::faults carries a deterministic FaultPlan
-// (mpisim/faults.hpp). A rank scheduled to die throws RankKilled from its
-// collective entry; the runtime retires that thread, keeps its accounting,
-// and marks the report degraded. Rank functions wanting to SURVIVE peer
-// death must use the `_ft` collectives (comm.hpp) and run their own
-// recovery; the plain collectives fail fast instead of deadlocking.
+// One job body: Runtime::run is a one-shot PersistentPool (pool.hpp), so a
+// job run on fresh threads and a job run on a service's resident threads
+// execute the same per-rank step, supervisor and finalize, and return the
+// same RunReport.
+//
+// Failure contract. A rank scheduled to die (Config::faults) throws
+// RankKilled from its collective entry; the rank retires, keeps its
+// accounting, and the report is marked degraded. Rank functions wanting to
+// SURVIVE peer death use the `_ft` collectives (comm.hpp) and run their own
+// recovery; the plain collectives throw CommFailure instead of deadlocking.
+// A rank that throws anything other than RankKilled fails the JOB, never
+// the process: it retires with the death path's bookkeeping, raises
+// kill_all so its peers abandon at their next poll or collective entry,
+// and run() rethrows the first such exception once every rank has drained.
 //
 // Supervisor watchdog: with Config::stall_timeout_seconds > 0 the runtime
 // runs a monitor thread sampling each rank's logical-progress heartbeat
@@ -110,8 +118,9 @@ class Runtime {
     double stall_timeout_seconds = 0.0;
   };
 
-  // Blocks until every rank returns. The rank function must not throw
-  // (RankKilled, thrown by the fault layer, is the one handled exception).
+  // Blocks until every rank returns. Rethrows the first exception other
+  // than RankKilled that a rank function threw (see the failure contract
+  // above).
   static RunReport run(const Config& config,
                        const std::function<void(Comm&)>& rank_fn);
 };

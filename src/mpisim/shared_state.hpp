@@ -93,6 +93,23 @@ struct SharedState {
     return dead[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
   }
 
+  // Retires rank `r` from the job: marks it dead, arrives once for the
+  // phase peers may be waiting on, drops it from every later phase, and
+  // wakes blocked receivers so they re-check its liveness.
+  void retire(int r) {
+    dead[static_cast<std::size_t>(r)].store(true, std::memory_order_release);
+    sync.arrive_and_drop();
+    wake_all_mailboxes();
+  }
+
+  // Raises kill_all: every rank abandons at its next poll or collective
+  // entry. Parked stalls wait on kill_all too, so they are woken to exit.
+  void raise_kill() {
+    kill_all.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(stall_mutex);
+    stall_cv.notify_all();
+  }
+
   int ranks;
   RankMap map;
   CostModel cost;

@@ -156,6 +156,41 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
   o = serial_options();
   o.checkpoint.dir = dir;
   add("checkpoint serial", "checkpoint.dir", o);
+  o = serial_options();
+  o.ranks = 4;
+  add("ranks serial", "ranks", o);
+  o = cilk_options(2);
+  o.ranks = 2;
+  add("ranks cilk", "ranks", o);
+  o = serial_options();
+  o.threads_per_rank = 3;
+  add("threads serial", "threads_per_rank", o);
+  o = cilk_options(2);
+  o.division = WorkDivision::kAtomBased;
+  add("kAtomBased cilk", "division", o);
+  o = serial_options();
+  o.faults.deaths.push_back({1, 0});
+  add("death serial", "faults", o);
+  o = cilk_options(2);
+  o.faults.delays.push_back({0, 1, 0, 1e-3});
+  add("delay cilk", "faults", o);
+  o = serial_options();
+  o.corruption.hot_arrays.push_back({0, mpisim::CorruptionPlan::kBornPartials, 0, 7});
+  add("corruption serial", "corruption", o);
+  o = cilk_options(2);
+  o.stall_timeout_seconds = 0.5;
+  add("supervised cilk", "stall_timeout_seconds", o);
+
+  // Deaths and stalls on kAtomBased, whose plain collectives cannot recover.
+  o = distributed_options(3);
+  o.division = WorkDivision::kAtomBased;
+  o.faults.deaths.push_back({2, 0});
+  add("death kAtomBased", "faults", o);
+  o = distributed_options(3);
+  o.division = WorkDivision::kAtomBased;
+  o.faults.stalls.push_back({1, 1});
+  o.stall_timeout_seconds = 0.5;
+  add("stall kAtomBased", "faults", o);
 
   const Engine engine(*prep_);
   for (const Rejected& row : table) {

@@ -4,11 +4,14 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mpisim/costmodel.hpp"
+#include "mpisim/pool.hpp"
 
 namespace gbpol::mpisim {
 namespace {
@@ -259,6 +262,113 @@ TEST(RuntimeTest, BarrierSynchronizesPhases) {
     if (phase1.load() != 4) violation.store(true);
   });
   EXPECT_FALSE(violation.load());
+}
+
+// --- failure contract ----------------------------------------------------
+// A rank that throws anything but RankKilled fails its job, never the
+// process: both entry points rethrow the first such exception once every
+// rank has drained, and a pool's resident threads serve the next job.
+
+// Every deterministic RunReport field (wall and compute times are measured).
+void expect_same_accounting(const RunReport& a, const RunReport& b) {
+  ASSERT_EQ(a.ranks.size(), b.ranks.size());
+  for (std::size_t r = 0; r < a.ranks.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(a.ranks[r].comm_seconds, b.ranks[r].comm_seconds);
+    EXPECT_EQ(a.ranks[r].bytes_sent, b.ranks[r].bytes_sent);
+    EXPECT_EQ(a.ranks[r].retries, b.ranks[r].retries);
+    EXPECT_EQ(a.ranks[r].redistributed_work_items, b.ranks[r].redistributed_work_items);
+    EXPECT_EQ(a.ranks[r].migrated_chunks, b.ranks[r].migrated_chunks);
+    EXPECT_EQ(a.ranks[r].corruption_injected, b.ranks[r].corruption_injected);
+    EXPECT_EQ(a.ranks[r].corruption_detected, b.ranks[r].corruption_detected);
+    EXPECT_EQ(a.ranks[r].corruption_recomputed, b.ranks[r].corruption_recomputed);
+    EXPECT_EQ(a.ranks[r].corruption_retransmits, b.ranks[r].corruption_retransmits);
+    EXPECT_EQ(a.ranks[r].died, b.ranks[r].died);
+  }
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.redistributed_work_items, b.redistributed_work_items);
+  EXPECT_EQ(a.migrated_chunks, b.migrated_chunks);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.killed, b.killed);
+  EXPECT_EQ(a.stalls_converted, b.stalls_converted);
+  EXPECT_EQ(a.error_class, b.error_class);
+}
+
+TEST(RuntimeFailureTest, ThrowingRankRethrowsToTheCaller) {
+  Runtime::Config config;
+  config.ranks = 3;
+  EXPECT_THROW(Runtime::run(config,
+                            [](Comm& comm) {
+                              if (comm.rank() == 2) throw std::runtime_error("bad rank");
+                              // Released by the failing rank's retirement.
+                              comm.barrier();
+                            }),
+               std::runtime_error);
+}
+
+TEST(RuntimeFailureTest, PlainCollectiveMeetingADeathFailsTheJobOnBothEntryPoints) {
+  Runtime::Config config;
+  config.ranks = 3;
+  config.faults.deaths.push_back({1, 0});
+  const auto job = [](Comm& comm) {
+    double v[1] = {1.0 + comm.rank()};
+    comm.allreduce_sum(v);
+  };
+  try {
+    Runtime::run(config, job);
+    ADD_FAILURE() << "Runtime::run returned";
+  } catch (const CommFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("allreduce_sum observed a dead rank"),
+              std::string::npos)
+        << e.what();
+  }
+  PersistentPool pool(3);
+  EXPECT_THROW(pool.run(config, job), CommFailure);
+
+  // The pool serves the next, fault-free job exactly as a fresh pool does.
+  config.faults = {};
+  const auto clean = [](Comm& comm) {
+    double v[2] = {1.0 + comm.rank(), 0.5};
+    comm.allreduce_sum(v);
+    if (comm.rank() == 0) comm.send<double>(std::span<const double>(v, 2), 2, 3);
+    if (comm.rank() == 2) comm.recv<double>(std::span<double>(v, 2), 0, 3);
+    comm.barrier();
+  };
+  const RunReport reused = pool.run(config, clean);
+  EXPECT_FALSE(reused.degraded);
+  PersistentPool fresh(3);
+  expect_same_accounting(reused, fresh.run(config, clean));
+}
+
+TEST(RuntimeFailureTest, PlainRecvFromASilentPeerThrowsCommFailure) {
+  Runtime::Config config;
+  config.ranks = 2;
+  config.recv_watchdog_seconds = 0.2;
+  try {
+    Runtime::run(config, [](Comm& comm) {
+      if (comm.rank() != 0) return;  // rank 1 never sends
+      double v[1] = {0.0};
+      comm.recv<double>(v, 1, 7);
+    });
+    ADD_FAILURE() << "Runtime::run returned";
+  } catch (const CommFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("watchdog timeout"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RuntimeFailureTest, MismatchedRecvSizeThrowsLogicError) {
+  Runtime::Config config;
+  config.ranks = 2;
+  EXPECT_THROW(Runtime::run(config,
+                            [](Comm& comm) {
+                              double v[2] = {1.0, 2.0};
+                              if (comm.rank() == 1)
+                                comm.send<double>(std::span<const double>(v, 2), 0, 1);
+                              else
+                                comm.recv<double>(std::span<double>(v, 1), 1, 1);
+                            }),
+               std::logic_error);
 }
 
 }  // namespace

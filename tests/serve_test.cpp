@@ -505,7 +505,9 @@ TEST(ServeTest, ServiceNeutralizesEngineLevelTraceAndCampaignRouting) {
 TEST(ServeTest, UnroutableRunShapeThrowsAtConstruction) {
   // The constructor checks the run shape once through Engine's route(): a
   // shape no driver runs fails here, naming the field, rather than retrying
-  // and then quarantining every request the service accepts. Delta routing
+  // and then quarantining every request the service accepts. kAtomBased
+  // with a scheduled death is refused: its plain collectives would fail
+  // every request. Delta routing
   // runs TrajectoryDriver steps, which walk kList only, so a kRecursive
   // shape is refused with it on.
   const auto expect_refused = [](const ServiceOptions& o, const char* field) {
@@ -524,6 +526,10 @@ TEST(ServeTest, UnroutableRunShapeThrowsAtConstruction) {
   options.run.distribution = DataDistribution::kOwned;
   options.run.division = WorkDivision::kAtomBased;
   expect_refused(options, "division");
+  options.run = distributed_options(2);
+  options.run.division = WorkDivision::kAtomBased;
+  options.run.faults.deaths.push_back({1, 0});  // no recovery on this shape
+  expect_refused(options, "faults");
   options.run = distributed_options(2);
   options.run.traversal = TraversalMode::kRecursive;
   expect_refused(options, "traversal");
