@@ -21,7 +21,7 @@ int main() {
 
   // Octree: one build, any parameter.
   ThreadCpuTimer timer;
-  const Octree tree = Octree::build(pos, {.leaf_capacity = 32, .max_depth = 20});
+  const Octree tree = Octree::build(pos, {.leaf_capacity = 32, .max_depth = 20, .domain = {}});
   const double octree_build = timer.seconds();
   const double octree_mib = tree.footprint().mib();
   std::printf("octree: %.2f MiB, built in %.4f s (cutoff-independent)\n\n", octree_mib,

@@ -178,7 +178,8 @@ BENCHMARK(BM_MortonEncode)->Arg(1 << 12)->Arg(1 << 16);
 void BM_OctreeBuild(benchmark::State& state) {
   const auto pts = random_points(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Octree::build(pts, {.leaf_capacity = 32, .max_depth = 20}));
+    benchmark::DoNotOptimize(
+        Octree::build(pts, {.leaf_capacity = 32, .max_depth = 20, .domain = {}}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

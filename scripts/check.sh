@@ -6,7 +6,8 @@
 # the distributed_data ghost-exchange prototype, WorkDivision::kDynamic,
 # Comm::charge_rpc, the canonical_reduction opt-in, the legacy checkpoint
 # chunking, the kNodeBalanced relay-chain reduction and the second traversal
-# knob on ApproxParams with its driver dispatchers) must not reappear
+# knob on ApproxParams with its driver dispatchers, and the oct_cilk
+# dual-tree driver) must not reappear
 # anywhere (the Engine/Service API
 # surface is final; one canonical chunk-fold driver), the Engine drivers
 # (src/core/drivers.cpp) must evaluate the interaction walk as it runs and
@@ -82,8 +83,10 @@ echo "=== grep gate: superseded distributed paths stay deleted ==="
 # is the one traversal knob and oct_serial its one reader: ApproxParams lost
 # its copy, and the drivers' traversal dispatchers (accumulate_epol,
 # finish_epol, epol_energy) and the recursive raw-sum entry point went with
-# it. None of them may come back.
-if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves|build_lists_parallel|build_interaction_lists_parallel|list_grain|kNodeBalanced|leaf_segments_by_points|kTagBornChain|kTagBornSlice|kTagEpolChain|oct_distributed|Driver::kDistributed|params\.traversal|approx\.traversal|finish_epol\(|accumulate_epol\(|epol_energy\(|accumulate_energy_leaf_range' \
+# it. OCT_CILK is the canonical fold at 1 x p, so the oct_cilk driver, its
+# pair-frontier tasks and the solvers' dual-tree recursion are gone (the
+# "oct_cilk" package label stays). None of them may come back.
+if grep -rnE 'oct_balanced|distributed_data|run_oct_data_distributed|WorkDivision::kDynamic|charge_rpc|canonical_reduction|checkpoint\.chunk_leaves|build_lists_parallel|build_interaction_lists_parallel|list_grain|kNodeBalanced|leaf_segments_by_points|kTagBornChain|kTagBornSlice|kTagEpolChain|oct_distributed|Driver::kDistributed|params\.traversal|approx\.traversal|finish_epol\(|accumulate_epol\(|epol_energy\(|accumulate_energy_leaf_range|\boct_cilk\(|detail::oct_cilk|expand_pair_frontier|PoolPhase|dual_subtree|dual_tree|recurse_dual|Driver::kCilk' \
     src bench tests examples 2>/dev/null; then
   echo "check.sh: superseded distributed path found in-tree (use Engine::run; route() picks oct_canonical, or oct_atom_based for kAtomBased)" >&2
   exit 1

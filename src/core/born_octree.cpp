@@ -142,63 +142,6 @@ void BornSolver::accumulate_qleaf_range(std::uint32_t leaf_lo, std::uint32_t lea
   }
 }
 
-template <int Power, bool Dipole>
-void BornSolver::dual_subtree(std::uint32_t atom_node_id, std::uint32_t q_node_id,
-                              BornAccumulator& acc) const {
-  const OctreeNode& a = prep_->atoms_tree.node(atom_node_id);
-  const OctreeNode& q = prep_->q_tree.node(q_node_id);
-
-  if (is_far(a, q)) {
-    const Vec3 diff = q.centroid - a.centroid;
-    const double d2 = norm2(diff);
-    double term = kernel_term<Power>(prep_->node_weighted_normal[q_node_id], diff, d2);
-    if constexpr (Dipole) {
-      term += dipole_term<Power>(prep_->node_moment[q_node_id], diff, d2);
-    }
-    acc.node_s(atom_node_id) += term;
-    return;
-  }
-  if (a.is_leaf() && q.is_leaf()) {
-    born_near_aos<Power>(prep_->atoms_tree.points().data(), a.begin, a.end,
-                         prep_->q_tree.points().data(), prep_->weighted_normal.data(),
-                         q.begin, q.end, acc.atom_s_data());
-    return;
-  }
-  // Recurse into the side with the larger extent (splitting the bigger node
-  // first shrinks the pair bound fastest); a leaf side cannot split.
-  const bool split_a = !a.is_leaf() && (q.is_leaf() || a.radius >= q.radius);
-  if (split_a) {
-    for (std::uint8_t c = 0; c < a.child_count; ++c)
-      dual_subtree<Power, Dipole>(static_cast<std::uint32_t>(a.first_child) + c,
-                                  q_node_id, acc);
-  } else {
-    for (std::uint8_t c = 0; c < q.child_count; ++c)
-      dual_subtree<Power, Dipole>(atom_node_id,
-                                  static_cast<std::uint32_t>(q.first_child) + c, acc);
-  }
-}
-
-void BornSolver::accumulate_dual_subtree(std::uint32_t atom_node_id,
-                                         std::uint32_t q_node_id,
-                                         BornAccumulator& acc) const {
-  if (kernel_ == RadiusKernel::kR6) {
-    if (dipole_)
-      dual_subtree<6, true>(atom_node_id, q_node_id, acc);
-    else
-      dual_subtree<6, false>(atom_node_id, q_node_id, acc);
-  } else {
-    if (dipole_)
-      dual_subtree<4, true>(atom_node_id, q_node_id, acc);
-    else
-      dual_subtree<4, false>(atom_node_id, q_node_id, acc);
-  }
-}
-
-void BornSolver::accumulate_dual_tree(BornAccumulator& acc) const {
-  if (prep_->atoms_tree.empty() || prep_->q_tree.empty()) return;
-  accumulate_dual_subtree(0, 0, acc);
-}
-
 ListBuildParams BornSolver::list_params(std::uint32_t q_leaf_lo,
                                         std::uint32_t q_leaf_hi) const {
   return {.far_multiplier = far_multiplier_,

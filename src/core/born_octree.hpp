@@ -1,18 +1,12 @@
 // Octree-based r^6 Born-radius approximation (Fig. 2 of the paper).
 //
-// Two traversal strategies are provided:
+// APPROX-INTEGRALS: the modified algorithm of the paper — for each LEAF Q of
+// the quadrature-point octree, traverse the atoms octree; far (A, Q) pairs
+// deposit one aggregated term into s_A, near leaf pairs compute exact
+// per-atom terms. Every driver divides it by Q-leaf segments (node-based
+// division).
 //
-//  * Single-tree (APPROX-INTEGRALS): the modified algorithm of the paper —
-//    for each LEAF Q of the quadrature-point octree, traverse the atoms
-//    octree; far (A, Q) pairs deposit one aggregated term into s_A, near
-//    leaf pairs compute exact per-atom terms. This is the algorithm the
-//    distributed drivers divide by Q-leaf segments (node-based division).
-//
-//  * Dual-tree (the prior shared-memory algorithm of [6]/[7], used by
-//    OCT_CILK): both octrees are traversed simultaneously from their roots,
-//    so far-field aggregation also happens at INTERNAL quadrature nodes.
-//
-// Both deposit into a BornAccumulator (per-node s_A + per-atom s_a), which
+// It deposits into a BornAccumulator (per-node s_A + per-atom s_a), which
 // PUSH-INTEGRALS-TO-ATOMS then resolves top-down into Born radii:
 //   R_a = clamp( ((s_a + sum of ancestor s_A) / 4pi)^(-1/3), r_a, R_max ).
 #pragma once
@@ -110,13 +104,6 @@ class BornSolver {
                                std::span<const std::uint32_t> entry_ids,
                                BornAccumulator& acc) const;
 
-  // Dual-tree pass over the full trees (OCT_CILK algorithm), serial.
-  void accumulate_dual_tree(BornAccumulator& acc) const;
-  // Dual-tree restricted to one atoms-subtree (used for parallel spawns:
-  // distinct atom subtrees write disjoint accumulator entries).
-  void accumulate_dual_subtree(std::uint32_t atom_node, std::uint32_t q_node,
-                               BornAccumulator& acc) const;
-
   // PUSH-INTEGRALS-TO-ATOMS for sorted atom slots in [atom_lo, atom_hi);
   // writes R into born_sorted (atoms_tree order, full-size span).
   void push_to_atoms(const BornAccumulator& acc, std::uint32_t atom_lo,
@@ -148,9 +135,6 @@ class BornSolver {
   void near_entries_impl(const InteractionLists& lists,
                          std::span<const std::uint32_t> entry_ids,
                          BornAccumulator& acc) const;
-  template <int Power, bool Dipole>
-  void dual_subtree(std::uint32_t atom_node, std::uint32_t q_node,
-                    BornAccumulator& acc) const;
   void push_recursive(const BornAccumulator& acc, std::uint32_t atom_node,
                       double inherited, std::uint32_t atom_lo, std::uint32_t atom_hi,
                       std::span<double> born_sorted) const;

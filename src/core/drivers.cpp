@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -25,47 +24,6 @@
 
 namespace gbpol {
 namespace {
-
-// A dual-tree task: all interactions between subtree `a` of one octree and
-// subtree `b` of another. expand_pair_frontier splits the recursion
-// breadth-first until at least `min_tasks` independent tasks exist, so the
-// work-stealing pool has parallel slack; each task is then evaluated by the
-// solvers' *_dual_subtree entry points.
-struct PairTask {
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-};
-
-std::vector<PairTask> expand_pair_frontier(const Octree& tree_a, const Octree& tree_b,
-                                           double far_multiplier,
-                                           std::size_t min_tasks) {
-  std::vector<PairTask> terminal;
-  std::deque<PairTask> frontier;
-  if (tree_a.empty() || tree_b.empty()) return terminal;
-  frontier.push_back({0, 0});
-  while (!frontier.empty() && terminal.size() + frontier.size() < min_tasks) {
-    const PairTask pair = frontier.front();
-    frontier.pop_front();
-    const OctreeNode& a = tree_a.node(pair.a);
-    const OctreeNode& b = tree_b.node(pair.b);
-    const double reach = (a.radius + b.radius) * far_multiplier;
-    const bool far = distance2(a.centroid, b.centroid) > reach * reach;
-    if (far || (a.is_leaf() && b.is_leaf())) {
-      terminal.push_back(pair);
-      continue;
-    }
-    const bool split_a = !a.is_leaf() && (b.is_leaf() || a.radius >= b.radius);
-    if (split_a) {
-      for (std::uint8_t c = 0; c < a.child_count; ++c)
-        frontier.push_back({static_cast<std::uint32_t>(a.first_child) + c, pair.b});
-    } else {
-      for (std::uint8_t c = 0; c < b.child_count; ++c)
-        frontier.push_back({pair.a, static_cast<std::uint32_t>(b.first_child) + c});
-    }
-  }
-  terminal.insert(terminal.end(), frontier.begin(), frontier.end());
-  return terminal;
-}
 
 // 12000 is the owned-mode Born halo exchange (core/halo_exchange.cpp);
 // 12001 gathers the owned Born slices to the writer at the end of an owned
@@ -139,23 +97,6 @@ std::uint64_t traced_chunk(std::uint64_t lo, std::uint64_t hi, obs::PhaseId phas
   obs::emit(obs::EventKind::kChunkDone, lo, hi, arg);
   return ns;
 }
-
-// Phase bracket for pool phases: returns max-over-workers busy seconds.
-class PoolPhase {
- public:
-  explicit PoolPhase(ws::Scheduler& sched) : sched_(sched) { sched_.reset_stats(); }
-  double finish() {
-    const auto st = sched_.stats();
-    steals = st.steals;
-    tasks = st.tasks_executed;
-    return st.max_busy();
-  }
-  std::uint64_t steals = 0;
-  std::uint64_t tasks = 0;
-
- private:
-  ws::Scheduler& sched_;
-};
 
 // Scheduled snapshot-byte corruption (CorruptionPlan::SnapshotBytes): flip
 // one bit of a just-committed snapshot file, anywhere past the 8-byte magic
@@ -255,84 +196,6 @@ RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
   result.compute_seconds = cpu.seconds();
   result.wall_seconds = wall.seconds();
   result.replicated_bytes = prep.replicated_footprint().bytes;
-  return result;
-}
-
-RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
-                   const GBConstants& constants, int threads) {
-  RunResult result;
-  result.threads_per_rank = std::max(1, threads);
-  WallTimer wall;
-
-  ws::Scheduler sched(result.threads_per_rank);
-  const BornSolver born_solver(prep, params);
-  const std::size_t min_tasks = static_cast<std::size_t>(16 * result.threads_per_rank);
-
-  // Born phase: dual-tree tasks into per-worker accumulators (two tasks may
-  // share an atoms subtree, so a shared accumulator would race).
-  const auto born_tasks = expand_pair_frontier(prep.atoms_tree, prep.q_tree,
-                                               params.born_far_multiplier(), min_tasks);
-  std::vector<BornAccumulator> worker_acc(
-      static_cast<std::size_t>(result.threads_per_rank));
-  for (auto& acc : worker_acc) acc = born_solver.make_accumulator();
-
-  obs::phase_begin(obs::PhaseId::kBornAccum);
-  PoolPhase born_phase(sched);
-  ws::parallel_for(sched, 0, born_tasks.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    auto& acc = worker_acc[static_cast<std::size_t>(ws::Scheduler::worker_id())];
-    for (std::size_t i = lo; i < hi; ++i)
-      born_solver.accumulate_dual_subtree(born_tasks[i].a, born_tasks[i].b, acc);
-  });
-  result.compute_seconds += born_phase.finish();
-  result.steals += born_phase.steals;
-  result.tasks += born_phase.tasks;
-
-  // Merge per-worker accumulators in worker order (deterministic), then push.
-  ThreadCpuTimer merge_cpu;
-  BornAccumulator& acc = worker_acc.front();
-  for (std::size_t w = 1; w < worker_acc.size(); ++w) acc.add(worker_acc[w]);
-  result.compute_seconds += merge_cpu.seconds();
-
-  result.born_sorted.assign(prep.num_atoms(), 0.0);
-  const std::uint32_t n_atoms = static_cast<std::uint32_t>(prep.num_atoms());
-  obs::phase_begin(obs::PhaseId::kPush);
-  PoolPhase push_phase(sched);
-  ws::parallel_for(sched, 0, n_atoms,
-                   std::max<std::size_t>(1, n_atoms / min_tasks),
-                   [&](std::size_t lo, std::size_t hi) {
-                     born_solver.push_to_atoms(acc, static_cast<std::uint32_t>(lo),
-                                               static_cast<std::uint32_t>(hi),
-                                               result.born_sorted);
-                   });
-  result.compute_seconds += push_phase.finish();
-
-  // Energy phase: deterministic parallel reduction over dual-tree tasks.
-  ThreadCpuTimer bins_cpu;
-  const EpolSolver epol_solver(prep, result.born_sorted, params, constants);
-  const auto epol_tasks = expand_pair_frontier(prep.atoms_tree, prep.atoms_tree,
-                                               params.epol_far_multiplier(), min_tasks);
-  result.compute_seconds += bins_cpu.seconds();
-
-  obs::phase_begin(obs::PhaseId::kEpol);
-  PoolPhase epol_phase(sched);
-  result.energy = ws::parallel_reduce<double>(
-      sched, 0, epol_tasks.size(), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        double sum = 0.0;
-        for (std::size_t i = lo; i < hi; ++i)
-          sum += epol_solver.energy_dual_subtree(epol_tasks[i].a, epol_tasks[i].b);
-        return sum;
-      },
-      [](double l, double r) { return l + r; });
-  result.compute_seconds += epol_phase.finish();
-  result.steals += epol_phase.steals;
-  result.tasks += epol_phase.tasks;
-  obs::phase_end();
-
-  result.wall_seconds = wall.seconds();
-  // One address space: data is shared, accumulators are per worker.
-  result.replicated_bytes = prep.replicated_footprint().bytes +
-                            worker_acc.size() * acc.flat().size_bytes();
   return result;
 }
 
@@ -445,8 +308,8 @@ RunResult oct_atom_based(const Prepared& prep, const ApproxParams& params,
 // chunk order. The fold's result depends only on the chunk boundaries —
 // never on the assignment, the thread or the data distribution — so
 // kStatic, kCostModel and kSteal agree to the last bit, replicated and
-// owned runs agree to the last bit, P x p agrees with (P*p) x 1, and so do
-// recovered and resumed runs.
+// owned runs agree to the last bit, P x p agrees with (P*p) x 1 (OCT_CILK
+// is the 1 x p shape), and so do recovered and resumed runs.
 //
 // Each phase synchronizes on a 1-double token allreduce whose abort is the
 // death-recovery point — deaths fire only at collective entries, so a rank
@@ -685,6 +548,11 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
             support::crc32(epol_raws[c].data(), epol_raws[c].size() * sizeof(double));
   }
 
+  // Intra-rank work stealing (RunResult::steals/tasks), summed over every
+  // hybrid rank's pool dispatches.
+  std::atomic<std::uint64_t> pool_steals{0};
+  std::atomic<std::uint64_t> pool_tasks{0};
+
   mpisim::Runtime::Config rt;
   rt.ranks = P;
   rt.threads_per_rank = p;
@@ -908,6 +776,10 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
       const auto join = [&] {
         stop.store(true, std::memory_order_relaxed);
         sched->join();
+        const ws::Scheduler::Stats st = sched->stats();
+        sched->reset_stats();
+        pool_steals.fetch_add(st.steals, std::memory_order_relaxed);
+        pool_tasks.fetch_add(st.tasks_executed, std::memory_order_relaxed);
       };
       try {
         walk([&](std::size_t k) {
@@ -1377,6 +1249,8 @@ RunResult oct_canonical(const Prepared& prep, const ApproxParams& params,
   result.energy = energy_shared;
   result.wall_seconds = wall.seconds();
   result.resumed = resume;
+  result.steals = pool_steals.load();
+  result.tasks = pool_tasks.load();
   absorb_report(result, report);
   result.replicated_bytes =
       static_cast<std::size_t>(P) *

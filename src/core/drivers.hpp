@@ -2,8 +2,9 @@
 // throughout the paper's evaluation:
 //
 //   OCT_SERIAL    — single-threaded reference of the octree approximation
-//   OCT_CILK      — shared-memory dual-tree algorithm of [6]/[7] over the
-//                   work-stealing scheduler (paper's cilk++ implementation)
+//   OCT_CILK      — one rank of p worker threads (1 x p): the chunk fold of
+//                   OCT_MPI on the work-stealing scheduler (paper's cilk++
+//                   implementation)
 //   OCT_MPI       — Fig. 4 with P ranks, 1 thread each (pure distributed)
 //   OCT_MPI+CILK  — Fig. 4 with P ranks x p worker threads (hybrid): the
 //                   same chunk fold as OCT_MPI, each rank running its chunks

@@ -69,8 +69,9 @@ Driver route(const RunOptions& options) {
   const bool owned = options.distribution == DataDistribution::kOwned;
   const bool balanced = options.balance != BalancePolicy::kStatic;
 
-  // Shared-memory modes have no ranks to distribute, balance, fault, kill,
-  // supervise or checkpoint.
+  // Shared-memory modes have one rank, so nothing to distribute, balance,
+  // fault, kill, supervise or checkpoint. OCT_CILK is that one rank's pool
+  // running the canonical chunk fold: 1 x p, bit-identical to p x 1.
   if (mode != EngineMode::kDistributed) {
     if (options.ranks > 1) reject("ranks", "more than one rank needs a distributed run");
     if (mode == EngineMode::kSerial && options.threads_per_rank > 1)
@@ -87,7 +88,7 @@ Driver route(const RunOptions& options) {
       reject("stall_timeout_seconds", "stall supervision needs a distributed run");
     if (options.checkpoint.enabled())
       reject("checkpoint.dir", "checkpointing needs a distributed run");
-    return mode == EngineMode::kSerial ? Driver::kSerial : Driver::kCilk;
+    return mode == EngineMode::kSerial ? Driver::kSerial : Driver::kCanonical;
   }
 
   // Every kNodeNode shape — OCT_MPI and OCT_MPI+CILK alike — runs the
@@ -120,8 +121,6 @@ RunResult Engine::run(const RunOptions& options) const {
   switch (driver) {
     case Driver::kSerial:
       return detail::oct_serial(*prep_, params_, constants_, options.traversal);
-    case Driver::kCilk:
-      return detail::oct_cilk(*prep_, params_, constants_, options.threads_per_rank);
     case Driver::kCanonical:
       return detail::oct_canonical(*prep_, params_, constants_, options);
     case Driver::kAtomBased:

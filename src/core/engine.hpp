@@ -52,7 +52,7 @@ namespace gbpol {
 enum class EngineMode {
   kAuto,         // ranks > 1 -> distributed; threads > 1 -> cilk; else serial
   kSerial,       // OCT_SERIAL
-  kCilk,         // OCT_CILK (threads_per_rank workers)
+  kCilk,         // OCT_CILK: the canonical chunk fold at 1 x threads_per_rank
   kDistributed,  // OCT_MPI / OCT_MPI+CILK (honours ranks == 1 too)
 };
 
@@ -145,8 +145,8 @@ struct RunOptions {
   // Persistent rank-thread pool (mpisim/pool.hpp) for distributed shapes:
   // non-null runs the rank function on resident worker threads, amortizing
   // thread setup across requests (the serving layer's batching substrate);
-  // null spawns per-run threads. Bit-identical either way. Ignored by the
-  // serial/cilk modes. Borrowed — the pool must outlive the run.
+  // null spawns per-run threads. Bit-identical either way. Ignored by
+  // serial runs. Borrowed — the pool must outlive the run.
   mpisim::PersistentPool* pool = nullptr;
 };
 
@@ -183,7 +183,7 @@ inline RunOptions distributed_options(int ranks, int threads_per_rank = 1) {
 }
 
 // Merged result: the old DriverResult surface plus the per-rank accounting
-// the distributed runtime reports (empty rank_results for serial/cilk).
+// the rank runtime reports (empty rank_results for serial runs).
 struct RunResult {
   double energy = 0.0;                // kcal/mol
   std::vector<double> born_sorted;    // atoms_tree order
@@ -193,8 +193,8 @@ struct RunResult {
   double wall_seconds = 0.0;          // actual wall clock of the run, from
                                       // driver entry (host planning included)
 
-  std::uint64_t steals = 0;           // intra-rank work-stealing events
-  std::uint64_t tasks = 0;
+  std::uint64_t steals = 0;           // intra-rank work-stealing events and
+  std::uint64_t tasks = 0;            // pool tasks, summed over hybrid ranks
   std::size_t replicated_bytes = 0;   // modeled memory across all ranks
 
   // Owned-mode memory accounting (DataDistribution::kOwned runs only): the
@@ -259,11 +259,11 @@ struct RunResult {
 // The driver a RunOptions runs on.
 enum class Driver {
   kSerial,       // detail::oct_serial (OCT_SERIAL)
-  kCilk,         // detail::oct_cilk (OCT_CILK)
   kAtomBased,    // detail::oct_atom_based (the one-thread kAtomBased
                  // ablation: the paper's static split and reduction)
-  kCanonical,    // detail::oct_canonical (OCT_MPI and OCT_MPI+CILK: the
-                 // chunk fold, every balance policy, replicated or owned)
+  kCanonical,    // detail::oct_canonical (OCT_CILK as the 1 x p chunk fold,
+                 // OCT_MPI and OCT_MPI+CILK: every balance policy,
+                 // replicated or owned)
 };
 
 // Engine::run's routing decision, made from the options alone. Resolves
@@ -375,8 +375,6 @@ namespace detail {
 // the per-leaf recursion (the A/B baseline).
 RunResult oct_serial(const Prepared& prep, const ApproxParams& params,
                      const GBConstants& constants, TraversalMode traversal);
-RunResult oct_cilk(const Prepared& prep, const ApproxParams& params,
-                   const GBConstants& constants, int threads);
 // The paper's static split and reduction, one thread per rank, for the
 // kAtomBased ablation. It has no recovery, so route() refuses deaths and
 // stalls on it.

@@ -371,39 +371,4 @@ double EpolSolver::energy_from_lists(const InteractionLists& lists) const {
   return finish_energy_pair(raw_far, raw_near);
 }
 
-template <bool kApproxMath>
-double EpolSolver::recurse_dual(std::uint32_t u_node, std::uint32_t v_node) const {
-  const OctreeNode& u = prep_->atoms_tree.node(u_node);
-  const OctreeNode& v = prep_->atoms_tree.node(v_node);
-  const double d2 = distance2(u.centroid, v.centroid);
-  const double reach = (u.radius + v.radius) * far_multiplier_;
-  if (d2 > reach * reach) {
-    return binned_far_term<kApproxMath>(node_bins(u_node), node_bins(v_node), d2);
-  }
-  if (u.is_leaf() && v.is_leaf()) {
-    const LeafView view = make_leaf_view(v_node);
-    return pair_sum_exact<kApproxMath>(u.begin, u.end, view);
-  }
-  // Split the larger non-leaf side.
-  const bool split_u = !u.is_leaf() && (v.is_leaf() || u.radius >= v.radius);
-  double sum = 0.0;
-  if (split_u) {
-    for (std::uint8_t c = 0; c < u.child_count; ++c)
-      sum += recurse_dual<kApproxMath>(static_cast<std::uint32_t>(u.first_child) + c, v_node);
-  } else {
-    for (std::uint8_t c = 0; c < v.child_count; ++c)
-      sum += recurse_dual<kApproxMath>(u_node, static_cast<std::uint32_t>(v.first_child) + c);
-  }
-  return sum;
-}
-
-double EpolSolver::energy_dual_subtree(std::uint32_t u_node, std::uint32_t v_node) const {
-  if (prep_->atoms_tree.empty()) return 0.0;
-  const double sum = approx_math_ ? recurse_dual<true>(u_node, v_node)
-                                  : recurse_dual<false>(u_node, v_node);
-  return scale_ * sum;
-}
-
-double EpolSolver::energy_dual_tree() const { return energy_dual_subtree(0, 0); }
-
 }  // namespace gbpol

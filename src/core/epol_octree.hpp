@@ -10,7 +10,7 @@
 // — every pair's R_u R_v product is approximated by its bin-floor product,
 // and every pair's distance by the centroid distance r_UV.
 //
-// Three division strategies (paper §IV-A):
+// Two division strategies (paper §IV-A):
 //  * energy_for_leaf_range: the node-based (node-node) division of Fig. 4
 //    step 6 — rank i interacts its i-th segment of atom-tree LEAVES with the
 //    whole tree. Error is independent of the segmentation.
@@ -18,7 +18,6 @@
 //    range, truncating boundary leaves; truncated leaves get re-aggregated
 //    pseudo-particles, which is why the paper observes the error CHANGING
 //    with the process count for this scheme.
-//  * energy_dual_tree: the prior-work dual-tree recursion (OCT_CILK).
 #pragma once
 
 #include <algorithm>
@@ -144,11 +143,6 @@ class EpolSolver {
   // Atom-based division: contribution of sorted atom slots [atom_lo, atom_hi).
   double energy_for_atom_range(std::uint32_t atom_lo, std::uint32_t atom_hi) const;
 
-  // Dual-tree recursion over ordered pairs (u in subtree U, v in subtree V).
-  // energy_dual_tree() == energy_dual_subtree(root, root) == full E_pol.
-  double energy_dual_tree() const;
-  double energy_dual_subtree(std::uint32_t u_node, std::uint32_t v_node) const;
-
   int num_bins() const { return m_bins_; }
   double r_min() const { return r_min_; }
   double r_max() const { return r_max_; }
@@ -203,8 +197,6 @@ class EpolSolver {
                  double& raw_near) const;
   template <bool kApproxMath>
   double recurse_single(std::uint32_t u_node, const LeafView& v) const;
-  template <bool kApproxMath>
-  double recurse_dual(std::uint32_t u_node, std::uint32_t v_node) const;
 
   LeafView make_leaf_view(std::uint32_t node_id) const;
   LeafView make_truncated_view(std::uint32_t node_id, std::uint32_t atom_lo,

@@ -367,7 +367,8 @@ RunResult TrajectoryDriver::step(std::span<const Vec3> positions,
     if (journal_)
       journal_->append({.state = ckpt::JobState::kRunning,
                         .attempt = 1,
-                        .job = journal_job_id()});
+                        .job = journal_job_id(),
+                        .detail = {}});
     if (driver == Driver::kSerial) {
       const bool fresh = !caches_->born_acc_valid;
       result = evaluate_serial(fresh, atom_leaf_changed, q_leaf_changed);

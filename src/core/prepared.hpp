@@ -46,9 +46,8 @@ struct Prepared {
   // outlive this struct if a store is moved out).
   std::shared_ptr<PageArena> hot_arena;
 
-  // Per-q_tree-NODE aggregate sum of w*n — the tilde-n of Fig. 2, available
-  // at every node so both the single-tree (leaf Q) and dual-tree (any Q)
-  // algorithms can use it.
+  // Per-q_tree-NODE aggregate sum of w*n — the tilde-n of Fig. 2. Every
+  // node holds it; the Born walks read it at Q leaves.
   std::vector<Vec3> node_weighted_normal;
 
   // Per-q_tree-NODE first-moment tensor sum of w * n (x) (p - centroid):

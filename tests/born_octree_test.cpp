@@ -124,30 +124,6 @@ TEST_F(BornOctreeTest, PushRangesPartitionAtoms) {
   }
 }
 
-TEST_F(BornOctreeTest, DualTreeAgreesWithSingleTree) {
-  // Both satisfy the same error criterion; they should agree with each other
-  // to within the approximation scale and with naive.
-  ApproxParams params;
-  params.eps_born = 0.3;
-  const BornSolver solver(fix().prep, params);
-
-  BornAccumulator single = solver.make_accumulator();
-  const auto leaves = fix().prep.q_tree.leaves();
-  solver.accumulate_qleaf_range(0, static_cast<std::uint32_t>(leaves.size()), single);
-  std::vector<double> born_single(fix().prep.num_atoms(), 0.0);
-  solver.push_to_atoms(single, 0, static_cast<std::uint32_t>(born_single.size()),
-                       born_single);
-
-  BornAccumulator dual = solver.make_accumulator();
-  solver.accumulate_dual_tree(dual);
-  std::vector<double> born_dual(fix().prep.num_atoms(), 0.0);
-  solver.push_to_atoms(dual, 0, static_cast<std::uint32_t>(born_dual.size()), born_dual);
-
-  EXPECT_LT(max_rel_error(born_dual, born_single), 5.0);
-  EXPECT_LT(max_rel_error(fix().prep.to_original_order(born_dual), fix().naive_born),
-            8.0);
-}
-
 TEST_F(BornOctreeTest, StrictCriterionIsMoreAccurateAndDoesMoreWork) {
   ApproxParams loose;
   loose.eps_born = 0.9;

@@ -240,9 +240,9 @@ TEST(JournalTest, ReplayToleratesTornTailAndIsIdempotent) {
   const std::string path = dir + "/campaign.journal";
   {
     Journal j(path);
-    j.append({.state = JobState::kRunning, .attempt = 1, .job = "a"});
+    j.append({.state = JobState::kRunning, .attempt = 1, .job = "a", .detail = {}});
     j.append({.state = JobState::kDone, .job = "a", .detail = "E=-1.5"});
-    j.append({.state = JobState::kRunning, .attempt = 1, .job = "b"});
+    j.append({.state = JobState::kRunning, .attempt = 1, .job = "b", .detail = {}});
   }
   // Simulate a crash mid-append: the last line is cut in half.
   {
@@ -265,7 +265,7 @@ TEST(JournalTest, ReplayToleratesTornTailAndIsIdempotent) {
   }
   // Appending after replay continues the sequence past the surviving records.
   Journal resumed(path);
-  resumed.append({.state = JobState::kFailed, .attempt = 1, .job = "b"});
+  resumed.append({.state = JobState::kFailed, .attempt = 1, .job = "b", .detail = {}});
   EXPECT_GT(resumed.records().back().seq, first.back().seq);
 }
 

@@ -122,15 +122,15 @@ TEST_F(DriversTest, CilkDriverMatchesNaiveScale) {
 }
 
 TEST_F(DriversTest, CilkDriverStableAcrossRuns) {
-  // The energy reduction uses a fixed combine tree, but the Born phase's
-  // per-worker accumulators regroup FP additions depending on which worker
-  // stole which task (as in cilk++ without reducers), so runs agree to FP
-  // reassociation noise, not bit-for-bit.
+  // Whichever worker steals which chunk, every chunk's partial is computed
+  // fresh-from-zero and the partials fold in ascending chunk order, so
+  // repeated runs agree to the bit.
   ApproxParams params;
   const Engine engine(fix().prep, params, GBConstants{});
   const RunResult a = engine.run(cilk_options(4));
   const RunResult b = engine.run(cilk_options(4));
-  EXPECT_NEAR(a.energy, b.energy, std::abs(a.energy) * 1e-10);
+  EXPECT_EQ(a.energy, b.energy);
+  EXPECT_EQ(a.born_sorted, b.born_sorted);
 }
 
 TEST_F(DriversTest, MemoryAccountingScalesWithRanks) {

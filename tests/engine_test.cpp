@@ -73,10 +73,10 @@ TEST_F(EngineTest, AutoModeRoutesByTopology) {
   EXPECT_TRUE(serial.rank_results.empty());
   ASSERT_NE(serial.energy, 0.0);
 
-  options.threads_per_rank = 4;  // kAuto, threads > 1 -> cilk
+  options.threads_per_rank = 4;  // kAuto, threads > 1 -> cilk: one 4-thread rank
   const RunResult cilk = engine.run(options);
   EXPECT_EQ(cilk.threads_per_rank, 4);
-  EXPECT_TRUE(cilk.rank_results.empty());
+  EXPECT_EQ(cilk.rank_results.size(), 1u);
 
   options.threads_per_rank = 1;
   options.ranks = 3;  // kAuto, ranks > 1 -> distributed
@@ -209,11 +209,10 @@ TEST_F(EngineTest, RouteRejectsShapesNoDriverHonours) {
 }
 
 // Every supported shape routes to its driver and runs. The canonical-fold
-// shapes (plain OCT_MPI, hybrid ranks, every policy, owned data, armed kill,
-// checkpointing) agree to the bit with the one-thread run on as many ranks
-// as they have worker threads; the other list-traversal drivers agree with
-// them to reassociation distance, and cilk's dual-tree recursion to its
-// approximation error.
+// shapes (OCT_CILK, plain OCT_MPI, hybrid ranks, every policy, owned data,
+// armed kill, checkpointing) agree to the bit with the one-thread run on as
+// many ranks as they have worker threads; the other drivers agree with them
+// to reassociation distance.
 TEST_F(EngineTest, RouteRunsEverySupportedShape) {
   const std::string dir = testing::temp_path("gbpol_route_hybrid_ckpt");
   std::filesystem::remove_all(dir);
@@ -228,7 +227,7 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
   };
   RunOptions o;
   add("serial", Driver::kSerial, serial_options());
-  add("cilk", Driver::kCilk, cilk_options(2));
+  add("cilk", Driver::kCanonical, cilk_options(2));
   add("2x2 hybrid", Driver::kCanonical, distributed_options(2, 2));
   o = distributed_options(3, 2);
   o.distribution = DataDistribution::kOwned;
@@ -267,8 +266,7 @@ TEST_F(EngineTest, RouteRunsEverySupportedShape) {
                  std::to_string(static_cast<int>(row.options.balance)));
     EXPECT_EQ(route(row.options), row.driver);
     const RunResult r = engine.run(row.options);
-    const double tolerance = row.driver == Driver::kCilk ? 0.05 : 1e-9;
-    EXPECT_NEAR(r.energy, serial.energy, tolerance * std::abs(serial.energy));
+    EXPECT_NEAR(r.energy, serial.energy, 1e-9 * std::abs(serial.energy));
     const bool owned = row.options.distribution == DataDistribution::kOwned;
     EXPECT_EQ(r.owned_bytes_per_rank > 0, owned);
     if (row.driver == Driver::kCanonical) {

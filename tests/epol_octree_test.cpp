@@ -105,27 +105,6 @@ TEST_F(EpolOctreeTest, AtomRangeDivisionDriftsWithPartitioning) {
   EXPECT_GT(std::abs(one_part - multi), std::abs(one_part) * 1e-10);
 }
 
-TEST_F(EpolOctreeTest, DualTreeMatchesSingleTreeScale) {
-  ApproxParams params;
-  params.eps_epol = 0.3;
-  const EpolSolver solver(fix().prep, born(), params, GBConstants{});
-  const double single = full_energy(solver);
-  const double dual = solver.energy_dual_tree();
-  EXPECT_LT(percent_error(dual, fix().naive_energy), 3.0);
-  EXPECT_LT(percent_error(dual, single), 3.0);
-}
-
-TEST_F(EpolOctreeTest, DualSubtreesOfRootSumToDualTree) {
-  ApproxParams params;
-  const EpolSolver solver(fix().prep, born(), params, GBConstants{});
-  const OctreeNode& root = fix().prep.atoms_tree.root();
-  ASSERT_FALSE(root.is_leaf());
-  double sum = 0.0;
-  for (std::uint8_t c = 0; c < root.child_count; ++c)
-    sum += solver.energy_dual_subtree(static_cast<std::uint32_t>(root.first_child) + c, 0);
-  EXPECT_NEAR(sum, solver.energy_dual_tree(), std::abs(sum) * 1e-12);
-}
-
 TEST_F(EpolOctreeTest, BinCountGrowsAsEpsilonShrinks) {
   ApproxParams loose;
   loose.eps_epol = 0.9;

@@ -1,8 +1,8 @@
 // OCT_MPI+CILK on the canonical chunk fold: P ranks x p pool threads cut the
 // same chunks as (P*p) one-thread ranks and fold them in the same order, so
-// every hybrid shape — either distribution, every balance policy, a death at
-// each collective, a seeded corruption schedule, a kill/restart — answers to
-// the bit what (P*p) x 1 answers, run after run.
+// every hybrid shape — OCT_CILK's 1 x p, either distribution, every balance
+// policy, a death at each collective, a seeded corruption schedule, a
+// kill/restart — answers to the bit what (P*p) x 1 answers, run after run.
 #include <array>
 #include <filesystem>
 #include <map>
@@ -65,6 +65,20 @@ TEST_F(HybridTest, EveryDistributionAndPolicyMatchesOneThreadRanks) {
         expect_matches_one_thread(run(o), P, p);
       }
     }
+  }
+}
+
+// OCT_CILK is one rank whose pool runs the canonical chunk fold: p threads
+// cut and fold the chunks of 1 x p and of p x 1, to the bit.
+TEST_F(HybridTest, CilkIsTheOneRankShape) {
+  for (const int p : {1, 2, 4}) {
+    SCOPED_TRACE("cilk p=" + std::to_string(p));
+    EXPECT_EQ(route(cilk_options(p)), Driver::kCanonical);
+    const RunResult r = run(cilk_options(p));
+    const RunResult one_rank = run(distributed_options(1, p));
+    EXPECT_EQ(r.energy, one_rank.energy);
+    EXPECT_EQ(r.born_sorted, one_rank.born_sorted);
+    expect_matches_one_thread(r, 1, p);
   }
 }
 

@@ -42,7 +42,7 @@ TEST(OctreeTest, SinglePoint) {
 
 TEST(OctreeTest, PermutationIsABijection) {
   const auto pts = random_points(500, 1);
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 8, .max_depth = 20});
+  const Octree tree = Octree::build(pts, {.leaf_capacity = 8, .max_depth = 20, .domain = {}});
   std::set<std::uint32_t> seen;
   for (std::uint32_t slot = 0; slot < tree.num_points(); ++slot) {
     const std::uint32_t orig = tree.original_index(slot);
@@ -54,7 +54,7 @@ TEST(OctreeTest, PermutationIsABijection) {
 
 TEST(OctreeTest, ChildrenPartitionParentRange) {
   const auto pts = random_points(2000, 2);
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 16, .max_depth = 20});
+  const Octree tree = Octree::build(pts, {.leaf_capacity = 16, .max_depth = 20, .domain = {}});
   for (const OctreeNode& node : tree.nodes()) {
     if (node.is_leaf()) continue;
     std::uint32_t cursor = node.begin;
@@ -71,7 +71,7 @@ TEST(OctreeTest, ChildrenPartitionParentRange) {
 
 TEST(OctreeTest, EnclosingBallContainsAllPoints) {
   const auto pts = random_points(1000, 3);
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 10, .max_depth = 20});
+  const Octree tree = Octree::build(pts, {.leaf_capacity = 10, .max_depth = 20, .domain = {}});
   for (const OctreeNode& node : tree.nodes()) {
     for (std::uint32_t i = node.begin; i < node.end; ++i) {
       EXPECT_LE(distance(tree.point(i), node.centroid), node.radius + 1e-9);
@@ -81,7 +81,7 @@ TEST(OctreeTest, EnclosingBallContainsAllPoints) {
 
 TEST(OctreeTest, CentroidIsMeanOfPoints) {
   const auto pts = random_points(300, 4);
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 4, .max_depth = 20});
+  const Octree tree = Octree::build(pts, {.leaf_capacity = 4, .max_depth = 20, .domain = {}});
   const OctreeNode& root = tree.root();
   Vec3 mean;
   for (const Vec3& p : pts) mean += p;
@@ -91,7 +91,7 @@ TEST(OctreeTest, CentroidIsMeanOfPoints) {
 
 TEST(OctreeTest, LeavesPartitionPointsInOrder) {
   const auto pts = random_points(1500, 5);
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 12, .max_depth = 20});
+  const Octree tree = Octree::build(pts, {.leaf_capacity = 12, .max_depth = 20, .domain = {}});
   std::uint32_t cursor = 0;
   for (const std::uint32_t leaf_id : tree.leaves()) {
     const OctreeNode& leaf = tree.node(leaf_id);
@@ -104,7 +104,7 @@ TEST(OctreeTest, LeavesPartitionPointsInOrder) {
 
 TEST(OctreeTest, LeafCapacityRespected) {
   const auto pts = random_points(4000, 6);
-  const Octree::BuildParams params{.leaf_capacity = 25, .max_depth = 20};
+  const Octree::BuildParams params{.leaf_capacity = 25, .max_depth = 20, .domain = {}};
   const Octree tree = Octree::build(pts, params);
   for (const std::uint32_t leaf_id : tree.leaves()) {
     const OctreeNode& leaf = tree.node(leaf_id);
@@ -116,7 +116,7 @@ TEST(OctreeTest, LeafCapacityRespected) {
 TEST(OctreeTest, DuplicatePointsTerminateViaDepthBound) {
   std::vector<Vec3> pts(100, Vec3{1, 1, 1});
   pts.resize(150, Vec3{2, 2, 2});
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 4, .max_depth = 6});
+  const Octree tree = Octree::build(pts, {.leaf_capacity = 4, .max_depth = 6, .domain = {}});
   EXPECT_LE(tree.height(), 6);
   std::size_t total = 0;
   for (const std::uint32_t leaf_id : tree.leaves()) total += tree.node(leaf_id).count();
@@ -161,15 +161,19 @@ TEST(OctreeTest, BuildIsBitIdenticalAtAnyAffinity) {
 }
 
 TEST(OctreeTest, HeightGrowsLogarithmically) {
-  const Octree small = Octree::build(random_points(100, 7), {.leaf_capacity = 8, .max_depth = 20});
-  const Octree large = Octree::build(random_points(10000, 7), {.leaf_capacity = 8, .max_depth = 20});
+  const Octree small = Octree::build(random_points(100, 7),
+      {.leaf_capacity = 8, .max_depth = 20, .domain = {}});
+  const Octree large = Octree::build(random_points(10000, 7),
+      {.leaf_capacity = 8, .max_depth = 20, .domain = {}});
   EXPECT_GT(large.height(), small.height());
   EXPECT_LE(large.height(), 12);  // uniform points: ~log8(10000/8) + margin
 }
 
 TEST(OctreeTest, FootprintLinearInPoints) {
-  const Octree small = Octree::build(random_points(1000, 8), {.leaf_capacity = 16, .max_depth = 20});
-  const Octree large = Octree::build(random_points(8000, 8), {.leaf_capacity = 16, .max_depth = 20});
+  const Octree small = Octree::build(random_points(1000, 8),
+      {.leaf_capacity = 16, .max_depth = 20, .domain = {}});
+  const Octree large = Octree::build(random_points(8000, 8),
+      {.leaf_capacity = 16, .max_depth = 20, .domain = {}});
   const double ratio = static_cast<double>(large.footprint().bytes) /
                        static_cast<double>(small.footprint().bytes);
   EXPECT_GT(ratio, 5.0);
@@ -178,7 +182,7 @@ TEST(OctreeTest, FootprintLinearInPoints) {
 
 TEST(OctreeTest, RefitUpdatesGeometryWithoutRebuilding) {
   const auto pts = random_points(800, 10);
-  Octree tree = Octree::build(pts, {.leaf_capacity = 8, .max_depth = 20});
+  Octree tree = Octree::build(pts, {.leaf_capacity = 8, .max_depth = 20, .domain = {}});
   const std::size_t nodes_before = tree.nodes().size();
 
   // Shift every point; topology must survive, geometry must follow.
@@ -197,7 +201,7 @@ TEST(OctreeTest, RefitUpdatesGeometryWithoutRebuilding) {
 
 TEST(OctreeTest, RefitWithRandomPerturbationKeepsBallsValid) {
   const auto pts = random_points(500, 11);
-  Octree tree = Octree::build(pts, {.leaf_capacity = 16, .max_depth = 20});
+  Octree tree = Octree::build(pts, {.leaf_capacity = 16, .max_depth = 20, .domain = {}});
   Rng rng(99);
   std::vector<Vec3> moved = pts;
   for (Vec3& p : moved)
@@ -214,7 +218,7 @@ TEST(OctreeTest, MortonOrderKeepsSpatialLocality) {
   const Molecule mol = molgen::synthetic_protein(2000, 9);
   std::vector<Vec3> pts(mol.size());
   for (std::size_t i = 0; i < mol.size(); ++i) pts[i] = mol.atom(i).pos;
-  const Octree tree = Octree::build(pts, {.leaf_capacity = 16, .max_depth = 20});
+  const Octree tree = Octree::build(pts, {.leaf_capacity = 16, .max_depth = 20, .domain = {}});
   const OctreeNode& root = tree.root();
   ASSERT_FALSE(root.is_leaf());
   // Each child's points must be closer to their own centroid than to the

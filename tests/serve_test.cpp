@@ -149,7 +149,9 @@ TEST(ServeTest, DeltaRoutedPosesMatchTheKColdMirrorDriver) {
     // delta path is doing its job, not silently recomputing everything.
     // Pose 1 is the family driver's first step: it seeds the incremental
     // caches with a fresh (zero-reuse) evaluation by design.
-    if (pose >= 2) EXPECT_GT(s.result.reused_fraction, 0.0) << "pose " << pose;
+    if (pose >= 2) {
+      EXPECT_GT(s.result.reused_fraction, 0.0) << "pose " << pose;
+    }
   }
   EXPECT_EQ(service.stats().delta_routed, static_cast<std::uint64_t>(kPoses));
 }

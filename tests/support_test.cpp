@@ -227,7 +227,9 @@ TEST(WorkersTest, EveryBlockRunsExactlyOnceForAnyWorkerCount) {
         ASSERT_EQ(hits[b].load(), 1) << count << " workers, block " << b << " of " << blocks;
       // Never more workers than blocks, and the caller is one of them.
       EXPECT_LE(ids.size(), std::min<std::size_t>(count, blocks));
-      if (count == 1) EXPECT_EQ(ids, std::set{std::this_thread::get_id()});
+      if (count == 1) {
+        EXPECT_EQ(ids, std::set{std::this_thread::get_id()});
+      }
     }
   }
 }
@@ -267,7 +269,9 @@ TEST(WorkersTest, AnExceptionInOneBlockReachesTheCaller) {
     }
     // One worker claims blocks in ascending order and stops at the throw.
     // (Other workers may claim more blocks before they see the failure.)
-    if (count == 1) EXPECT_EQ(started.load(), 6);
+    if (count == 1) {
+      EXPECT_EQ(started.load(), 6);
+    }
   }
   // run: every worker throws; exactly one exception reaches the caller.
   EXPECT_THROW(workers::run(4, [] { throw std::logic_error("each"); }), std::logic_error);
